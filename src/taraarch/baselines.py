@@ -306,11 +306,14 @@ def tar_arch_full_qmle(
         ak = np.full(q, math.sqrt(0.3 / q))
     u0 = np.concatenate([theta0, [math.log(a0)], np.log(ak)])
 
-    zexp_r = np.zeros((nr, ntheta))
+    # The expanded design is stored time-contiguous, one row per mean
+    # parameter, and every time-axis sum runs through np.einsum rather than
+    # BLAS (see the estimation module's docstring on OpenBLAS threading).
+    zexp = np.zeros((ntheta, nr))
     w = p + 1
     for j in range(l):
         rows = np.flatnonzero(ctx.labels_r == j)
-        zexp_r[rows, j * w : (j + 1) * w] = ctx.Zr[rows]
+        zexp[j * w : (j + 1) * w, rows] = ctx.Zr[rows].T
 
     def natural(u):
         return u[:ntheta], np.exp(np.minimum(u[ntheta], 700.0)), np.exp(
@@ -319,7 +322,7 @@ def tar_arch_full_qmle(
 
     def value_grad_natural(theta, alpha0, alphas):
         """Mean negative qll and its gradient in natural coordinates."""
-        e = ctx.y_r - zexp_r @ theta
+        e = ctx.y_r - np.einsum("j,jt->t", theta, zexp)
         asq = alphas * alphas
         h = _sym_variance(alpha0, asq, e, ph)
         eq, hq = e[o:], h[o:]
@@ -328,15 +331,15 @@ def tar_arch_full_qmle(
             return 1e100, None
         gh = np.zeros(nr)
         gh[o:] = 0.5 * (1.0 / hq - eq * eq / (hq * hq)) / nq
-        grad_theta = -(zexp_r[o:].T @ (eq / hq)) / nq
+        grad_theta = -np.einsum("it,t->i", zexp[:, o:], eq / hq) / nq
         sq = e * e
         grad_a = np.empty(q)
         for k in range(1, q + 1):
             if k <= nr:
-                grad_theta += -2.0 * asq[k - 1] * (
-                    zexp_r[: nr - k].T @ (gh[k:] * e[: nr - k])
+                grad_theta += -2.0 * asq[k - 1] * np.einsum(
+                    "it,t->i", zexp[:, : nr - k], gh[k:] * e[: nr - k]
                 )
-                present = float(gh[k:] @ sq[: nr - k])
+                present = float(np.einsum("t,t->", gh[k:], sq[: nr - k]))
             else:
                 present = 0.0
             missing = float(gh[: min(k, nr)].sum()) * ph
@@ -381,25 +384,26 @@ def tar_arch_full_qmle(
 
     # Inference in natural coordinates: OPG information from per-observation
     # scores and a finite-difference Jacobian of the mean gradient.
-    e = ctx.y_r - zexp_r @ theta
+    e = ctx.y_r - np.einsum("j,jt->t", theta, zexp)
     asq = alphas * alphas
     h = _sym_variance(alpha0, asq, e, ph)
     eq, hq = e[o:], h[o:]
     w1 = 0.5 * (eq * eq / hq - 1.0) / hq
-    htheta = np.zeros((nr, ntheta))
-    dh_a = np.empty((nr, q))
+    htheta = np.zeros((ntheta, nr))
+    dh_a = np.empty((q, nr))
     sq = e * e
     for k in range(1, q + 1):
         if k <= nr:
-            htheta[k:] += -2.0 * asq[k - 1] * (e[: nr - k, None] * zexp_r[: nr - k])
-            dh_a[k:, k - 1] = 2.0 * alphas[k - 1] * sq[: nr - k]
-        dh_a[: min(k, nr), k - 1] = 2.0 * alphas[k - 1] * ph
+            htheta[:, k:] += -2.0 * asq[k - 1] * (e[: nr - k] * zexp[:, : nr - k])
+            dh_a[k - 1, k:] = 2.0 * alphas[k - 1] * sq[: nr - k]
+        dh_a[k - 1, : min(k, nr)] = 2.0 * alphas[k - 1] * ph
     kdim = ntheta + 1 + q
-    scores = np.empty((nq, kdim))
-    scores[:, :ntheta] = zexp_r[o:] * (eq / hq)[:, None] + w1[:, None] * htheta[o:]
-    scores[:, ntheta] = w1
-    scores[:, ntheta + 1 :] = w1[:, None] * dh_a[o:]
-    info = scores.T @ scores / nq
+    # Per-observation scores, one row per parameter.
+    scores = np.empty((kdim, nq))
+    scores[:ntheta] = zexp[:, o:] * (eq / hq) + w1 * htheta[:, o:]
+    scores[ntheta] = w1
+    scores[ntheta + 1 :] = w1 * dh_a[:, o:]
+    info = np.einsum("it,jt->ij", scores, scores) / nq
     info = 0.5 * (info + info.T)
 
     def mean_grad(vec):

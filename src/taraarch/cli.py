@@ -201,9 +201,6 @@ def _cmd_mc(args) -> int:
             "concentrated": montecarlo.summary_to_dict(res_a),
             "full_symmetric": montecarlo.summary_to_dict(res_b),
         }
-        with open(f"{prefix}_summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
         failed = res_a.failed or res_b.failed
     else:
         plan = montecarlo.ExperimentPlan.from_dict(doc)
@@ -212,11 +209,12 @@ def _cmd_mc(args) -> int:
         summary = montecarlo.summary_to_dict(result)
         if plan.replicates >= 100:
             summary["normality"] = montecarlo.normality_diagnostics(result).to_dict()
-        montecarlo.save_results(result, f"{prefix}_results.csv", f"{prefix}_summary.json")
-        with open(f"{prefix}_summary.json", "w") as fh:
-            json.dump(summary, fh, indent=2)
-            fh.write("\n")
+        with open(f"{prefix}_results.csv", "w", newline="") as fh:
+            montecarlo.results_to_csv(result, fh)
         failed = result.failed
+    with open(f"{prefix}_summary.json", "w") as fh:
+        json.dump(summary, fh, indent=2)
+        fh.write("\n")
     if failed:
         sys.stderr.write("error: experiment failed (non-convergence rate > 20%)\n")
         return EXIT_FAILED_EXPERIMENT

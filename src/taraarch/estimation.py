@@ -14,6 +14,15 @@ therefore alternates two concentrated steps:
 Standard errors come from a sandwich estimate built on the two families of
 estimating functions, with the cross blocks of the Jacobian obtained by
 finite differences.
+
+Every product that sums over the time axis goes through ``np.einsum``, whose
+own loops never call BLAS.  OpenBLAS hands ``gemv`` to its thread pool once
+``m * n >= 9216`` and ``ddot`` once ``n > 10000``, so with ``@`` these sums
+cross into threaded BLAS near n = 10**4, where waking the threads costs far
+more than the arithmetic.  The designs and score matrices that enter these
+sums are stored time-contiguous, one row per parameter: einsum's loops are
+fast only when the summed axis is contiguous.  Small k-by-k algebra stays
+with ``@`` and LAPACK.
 """
 
 from __future__ import annotations
@@ -98,6 +107,7 @@ class FitReport:
             "params": self.spec.to_dict(),
             "std_errors": np.asarray(self.std_errors, dtype=float).tolist(),
             "info_matrix": np.asarray(self.info_matrix, dtype=float).tolist(),
+            "sandwich_cov": np.asarray(self.sandwich_cov, dtype=float).tolist(),
             "qll": self.qll,
             "iterations": self.iterations,
             "converged": self.converged,
@@ -114,8 +124,12 @@ class FitReport:
     @classmethod
     def from_dict(cls, d: dict) -> "FitReport":
         spec = ModelSpec.from_dict(d["params"])
-        k = param_vector(spec).size
-        sand = np.full((k, k), np.nan)
+        if "sandwich_cov" in d:
+            sand = np.asarray(d["sandwich_cov"], dtype=float)
+        else:
+            # Documents written before the covariance was persisted.
+            k = param_vector(spec).size
+            sand = np.full((k, k), np.nan)
         return cls(
             spec=spec,
             std_errors=np.asarray(d["std_errors"], dtype=float),
@@ -158,22 +172,28 @@ class _FitContext:
         self.y_r = x[self.mpd :]
         self.Zr = _lag_design(x, p, self.mpd)
         self.labels_r = regime_indices(partition, x[self.mpd - d : n - d]) - 1
-        self.Zq = self.Zr[self.o :]
         self.y_q = self.y_r[self.o :]
         self.labels_q = self.labels_r[self.o :]
         l = partition.regimes
         self.regime_rows = [np.flatnonzero(self.labels_q == j) for j in range(l)]
+        # Designs on the likelihood window are stored time-contiguous, one row
+        # per regressor, so that np.einsum's time-axis sums read contiguous
+        # memory.
+        zq_t = self.Zr[self.o :].T
+        self.regime_z = [np.ascontiguousarray(zq_t[:, rows]) for rows in self.regime_rows]
+        self.regime_y = [self.y_q[rows] for rows in self.regime_rows]
         self.ntheta = l * (p + 1)
         self._zexp = None
 
     @property
-    def zexp_q(self) -> np.ndarray:
-        """Design expanded to the full theta dimension, zero outside the active regime."""
+    def zexp_t(self) -> np.ndarray:
+        """Design expanded to the full theta dimension, zero outside the active
+        regime, with shape ``(ntheta, nq)``."""
         if self._zexp is None:
-            z = np.zeros((self.nq, self.ntheta))
+            z = np.zeros((self.ntheta, self.nq))
             w = self.p + 1
             for j, rows in enumerate(self.regime_rows):
-                z[rows, j * w : (j + 1) * w] = self.Zq[rows]
+                z[j * w : (j + 1) * w, rows] = self.regime_z[j]
             self._zexp = z
         return self._zexp
 
@@ -245,10 +265,10 @@ def _theta_step(
         w = 1.0 / h[ctx.o :]
         new = np.empty_like(coeffs)
         for j, rows in enumerate(ctx.regime_rows):
-            zj = ctx.Zq[rows]
+            zj = ctx.regime_z[j]
             wj = w[rows]
-            gram = zj.T @ (zj * wj[:, None])
-            rhs = zj.T @ (ctx.y_q[rows] * wj)
+            gram = np.einsum("it,jt->ij", zj, zj * wj)
+            rhs = np.einsum("it,t->i", zj, ctx.regime_y[j] * wj)
             try:
                 new[j] = np.linalg.solve(gram, rhs)
             except np.linalg.LinAlgError:
@@ -275,11 +295,16 @@ def theta_step(series, partition, aarch, theta_init, tol: float = THETA_TOL) -> 
     return _theta_step(ctx, aarch, theta_init, tol=tol)
 
 
-def _alpha_parts(e: np.ndarray, ph: float, q: int):
-    """Lagged-residual matrices for the variance gradient, with presample rows."""
+def _alpha_parts(e: np.ndarray, q: int):
+    """Lagged-residual matrices for the variance gradient, with presample rows.
+
+    ``miss[t, k - 1]`` is 1 where lag ``k`` of observation ``t`` falls before
+    the sample; only the first ``min(q, n)`` rows can hold a 1, so ``miss``
+    keeps just those rows and its products act on that leading slice.
+    """
     nr = e.size
     vlag = np.zeros((nr, q))
-    miss = np.zeros((nr, q))
+    miss = np.zeros((min(q, nr), q))
     for k in range(1, q + 1):
         if k <= nr:
             vlag[k:, k - 1] = e[: nr - k]
@@ -313,31 +338,25 @@ def _alpha_unpack(u: np.ndarray, q: int) -> AarchParams:
     return AarchParams(alpha0=float(np.exp(u[0])), alphas=u[1 : 1 + q], betas=u[1 + q :])
 
 
-def _alpha_step(
-    ctx: _FitContext,
-    tar: TarParams,
-    aarch_init: AarchParams,
-    fit_lags: bool = True,
-) -> AarchParams:
-    q = ctx.q
-    e = ctx.residuals(tar)
+def _variance_objective(e: np.ndarray, q: int, o: int):
+    """The variance step's objective in ``u = (log alpha0, alphas, betas)``.
+
+    Returns a function of ``u`` giving ``-qll / n_window`` and its gradient,
+    with the residuals ``e`` held fixed and the likelihood window starting
+    at offset ``o``.
+    """
     ph = float(e.var())
-    eq = e[ctx.o :]
-    if not fit_lags:
-        # With the lag loadings pinned at zero the maximizer is closed form.
-        return AarchParams(
-            alpha0=float(np.mean(eq * eq)), alphas=np.zeros(q), betas=np.zeros(q)
-        )
-    vlag, alag, miss = _alpha_parts(e, ph, q)
+    vlag, alag, miss = _alpha_parts(e, q)
+    mq = miss.shape[0]
     sq = e * e
-    inv_nq = 1.0 / ctx.nq
-    o = ctx.o
+    inv_nq = 1.0 / (e.size - o)
 
     def objective(u):
         alpha0 = np.exp(min(u[0], 700.0))
         a, b = u[1 : 1 + q], u[1 + q :]
         core = alag * a + vlag * b
-        h = alpha0 + np.einsum("ij,ij->i", core, core) + (miss @ (a * a + b * b)) * ph
+        h = alpha0 + np.einsum("ij,ij->i", core, core)
+        h[:mq] += (miss @ (a * a + b * b)) * ph
         hq = h[o:]
         f = 0.5 * np.sum(np.log(hq) + sq[o:] / hq) * inv_nq
         if not np.isfinite(f):
@@ -347,9 +366,29 @@ def _alpha_step(
         gh[o:] = 0.5 * (1.0 / hq - sq[o:] / (hq * hq)) * inv_nq
         g = np.empty_like(u)
         g[0] = gh.sum() * alpha0
-        g[1 : 1 + q] = 2.0 * (gh @ (core * alag)) + 2.0 * a * ph * (gh @ miss)
-        g[1 + q :] = 2.0 * (gh @ (core * vlag)) + 2.0 * b * ph * (gh @ miss)
+        gmiss = gh[:mq] @ miss
+        g[1 : 1 + q] = 2.0 * np.einsum("t,tk->k", gh, core * alag) + 2.0 * a * ph * gmiss
+        g[1 + q :] = 2.0 * np.einsum("t,tk->k", gh, core * vlag) + 2.0 * b * ph * gmiss
         return f, g
+
+    return objective
+
+
+def _alpha_step(
+    ctx: _FitContext,
+    tar: TarParams,
+    aarch_init: AarchParams,
+    fit_lags: bool = True,
+) -> AarchParams:
+    q = ctx.q
+    e = ctx.residuals(tar)
+    if not fit_lags:
+        # With the lag loadings pinned at zero the maximizer is closed form.
+        eq = e[ctx.o :]
+        return AarchParams(
+            alpha0=float(np.mean(eq * eq)), alphas=np.zeros(q), betas=np.zeros(q)
+        )
+    objective = _variance_objective(e, q, ctx.o)
 
     # (a_k, b_k) = (0, 0) is an exact critical point of h in the squared
     # loadings, so a zero pair would leave the optimizer stuck; nudge it.
@@ -406,18 +445,21 @@ def alpha_score(spec: ModelSpec, series) -> np.ndarray:
     e = ctx.residuals(spec.tar)
     ph = float(e.var())
     q = spec.q
-    vlag, alag, miss = _alpha_parts(e, ph, q)
+    vlag, alag, miss = _alpha_parts(e, q)
+    mq = miss.shape[0]
     a, b = spec.aarch.alphas, spec.aarch.betas
     core = alag * a + vlag * b
-    h = spec.aarch.alpha0 + np.einsum("ij,ij->i", core, core) + (miss @ (a * a + b * b)) * ph
+    h = spec.aarch.alpha0 + np.einsum("ij,ij->i", core, core)
+    h[:mq] += (miss @ (a * a + b * b)) * ph
     gh = np.zeros(e.size)
     hq = h[ctx.o :]
     eq = e[ctx.o :]
     gh[ctx.o :] = 0.5 * (eq * eq / (hq * hq) - 1.0 / hq)
     grad = np.empty(1 + 2 * q)
     grad[0] = gh.sum()
-    grad[1 : 1 + q] = 2.0 * (gh @ (core * alag)) + 2.0 * a * ph * (gh @ miss)
-    grad[1 + q :] = 2.0 * (gh @ (core * vlag)) + 2.0 * b * ph * (gh @ miss)
+    gmiss = gh[:mq] @ miss
+    grad[1 : 1 + q] = 2.0 * np.einsum("t,tk->k", gh, core * alag) + 2.0 * a * ph * gmiss
+    grad[1 + q :] = 2.0 * np.einsum("t,tk->k", gh, core * vlag) + 2.0 * b * ph * gmiss
     return grad
 
 
@@ -432,7 +474,7 @@ def concentrated_equation_residuals(spec: ModelSpec, series) -> np.ndarray:
     e = ctx.residuals(spec.tar)
     h, _ = ctx.variance(spec.aarch, e)
     ratio = e[ctx.o :] / h[ctx.o :]
-    return ctx.zexp_q.T @ ratio / ctx.nq
+    return np.einsum("it,t->i", ctx.zexp_t, ratio) / ctx.nq
 
 
 def _initial_values(ctx: _FitContext) -> tuple[TarParams, AarchParams]:
@@ -517,15 +559,19 @@ def fit_alternating(
 
 
 def _alpha_grad_rows(e, h, ph, aarch: AarchParams, o: int):
-    """Per-observation variance-parameter derivatives on the residual window."""
+    """Variance-parameter derivatives of h on the residual window, one row per
+    parameter (shape ``(1 + 2q, n)``)."""
     q = aarch.q
-    vlag, alag, miss = _alpha_parts(e, ph, q)
+    vlag, alag, miss = _alpha_parts(e, q)
+    mq = miss.shape[0]
     a, b = aarch.alphas, aarch.betas
     core = alag * a + vlag * b
-    dh = np.empty((e.size, 1 + 2 * q))
-    dh[:, 0] = 1.0
-    dh[:, 1 : 1 + q] = 2.0 * core * alag + 2.0 * a * miss * ph
-    dh[:, 1 + q :] = 2.0 * core * vlag + 2.0 * b * miss * ph
+    dh = np.empty((1 + 2 * q, e.size))
+    dh[0] = 1.0
+    dh[1 : 1 + q] = (2.0 * core * alag).T
+    dh[1 + q :] = (2.0 * core * vlag).T
+    dh[1 : 1 + q, :mq] += (2.0 * a * miss * ph).T
+    dh[1 + q :, :mq] += (2.0 * b * miss * ph).T
     return dh, vlag, alag, miss, core
 
 
@@ -543,31 +589,33 @@ def _estimate_information(ctx: _FitContext, spec: ModelSpec):
     ntheta = ctx.ntheta
     ka = 1 + 2 * q
     k = ntheta + ka
-    zexp = ctx.zexp_q
+    zexp = ctx.zexp_t
 
-    # Outer product of the estimating-function scores.
-    scores = np.empty((nq, k))
-    scores[:, :ntheta] = zexp * (eq / hq)[:, None]
-    scores[:, ntheta:] = w1[:, None] * dh[o:]
-    info = scores.T @ scores / nq
+    # Outer product of the estimating-function scores, one row per parameter.
+    scores = np.empty((k, nq))
+    scores[:ntheta] = zexp * (eq / hq)
+    scores[ntheta:] = w1 * dh[:, o:]
+    info = np.einsum("it,jt->ij", scores, scores) / nq
 
     hess = np.zeros((k, k))
     # Mean block: variances treated as fixed weights, as in the mean step.
-    hess[:ntheta, :ntheta] = -(zexp * (1.0 / hq)[:, None]).T @ zexp / nq
+    hess[:ntheta, :ntheta] = -np.einsum("it,jt->ij", zexp * (1.0 / hq), zexp) / nq
 
     # Variance block: analytic Jacobian of the variance-step score.
     dw1 = (-eq * eq / hq + 0.5) / (hq * hq)
-    dha = dh[o:]
-    haa = np.einsum("i,ij,ik->jk", dw1, dha, dha)
-    paa = 2.0 * (alag[o:] ** 2 + miss[o:] * ph)
-    pbb = 2.0 * (vlag[o:] ** 2 + miss[o:] * ph)
-    pab = 2.0 * alag[o:] * vlag[o:]
-    for kk in range(q):
-        haa[1 + kk, 1 + kk] += float(w1 @ paa[:, kk])
-        haa[1 + q + kk, 1 + q + kk] += float(w1 @ pbb[:, kk])
-        cross = float(w1 @ pab[:, kk])
-        haa[1 + kk, 1 + q + kk] += cross
-        haa[1 + q + kk, 1 + kk] += cross
+    dha = dh[:, o:]
+    haa = np.einsum("it,jt->ij", dha * dw1, dha)
+    # Second derivatives of h in each loading pair; the presample term only
+    # reaches the likelihood window through miss's rows from o on.
+    wmiss = 2.0 * ph * (w1[: miss.shape[0] - o] @ miss[o:])
+    paa = 2.0 * np.einsum("t,tk->k", w1, alag[o:] ** 2) + wmiss
+    pbb = 2.0 * np.einsum("t,tk->k", w1, vlag[o:] ** 2) + wmiss
+    pab = 2.0 * np.einsum("t,tk->k", w1, alag[o:] * vlag[o:])
+    diag = np.arange(1, 1 + q)
+    haa[diag, diag] += paa
+    haa[diag + q, diag + q] += pbb
+    haa[diag, diag + q] += pab
+    haa[diag + q, diag] += pab
     hess[ntheta:, ntheta:] = haa / nq
 
     # Cross blocks by central finite differences of the estimating functions;
@@ -577,7 +625,7 @@ def _estimate_information(ctx: _FitContext, spec: ModelSpec):
     def g_theta(alpha_vec):
         aa = AarchParams(alpha0=alpha_vec[0], alphas=alpha_vec[1 : 1 + q], betas=alpha_vec[1 + q :])
         hh = variance_path(aa, e, ph)
-        return zexp.T @ (eq / hh[o:]) / nq
+        return np.einsum("it,t->i", zexp, eq / hh[o:]) / nq
 
     def g_alpha(theta_flat):
         tt = TarParams(theta_flat.reshape(tar.coefficients.shape))
@@ -587,7 +635,7 @@ def _estimate_information(ctx: _FitContext, spec: ModelSpec):
         dhh, _, _, _, _ = _alpha_grad_rows(ee, hh, pph, aarch, o)
         ww = 0.5 * (ee[o:] ** 2 / hh[o:] - 1.0) / hh[o:]
         ww = np.where(keep, ww, 0.0)
-        return dhh[o:].T @ ww / nq
+        return np.einsum("it,t->i", dhh[:, o:], ww) / nq
 
     for c in range(ka):
         step = FD_STEP * (1.0 + abs(avec[c]))

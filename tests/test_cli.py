@@ -160,6 +160,32 @@ class TestMc:
         summary = json.loads((tmp_path / "mc_summary.json").read_text())
         assert summary["plan"]["replicates"] == 1
 
+    def test_summary_written_once_with_normality(self, tmp_path, monkeypatch):
+        import builtins
+
+        import taraarch.cli as cli_mod
+        from taraarch.montecarlo import load_results
+
+        writes = []
+
+        def counting_open(path, mode="r", *args, **kwargs):
+            if "w" in mode:
+                writes.append(str(path))
+            return builtins.open(path, mode, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "open", counting_open, raising=False)
+        monkeypatch.setattr(cli_mod.montecarlo, "open", counting_open, raising=False)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(self.plan_doc(replicates=100)))
+        prefix = tmp_path / "mc"
+        assert run_cli("mc", str(plan), "--output", str(prefix)) == 0
+        summary_path = tmp_path / "mc_summary.json"
+        assert writes.count(str(summary_path)) == 1
+        summary = json.loads(summary_path.read_text())
+        assert "normality" in summary
+        again = load_results(tmp_path / "mc_results.csv", summary_path)
+        assert len(again.rows) == 100
+
     def test_nonstationary_plan_warns(self, tmp_path, capsys):
         doc = self.plan_doc(replicates=1)
         doc["true_spec"]["alphas"] = [0.9]

@@ -16,6 +16,8 @@ from taraarch.estimation import (
     gaussian_qll,
     theta_step,
     threshold_delay_search,
+    _FitContext,
+    _variance_objective,
 )
 from taraarch.model import (
     AarchParams,
@@ -220,9 +222,10 @@ class TestFitAlternating:
         report = fit_alternating(sim.series, spec.partition, 1, 1, init=spec)
         assert report.qll >= gaussian_qll(spec, sim.series) - 1e-9
 
-    def test_equation_families_vanish_at_optimum(self):
+    @pytest.mark.parametrize("n", [2000, 12000])
+    def test_equation_families_vanish_at_optimum(self, n):
         spec = reference_spec()
-        sim = simulate_path(spec, SimConfig(n=2000, seed=7))
+        sim = simulate_path(spec, SimConfig(n=n, seed=7))
         report = fit_alternating(sim.series, spec.partition, 1, 1, compute_se=False)
         eq = concentrated_equation_residuals(report.spec, sim.series)
         assert np.max(np.abs(eq)) < 1e-8
@@ -247,15 +250,97 @@ class TestFitAlternating:
         assert again.iterations == report.iterations
         assert again.converged == report.converged
         np.testing.assert_array_equal(again.std_errors, report.std_errors)
+        np.testing.assert_array_equal(again.sandwich_cov, report.sandwich_cov)
         np.testing.assert_array_equal(
             param_vector(again.spec), param_vector(report.spec)
         )
         import json
 
         assert set(json.loads(doc)) == {
-            "params", "std_errors", "info_matrix", "qll", "iterations",
-            "converged", "trace", "partition",
+            "params", "std_errors", "info_matrix", "sandwich_cov", "qll",
+            "iterations", "converged", "trace", "partition",
         }
+
+    def test_report_without_sandwich_loads_as_nan(self):
+        spec = reference_spec()
+        sim = simulate_path(spec, SimConfig(n=1200, seed=11))
+        doc = fit_alternating(sim.series, spec.partition, 1, 1).to_dict()
+        del doc["sandwich_cov"]
+        again = FitReport.from_dict(doc)
+        k = param_vector(spec).size
+        assert again.sandwich_cov.shape == (k, k)
+        assert np.all(np.isnan(again.sandwich_cov))
+
+
+def two_lag_spec():
+    """The reference spec with q = 2, so the likelihood window starts at o = 1."""
+    ref = reference_spec()
+    aarch = AarchParams(0.1, np.array([0.3, 0.15]), np.array([0.1, -0.05]))
+    return ModelSpec(p=1, q=2, partition=ref.partition, tar=ref.tar, aarch=aarch)
+
+
+class TestAboveBlasThreadingLimits:
+    """Oracles at n = 12000, where ``@`` on the time axis would use threaded BLAS."""
+
+    N = 12000
+
+    def test_alpha_score_matches_finite_differences(self):
+        spec = two_lag_spec()
+        x = simulate_path(spec, SimConfig(n=self.N, seed=21)).series
+
+        def at(avec):
+            aarch = AarchParams(avec[0], avec[1:3], avec[3:])
+            return ModelSpec(
+                p=1, q=2, partition=spec.partition, tar=spec.tar, aarch=aarch
+            )
+
+        base = np.array([0.13, 0.25, 0.2, 0.15, -0.1])
+        g = alpha_score(at(base), x)
+        fd = np.empty(base.size)
+        for i in range(base.size):
+            h = 1e-6 * (1.0 + abs(base[i]))
+            up, dn = base.copy(), base.copy()
+            up[i] += h
+            dn[i] -= h
+            fd[i] = (gaussian_qll(at(up), x) - gaussian_qll(at(dn), x)) / (2 * h)
+        rel = np.abs(g - fd) / np.maximum(1.0, np.abs(fd))
+        assert rel.max() < 1e-6
+
+    def test_variance_objective_gradient_matches_finite_differences(self):
+        spec = two_lag_spec()
+        x = simulate_path(spec, SimConfig(n=self.N, seed=22)).series.values
+        ctx = _FitContext(x, spec.partition, 1, 2)
+        assert ctx.o == 1
+        objective = _variance_objective(ctx.residuals(spec.tar), 2, ctx.o)
+        u = np.array([np.log(0.12), 0.25, 0.2, 0.15, -0.1])
+        _, g = objective(u)
+        fd = np.empty(u.size)
+        for i in range(u.size):
+            h = 1e-6 * (1.0 + abs(u[i]))
+            up, dn = u.copy(), u.copy()
+            up[i] += h
+            dn[i] -= h
+            fd[i] = (objective(up)[0] - objective(dn)[0]) / (2 * h)
+        np.testing.assert_allclose(g, fd, rtol=0, atol=1e-8)
+
+
+@pytest.mark.parametrize(
+    "subscripts, matmul, shapes",
+    [
+        ("it,jt->ij", lambda a, b: a @ b.T, [(4, 16000), (4, 16000)]),
+        ("it,t->i", lambda a, b: a @ b, [(4, 16000), (16000,)]),
+        ("j,jt->t", lambda a, b: a @ b, [(4,), (4, 16000)]),
+        ("t,tk->k", lambda a, b: a @ b, [(16000,), (16000, 2)]),
+        ("t,t->", lambda a, b: a @ b, [(16000,), (16000,)]),
+    ],
+)
+def test_time_axis_einsum_matches_matmul(subscripts, matmul, shapes):
+    rng = np.random.Generator(np.random.Philox(key=16000))
+    a, b = (rng.normal(size=shape) for shape in shapes)
+    got = np.einsum(subscripts, a, b)
+    ref = matmul(a, b)
+    assert got.shape == np.shape(ref)
+    assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestEquivariance:
