@@ -10,6 +10,7 @@ health metric and an experiment is flagged failed when it exceeds 20%.
 from __future__ import annotations
 
 import csv
+import ctypes
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -255,6 +256,48 @@ class ExperimentResult:
     failed: bool
 
 
+def _loaded_openblas() -> list[tuple[ctypes.CDLL, str]]:
+    """Every OpenBLAS loaded in this process, with its symbol suffix.
+
+    numpy's and scipy's wheels each bundle their own OpenBLAS: numpy's exports
+    ``scipy_openblas_*64_`` symbols and scipy's plain ``scipy_openblas_*``.
+    Empty where ``/proc/self/maps`` is missing or no such library is loaded.
+    """
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted(
+                {line.split(maxsplit=5)[-1].strip() for line in fh if "openblas" in line}
+            )
+    except OSError:
+        return []
+    libs = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # e.g. a mapping of a file deleted since it was loaded
+            continue
+        for suffix in ("64_", ""):
+            if hasattr(lib, f"scipy_openblas_set_num_threads{suffix}"):
+                libs.append((lib, suffix))
+                break
+    return libs
+
+
+def _single_threaded_blas() -> None:
+    """Pool initializer: run every loaded OpenBLAS on one thread.
+
+    A forked worker inherits the parent's thread count, so several workers
+    would each wake a BLAS thread pool and oversubscribe the cores.
+    Setting ``OPENBLAS_NUM_THREADS`` after fork has no effect, so the
+    library's own setter is called.
+    """
+    for lib, suffix in _loaded_openblas():
+        setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(1)
+
+
 def _replicate_task(args):
     plan, n, r, compute_se = args
     seed = mix_seed(plan.base_seed, n, r)
@@ -309,13 +352,16 @@ def _summarize(plan, names, truth, rows, scaled_covs=None):
         rate = 1.0 - len(conv) / len(cell_rows) if cell_rows else 1.0
         if rate > NONCONVERGENCE_FAILURE_RATE:
             failed = True
-        if conv:
-            est = np.vstack([row.estimates for row in conv])
-            ses = np.vstack([row.std_errors for row in conv])
+        # A search that selects the wrong regime count converges with NaN
+        # estimates: such rows count only toward the selection statistics.
+        comparable = [row for row in conv if np.all(np.isfinite(row.estimates))]
+        if comparable:
+            est = np.vstack([row.estimates for row in comparable])
+            ses = np.vstack([row.std_errors for row in comparable])
             err = est - truth
             bias = err.mean(axis=0)
             rmse = np.sqrt((err * err).mean(axis=0))
-            if len(conv) > 1:
+            if len(comparable) > 1:
                 cov_scaled = n * np.cov(est, rowvar=False, ddof=1).reshape(k, k)
             else:
                 cov_scaled = np.zeros((k, k))
@@ -374,6 +420,11 @@ def run_experiment(
     ``workers``.  ``compute_se=False`` skips the sandwich computation when
     only point estimates are needed.  The result is flagged ``failed`` when
     any cell's non-convergence rate exceeds 20%.
+
+    With ``workers > 1`` the replicates run in a process pool that hands each
+    worker one task at a time.  Every worker sets each loaded OpenBLAS to one
+    thread when it starts, so the workers do not oversubscribe the cores;
+    this process keeps its own BLAS thread count.
     """
     check_stationarity(plan.true_spec)
     names = plan_param_names(plan)
@@ -384,8 +435,10 @@ def run_experiment(
         for r in range(plan.replicates)
     ]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_replicate_task, tasks, chunksize=8))
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_single_threaded_blas
+        ) as pool:
+            raw = list(pool.map(_replicate_task, tasks))
     else:
         raw = [_replicate_task(t) for t in tasks]
     raw.sort(key=lambda item: (item[0], item[1]))

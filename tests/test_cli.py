@@ -7,7 +7,7 @@ import pytest
 from taraarch.cli import main
 from taraarch.estimation import FitReport
 from taraarch.model import param_vector
-from taraarch.montecarlo import reference_spec
+from taraarch.montecarlo import reference_spec, symmetric_reference_spec
 from taraarch.simulate import SimConfig, simulate_path
 
 
@@ -185,6 +185,23 @@ class TestMc:
         assert "normality" in summary
         again = load_results(tmp_path / "mc_results.csv", summary_path)
         assert len(again.rows) == 100
+
+    def test_both_estimators_byte_identical_across_workers(self, tmp_path):
+        doc = self.plan_doc(estimator="both", replicates=4)
+        doc["true_spec"] = symmetric_reference_spec().to_dict()
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(doc))
+        blobs = []
+        for workers in ("1", "2"):
+            prefix = tmp_path / f"mc_w{workers}"
+            assert run_cli("mc", str(plan), "--workers", workers,
+                           "--output", str(prefix)) == 0
+            blobs.append([
+                (tmp_path / f"{prefix.name}_{name}.csv").read_bytes()
+                for name in ("concentrated", "full")
+            ])
+        assert blobs[0] == blobs[1]
+        assert all(len(blob.splitlines()) == 5 for blob in blobs[0])
 
     def test_nonstationary_plan_warns(self, tmp_path, capsys):
         doc = self.plan_doc(replicates=1)

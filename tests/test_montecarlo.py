@@ -1,3 +1,4 @@
+import ctypes
 import io
 import json
 import os
@@ -5,11 +6,13 @@ import os
 import numpy as np
 import pytest
 
+from taraarch import montecarlo
 from taraarch.montecarlo import (
     ExperimentPlan,
     ExperimentResult,
     GridRecipe,
     ReplicateRow,
+    _loaded_openblas,
     _summarize,
     anderson_darling_statistic,
     efficiency_comparison,
@@ -25,6 +28,28 @@ from taraarch.estimation import SearchGrid
 from taraarch.simulate import mix_seed, normal_stream
 
 WORKERS = min(2, os.cpu_count() or 1)
+
+
+def blas_threads() -> list[int]:
+    """Thread count of every OpenBLAS loaded in this process."""
+    counts = []
+    for lib, suffix in _loaded_openblas():
+        getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        getter.argtypes = []
+        getter.restype = ctypes.c_int
+        counts.append(getter())
+    return counts
+
+
+_REPLICATE_TASK = montecarlo._replicate_task
+
+
+def task_checking_blas_threads(args):
+    """Pool task that refuses to run unless every OpenBLAS has one thread."""
+    threads = blas_threads()
+    if threads != [1] * len(threads):
+        raise RuntimeError(f"pool worker runs BLAS on {threads} threads")
+    return _REPLICATE_TASK(args)
 
 
 def small_plan(replicates=6, n=(300,), seed=101, **kwargs):
@@ -73,6 +98,15 @@ class TestRunExperiment:
         results_to_csv(serial, buf_a)
         results_to_csv(parallel, buf_b)
         assert buf_a.getvalue() == buf_b.getvalue()
+
+    def test_pool_workers_run_single_threaded_blas(self, monkeypatch):
+        before = blas_threads()
+        if not before:
+            pytest.skip("no OpenBLAS loaded in this process")
+        monkeypatch.setattr(montecarlo, "_replicate_task", task_checking_blas_threads)
+        res = run_experiment(small_plan(replicates=2), workers=2)
+        assert [row.converged for row in res.rows] == [True, True]
+        assert blas_threads() == before
 
     def test_single_replicate_smoke(self):
         res = run_experiment(small_plan(replicates=1))
@@ -145,6 +179,30 @@ class TestSummaries:
         )
         summaries, _ = _summarize(plan, names, truth, [good, bad, self._row(300, 2, np.full(7, 3.0))])
         np.testing.assert_allclose(summaries[300].bias, np.full(7, 2.0))
+
+    def test_regime_mismatch_rows_excluded_from_estimate_summaries(self):
+        plan = small_plan(replicates=3)
+        truth = np.zeros(7)
+        names = ["x"] * 7
+
+        def row(r, est, delay, thresholds):
+            return ReplicateRow(
+                n=300, r=r, seed=r, converged=True,
+                estimates=np.full(7, est), std_errors=np.full(7, 0.1),
+                selected_delay=delay, selected_thresholds=thresholds,
+            )
+
+        # the middle search picked one regime, so its estimates are NaN
+        rows = [row(0, 0.05, 2, (0.0,)), row(1, np.nan, 2, ()), row(2, -0.05, 1, (0.1,))]
+        cell = _summarize(plan, names, truth, rows)[0][300]
+        np.testing.assert_allclose(cell.bias, np.zeros(7), atol=1e-15)
+        np.testing.assert_allclose(cell.rmse, np.full(7, 0.05))
+        np.testing.assert_allclose(cell.cov_scaled, np.full((7, 7), 300 * 0.005))
+        np.testing.assert_array_equal(cell.coverage, np.ones(7))
+        # selection statistics still count it
+        assert cell.n_converged == 3
+        assert cell.delay_mode == 2
+        assert cell.threshold_medians == (0.05,)
 
 
 class TestEfficiency:
