@@ -1,8 +1,9 @@
 """Two-step concentrated QML fit on simulated data.
 
 The mean step is iteratively reweighted least squares with the variances as
-weights; the variance step is a smooth quasi-Newton maximization with the
-residuals held fixed.  Alternating the two converges in a handful of rounds.
+weights; the variance step is non-negative least squares in slope
+coordinates with the residuals held fixed.  Alternating the two converges in
+a handful of rounds.
 """
 
 import numpy as np

@@ -238,11 +238,7 @@ class _UsageError(Exception):
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="random seed")
     common.add_argument("--output", default=None, help="output path (default stdout)")
-    common.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="report format"
-    )
 
     parser = argparse.ArgumentParser(
         prog="taraarch",
@@ -266,6 +262,7 @@ def _build_parser() -> argparse.ArgumentParser:
     si.add_argument("--canned-alpha0", type=float, default=None,
                     help="noise variance for canned specs")
     si.add_argument("--n", type=int, required=True, help="output length")
+    si.add_argument("--seed", type=int, default=0, help="random seed")
     si.add_argument("--burn-in", type=int, default=sim.DEFAULT_BURN_IN)
     si.set_defaults(func=_cmd_simulate)
 
@@ -279,6 +276,9 @@ def _build_parser() -> argparse.ArgumentParser:
     fi.add_argument("--delays", default="1,2,3", help="candidate delays for --search")
     fi.add_argument("--min-regime-frac", type=float, default=0.1)
     fi.add_argument("--allow-single-regime", action="store_true")
+    fi.add_argument(
+        "--format", choices=("json", "csv"), default="json", help="report format"
+    )
     fi.set_defaults(func=_cmd_fit)
 
     mc = subs.add_parser("mc", parents=[common], help="run a Monte Carlo plan")

@@ -9,11 +9,14 @@ therefore alternates two concentrated steps:
   by treating the conditional variances as fixed weights, refreshing the
   weights between passes (IRLS);
 * the variance step maximizes the quasi-likelihood over the variance
-  parameters with the residuals held fixed, which is a smooth problem.
+  parameters with the residuals held fixed.  In the news-impact slopes
+  ``gamma = (alpha0, (alphas + betas)**2, (alphas - betas)**2)`` the
+  variance is linear, ``h = gamma @ X`` (:func:`_slope_design`), so this
+  step is non-negative least squares in slope coordinates: a scoring
+  iteration of weighted fits of ``e**2`` on ``X`` under ``gamma >= 0``.
 
 Standard errors come from a sandwich estimate built on the two families of
-estimating functions, with the cross blocks of the Jacobian obtained by
-finite differences.
+estimating functions, with analytic cross blocks of their Jacobian.
 
 Every product that sums over the time axis goes through ``np.einsum``, whose
 own loops never call BLAS.  OpenBLAS hands ``gemv`` to its thread pool once
@@ -32,6 +35,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 import scipy.optimize
 
 from .model import (
@@ -42,7 +46,6 @@ from .model import (
     param_vector,
     regime_indices,
     series_values,
-    variance_path,
     _lag_design,
 )
 
@@ -63,11 +66,10 @@ __all__ = [
 ]
 
 THETA_TOL = 1e-10
+VARIANCE_TOL = 1e-12
 OUTER_REL_TOL = 1e-9
 MAX_OUTER = 200
-GRAD_TOL = 1e-6
-KINK_EPS = 1e-8
-FD_STEP = 1e-5
+MAX_VARIANCE_ITER = 500
 
 
 class EstimationError(RuntimeError):
@@ -146,6 +148,60 @@ class FitReport:
         return cls.from_dict(json.loads(text))
 
 
+def _slope_design(e: np.ndarray, q: int) -> np.ndarray:
+    """Design of the conditional variance in slope coordinates.
+
+    With ``gamma = (alpha0, c+_1..q, c-_1..q)`` and ``c±_k = (alpha_k ±
+    beta_k)**2``, the lag term ``(alpha_k |e| + beta_k e)**2`` equals
+    ``c+_k e**2`` for a positive lag and ``c-_k e**2`` for a negative one, so
+    ``h = gamma @ X`` and ``dh/dgamma = X``.  Row ``k`` holds the squared
+    positive part of lag ``k``, row ``q + k`` the squared negative part; a
+    lag before the sample holds ``ph / 2`` in both, with ``ph = var(e)``,
+    which is the presample term ``(alpha_k**2 + beta_k**2) * ph`` of
+    :func:`~taraarch.model.variance_path`.  Shape ``(1 + 2q, n)``,
+    time-contiguous.
+    """
+    n = e.size
+    half_ph = 0.5 * float(e.var())
+    pos = np.maximum(e, 0.0)
+    neg = np.minimum(e, 0.0)
+    x = np.empty((1 + 2 * q, n))
+    x[0] = 1.0
+    for k in range(1, q + 1):
+        m = min(k, n)
+        x[k, m:] = pos[: n - m] ** 2
+        x[q + k, m:] = neg[: n - m] ** 2
+        x[k, :m] = x[q + k, :m] = half_ph
+    return x
+
+
+def _slopes(aarch: AarchParams) -> np.ndarray:
+    """``gamma = (alpha0, (alphas + betas)**2, (alphas - betas)**2)``."""
+    a, b = aarch.alphas, aarch.betas
+    return np.concatenate([[aarch.alpha0], (a + b) ** 2, (a - b) ** 2])
+
+
+def _loadings(gamma: np.ndarray, q: int) -> AarchParams:
+    """Inverse of :func:`_slopes` into the cone ``alphas >= |betas|``."""
+    rp, rm = np.sqrt(gamma[1 : 1 + q]), np.sqrt(gamma[1 + q :])
+    return AarchParams(
+        alpha0=float(gamma[0]), alphas=0.5 * (rp + rm), betas=0.5 * (rp - rm)
+    )
+
+
+def _loading_jacobian(aarch: AarchParams) -> np.ndarray:
+    """``d gamma / d(alpha0, alphas, betas)``, one row per slope."""
+    q = aarch.q
+    a, b = aarch.alphas, aarch.betas
+    jac = np.zeros((1 + 2 * q, 1 + 2 * q))
+    jac[0, 0] = 1.0
+    i = np.arange(1, 1 + q)
+    jac[i, i] = jac[i, i + q] = 2.0 * (a + b)
+    jac[i + q, i] = 2.0 * (a - b)
+    jac[i + q, i + q] = -2.0 * (a - b)
+    return jac
+
+
 class _FitContext:
     """Precomputed design pieces shared by all steps of a fit.
 
@@ -188,12 +244,14 @@ class _FitContext:
     @property
     def zexp_t(self) -> np.ndarray:
         """Design expanded to the full theta dimension, zero outside the active
-        regime, with shape ``(ntheta, nq)``."""
+        regime, on the residual window: shape ``(ntheta, nr)``."""
         if self._zexp is None:
-            z = np.zeros((self.ntheta, self.nq))
+            z = np.zeros((self.ntheta, self.nr))
             w = self.p + 1
-            for j, rows in enumerate(self.regime_rows):
-                z[j * w : (j + 1) * w, rows] = self.regime_z[j]
+            zr_t = self.Zr.T
+            for j in range(self.partition.regimes):
+                cols = self.labels_r == j
+                z[j * w : (j + 1) * w, cols] = zr_t[:, cols]
             self._zexp = z
         return self._zexp
 
@@ -201,13 +259,12 @@ class _FitContext:
         means = np.einsum("ij,ij->i", self.Zr, tar.coefficients[self.labels_r])
         return self.y_r - means
 
-    def variance(self, aarch: AarchParams, e: np.ndarray) -> tuple[np.ndarray, float]:
-        ph = float(e.var())
-        return variance_path(aarch, e, ph), ph
+    def variance(self, aarch: AarchParams, e: np.ndarray) -> np.ndarray:
+        return np.einsum("j,jt->t", _slopes(aarch), _slope_design(e, self.q))
 
     def qll_sum(self, tar: TarParams, aarch: AarchParams) -> float:
         e = self.residuals(tar)
-        h, _ = self.variance(aarch, e)
+        h = self.variance(aarch, e)
         eq, hq = e[self.o :], h[self.o :]
         val = -0.5 * float(np.sum(np.log(hq) + eq * eq / hq))
         if not np.isfinite(val):
@@ -234,7 +291,7 @@ def gaussian_qll(spec: ModelSpec, series, conditioning: int | None = None) -> fl
             f"conditioning must be >= max(p, q, d) = {ctx.m}, got {conditioning}"
         )
     e = ctx.residuals(spec.tar)
-    h, _ = ctx.variance(spec.aarch, e)
+    h = ctx.variance(spec.aarch, e)
     start = conditioning - ctx.mpd
     eq, hq = e[start:], h[start:]
     val = -0.5 * float(np.sum(np.log(hq) + eq * eq / hq))
@@ -261,7 +318,7 @@ def _theta_step(
             )
     for _ in range(max_iter):
         e = ctx.residuals(TarParams(coeffs))
-        h, _ = ctx.variance(aarch, e)
+        h = ctx.variance(aarch, e)
         w = 1.0 / h[ctx.o :]
         new = np.empty_like(coeffs)
         for j, rows in enumerate(ctx.regime_rows):
@@ -295,85 +352,6 @@ def theta_step(series, partition, aarch, theta_init, tol: float = THETA_TOL) -> 
     return _theta_step(ctx, aarch, theta_init, tol=tol)
 
 
-def _alpha_parts(e: np.ndarray, q: int):
-    """Lagged-residual matrices for the variance gradient, with presample rows.
-
-    ``miss[t, k - 1]`` is 1 where lag ``k`` of observation ``t`` falls before
-    the sample; only the first ``min(q, n)`` rows can hold a 1, so ``miss``
-    keeps just those rows and its products act on that leading slice.
-    """
-    nr = e.size
-    vlag = np.zeros((nr, q))
-    miss = np.zeros((min(q, nr), q))
-    for k in range(1, q + 1):
-        if k <= nr:
-            vlag[k:, k - 1] = e[: nr - k]
-        miss[: min(k, nr), k - 1] = 1.0
-    return vlag, np.abs(vlag), miss
-
-
-def _canonical_loadings(aarch: AarchParams) -> AarchParams:
-    """Map each loading pair to its canonical representative ``a_k >= |b_k|``.
-
-    The lag term ``(a|e| + b e)**2`` is invariant under swapping ``(a, b)``
-    (and under joint sign flips), so the likelihood has mirror-image optima;
-    estimates are reported from the cone where the absolute-value loading
-    dominates.
-    """
-    a = np.array(aarch.alphas)
-    b = np.array(aarch.betas)
-    swap = a < np.abs(b)
-    if not np.any(swap):
-        return aarch
-    a_new = np.where(swap, np.abs(b), a)
-    b_new = np.where(swap, np.sign(b) * a, b)
-    return AarchParams(alpha0=aarch.alpha0, alphas=a_new, betas=b_new)
-
-
-def _alpha_pack(aarch: AarchParams) -> np.ndarray:
-    return np.concatenate([[np.log(max(aarch.alpha0, 1e-12))], aarch.alphas, aarch.betas])
-
-
-def _alpha_unpack(u: np.ndarray, q: int) -> AarchParams:
-    return AarchParams(alpha0=float(np.exp(u[0])), alphas=u[1 : 1 + q], betas=u[1 + q :])
-
-
-def _variance_objective(e: np.ndarray, q: int, o: int):
-    """The variance step's objective in ``u = (log alpha0, alphas, betas)``.
-
-    Returns a function of ``u`` giving ``-qll / n_window`` and its gradient,
-    with the residuals ``e`` held fixed and the likelihood window starting
-    at offset ``o``.
-    """
-    ph = float(e.var())
-    vlag, alag, miss = _alpha_parts(e, q)
-    mq = miss.shape[0]
-    sq = e * e
-    inv_nq = 1.0 / (e.size - o)
-
-    def objective(u):
-        alpha0 = np.exp(min(u[0], 700.0))
-        a, b = u[1 : 1 + q], u[1 + q :]
-        core = alag * a + vlag * b
-        h = alpha0 + np.einsum("ij,ij->i", core, core)
-        h[:mq] += (miss @ (a * a + b * b)) * ph
-        hq = h[o:]
-        f = 0.5 * np.sum(np.log(hq) + sq[o:] / hq) * inv_nq
-        if not np.isfinite(f):
-            return 1e100, np.zeros_like(u)
-        # d(-qll)/dh per observation, zero outside the likelihood window
-        gh = np.zeros(e.size)
-        gh[o:] = 0.5 * (1.0 / hq - sq[o:] / (hq * hq)) * inv_nq
-        g = np.empty_like(u)
-        g[0] = gh.sum() * alpha0
-        gmiss = gh[:mq] @ miss
-        g[1 : 1 + q] = 2.0 * np.einsum("t,tk->k", gh, core * alag) + 2.0 * a * ph * gmiss
-        g[1 + q :] = 2.0 * np.einsum("t,tk->k", gh, core * vlag) + 2.0 * b * ph * gmiss
-        return f, g
-
-    return objective
-
-
 def _alpha_step(
     ctx: _FitContext,
     tar: TarParams,
@@ -382,54 +360,55 @@ def _alpha_step(
 ) -> AarchParams:
     q = ctx.q
     e = ctx.residuals(tar)
+    eq = e[ctx.o :]
+    sq = eq * eq
     if not fit_lags:
         # With the lag loadings pinned at zero the maximizer is closed form.
-        eq = e[ctx.o :]
-        return AarchParams(
-            alpha0=float(np.mean(eq * eq)), alphas=np.zeros(q), betas=np.zeros(q)
+        return AarchParams(alpha0=float(np.mean(sq)), alphas=np.zeros(q), betas=np.zeros(q))
+    x = _slope_design(e, q)[:, ctx.o :]
+    gamma = _slopes(aarch_init)
+    h = np.einsum("j,jt->t", gamma, x)
+    # Scoring iteration: each pass is the weighted least-squares fit of e**2
+    # on X with weights 1/h**2, under gamma >= 0.  On the Cholesky factor L
+    # of the weighted gram, that fit is the NNLS problem |L' gamma - L^-1 r|.
+    for _ in range(MAX_VARIANCE_ITER):
+        xw = x / (h * h)
+        gram = np.einsum("it,jt->ij", xw, x)
+        rhs = np.einsum("it,t->i", xw, sq)
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            raise EstimationError("variance-step design is singular") from None
+        new, _ = scipy.optimize.nnls(
+            chol.T, scipy.linalg.solve_triangular(chol, rhs, lower=True)
         )
-    objective = _variance_objective(e, q, ctx.o)
-
-    # (a_k, b_k) = (0, 0) is an exact critical point of h in the squared
-    # loadings, so a zero pair would leave the optimizer stuck; nudge it.
-    init_alphas = np.array(aarch_init.alphas)
-    dead = (init_alphas == 0.0) & (aarch_init.betas == 0.0)
-    init_alphas[dead] = 0.2 / np.sqrt(q)
-    u0 = _alpha_pack(
-        AarchParams(aarch_init.alpha0, init_alphas, np.array(aarch_init.betas))
+        if new[0] <= 0.0:
+            raise EstimationError("variance step drove alpha0 to zero")
+        h_new = np.einsum("j,jt->t", new, x)
+        change = float(np.max(np.abs(h_new - h) / h))
+        gamma, h = new, h_new
+        if change <= VARIANCE_TOL:
+            return _loadings(gamma, q)
+    raise ConvergenceError(
+        f"variance step did not converge in {MAX_VARIANCE_ITER} iterations "
+        f"(last relative change in h {change:.3g})",
+        result=_loadings(gamma, q),
     )
-    bounds = [(None, None)] + [(0.0, None)] * q + [(None, None)] * q
-    res = scipy.optimize.minimize(
-        objective,
-        u0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=bounds,
-        options={"maxiter": 500, "ftol": 1e-14, "gtol": 1e-10},
-    )
-    _, g = objective(res.x)
-    proj = g.copy()
-    at_bound = (res.x[1 : 1 + q] <= 0.0) & (g[1 : 1 + q] > 0.0)
-    proj[1 : 1 + q][at_bound] = 0.0
-    best = _canonical_loadings(_alpha_unpack(res.x, q))
-    if float(np.max(np.abs(proj))) > GRAD_TOL:
-        raise ConvergenceError(
-            f"variance step did not converge: projected gradient norm "
-            f"{float(np.max(np.abs(proj))):.3g} (status: {res.message})",
-            result=best,
-        )
-    return best
 
 
 def alpha_step(series, partition, tar, aarch_init, fit_lags: bool = True) -> AarchParams:
     """Maximize the quasi-likelihood over the variance parameters.
 
-    The residuals implied by ``tar`` are held fixed, which makes the problem
-    smooth; positivity of ``alpha0`` is enforced by a log transform.  Each
-    lag term is invariant under sign flips and swaps of its loading pair, so
-    estimates are reported in the canonical cone ``alphas >= |betas| >= 0``.
-    With ``fit_lags=False`` only ``alpha0`` is estimated and the lag loadings
-    stay at zero.
+    The residuals implied by ``tar`` are held fixed.  The fit is non-negative
+    least squares in slope coordinates ``(alpha0, (alphas + betas)**2,
+    (alphas - betas)**2)``, iterated with weights ``1/h**2`` to the
+    quasi-likelihood's KKT point.  Each lag term is invariant under sign
+    flips and swaps of its loading pair; mapping the slopes back gives
+    estimates in the canonical cone ``alphas >= |betas| >= 0``.  Raises
+    :class:`EstimationError` if ``alpha0`` reaches zero and
+    :class:`ConvergenceError` (carrying the last iterate) if the iteration
+    does not converge.  With ``fit_lags=False`` only ``alpha0`` is estimated
+    and the lag loadings stay at zero.
     """
     ctx = _context(series, partition, tar.p, aarch_init.q)
     return _alpha_step(ctx, tar, aarch_init, fit_lags=fit_lags)
@@ -439,28 +418,17 @@ def alpha_score(spec: ModelSpec, series) -> np.ndarray:
     """Analytic gradient of :func:`gaussian_qll` in ``(alpha0, alphas, betas)``.
 
     The residuals are fixed by the model's mean parameters, so this is the
-    exact derivative of the quasi-log-likelihood sum in natural coordinates.
+    exact derivative of the quasi-log-likelihood sum in natural coordinates:
+    the slope-coordinate score ``sum_t X_t (e_t**2 / h_t - 1) / (2 h_t)``
+    taken through ``d gamma / d(alpha0, alphas, betas)``.
     """
     ctx = _context(series, spec.partition, spec.p, spec.q)
     e = ctx.residuals(spec.tar)
-    ph = float(e.var())
-    q = spec.q
-    vlag, alag, miss = _alpha_parts(e, q)
-    mq = miss.shape[0]
-    a, b = spec.aarch.alphas, spec.aarch.betas
-    core = alag * a + vlag * b
-    h = spec.aarch.alpha0 + np.einsum("ij,ij->i", core, core)
-    h[:mq] += (miss @ (a * a + b * b)) * ph
-    gh = np.zeros(e.size)
-    hq = h[ctx.o :]
+    x = _slope_design(e, spec.q)[:, ctx.o :]
+    h = np.einsum("j,jt->t", _slopes(spec.aarch), x)
     eq = e[ctx.o :]
-    gh[ctx.o :] = 0.5 * (eq * eq / (hq * hq) - 1.0 / hq)
-    grad = np.empty(1 + 2 * q)
-    grad[0] = gh.sum()
-    gmiss = gh[:mq] @ miss
-    grad[1 : 1 + q] = 2.0 * np.einsum("t,tk->k", gh, core * alag) + 2.0 * a * ph * gmiss
-    grad[1 + q :] = 2.0 * np.einsum("t,tk->k", gh, core * vlag) + 2.0 * b * ph * gmiss
-    return grad
+    score = np.einsum("it,t->i", x, 0.5 * (eq * eq / h - 1.0) / h)
+    return score @ _loading_jacobian(spec.aarch)
 
 
 def concentrated_equation_residuals(spec: ModelSpec, series) -> np.ndarray:
@@ -472,9 +440,9 @@ def concentrated_equation_residuals(spec: ModelSpec, series) -> np.ndarray:
     """
     ctx = _context(series, spec.partition, spec.p, spec.q)
     e = ctx.residuals(spec.tar)
-    h, _ = ctx.variance(spec.aarch, e)
+    h = ctx.variance(spec.aarch, e)
     ratio = e[ctx.o :] / h[ctx.o :]
-    return np.einsum("it,t->i", ctx.zexp_t, ratio) / ctx.nq
+    return np.einsum("it,t->i", ctx.zexp_t[:, ctx.o :], ratio) / ctx.nq
 
 
 def _initial_values(ctx: _FitContext) -> tuple[TarParams, AarchParams]:
@@ -558,101 +526,89 @@ def fit_alternating(
     return report
 
 
-def _alpha_grad_rows(e, h, ph, aarch: AarchParams, o: int):
-    """Variance-parameter derivatives of h on the residual window, one row per
-    parameter (shape ``(1 + 2q, n)``)."""
-    q = aarch.q
-    vlag, alag, miss = _alpha_parts(e, q)
-    mq = miss.shape[0]
-    a, b = aarch.alphas, aarch.betas
-    core = alag * a + vlag * b
-    dh = np.empty((1 + 2 * q, e.size))
-    dh[0] = 1.0
-    dh[1 : 1 + q] = (2.0 * core * alag).T
-    dh[1 + q :] = (2.0 * core * vlag).T
-    dh[1 : 1 + q, :mq] += (2.0 * a * miss * ph).T
-    dh[1 + q :, :mq] += (2.0 * b * miss * ph).T
-    return dh, vlag, alag, miss, core
+def _sandwich_parts(ctx: _FitContext, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Outer product of the estimating-function scores and their Jacobian.
 
-
-def _estimate_information(ctx: _FitContext, spec: ModelSpec):
-    q, o, nq = spec.q, ctx.o, ctx.nq
-    aarch, tar = spec.aarch, spec.tar
-    e = ctx.residuals(tar)
-    h, ph = ctx.variance(aarch, e)
-    eq, hq = e[o:], h[o:]
-    keep = np.abs(eq) >= KINK_EPS
-
-    dh, vlag, alag, miss, core = _alpha_grad_rows(e, h, ph, aarch, o)
-    w1 = 0.5 * (eq * eq / hq - 1.0) / hq
+    Both are per-observation means over the likelihood window, in the
+    coordinates ``(theta, alpha0, alphas, betas)``.
+    """
+    q, o, nq, nr = spec.q, ctx.o, ctx.nq, ctx.nr
+    e = ctx.residuals(spec.tar)
+    x = _slope_design(e, q)
+    gamma = _slopes(spec.aarch)
+    h = np.einsum("j,jt->t", gamma, x)
+    eq, hq, xq = e[o:], h[o:], x[:, o:]
+    zr = ctx.zexp_t
+    zq = zr[:, o:]
 
     ntheta = ctx.ntheta
     ka = 1 + 2 * q
     k = ntheta + ka
-    zexp = ctx.zexp_t
+    # The variance estimating function is w1_t X_t with w1 = dqll_t/dh_t;
+    # dw1 = dw1/dh_t, and e/h**2 = dw1/de_t = -d(e_t/h_t)/dh_t.
+    w1 = 0.5 * (eq * eq / hq - 1.0) / hq
+    dw1 = (-eq * eq / hq + 0.5) / (hq * hq)
+    e_h2 = eq / (hq * hq)
 
-    # Outer product of the estimating-function scores, one row per parameter.
+    # Everything up to the change of coordinates is in (theta, gamma), with
+    # sums over the likelihood window.  Outer product of the
+    # estimating-function scores, one row per parameter:
     scores = np.empty((k, nq))
-    scores[:ntheta] = zexp * (eq / hq)
-    scores[ntheta:] = w1 * dh[:, o:]
+    scores[:ntheta] = zq * (eq / hq)
+    scores[ntheta:] = xq * w1
     info = np.einsum("it,jt->ij", scores, scores) / nq
 
-    hess = np.zeros((k, k))
+    hess = np.empty((k, k))
     # Mean block: variances treated as fixed weights, as in the mean step.
-    hess[:ntheta, :ntheta] = -np.einsum("it,jt->ij", zexp * (1.0 / hq), zexp) / nq
+    hess[:ntheta, :ntheta] = -np.einsum("it,jt->ij", zq * (1.0 / hq), zq)
+    hess[ntheta:, ntheta:] = np.einsum("it,jt->ij", xq * dw1, xq)
+    mean_by_slope = -np.einsum("it,jt->ij", zq * e_h2, xq)
+    hess[:ntheta, ntheta:] = mean_by_slope
 
-    # Variance block: analytic Jacobian of the variance-step score.
-    dw1 = (-eq * eq / hq + 0.5) / (hq * hq)
-    dha = dh[:, o:]
-    haa = np.einsum("it,jt->ij", dha * dw1, dha)
-    # Second derivatives of h in each loading pair; the presample term only
-    # reaches the likelihood window through miss's rows from o on.
-    wmiss = 2.0 * ph * (w1[: miss.shape[0] - o] @ miss[o:])
-    paa = 2.0 * np.einsum("t,tk->k", w1, alag[o:] ** 2) + wmiss
-    pbb = 2.0 * np.einsum("t,tk->k", w1, vlag[o:] ** 2) + wmiss
-    pab = 2.0 * np.einsum("t,tk->k", w1, alag[o:] * vlag[o:])
-    diag = np.arange(1, 1 + q)
-    haa[diag, diag] += paa
-    haa[diag + q, diag + q] += pbb
-    haa[diag, diag + q] += pab
-    haa[diag + q, diag] += pab
-    hess[ntheta:, ntheta:] = haa / nq
+    # Variance equations by mean parameters.  Per unit of theta, e_t moves
+    # by -z_t, lag k of X_t by -2 e_{t-k} z_{t-k} in the row of the sign of
+    # e_{t-k}, so lag k of h_t by -2 c_k e_{t-k} z_{t-k} with c_k = c+_k or
+    # c-_k; presample lags move with ph = var(e) over the residual window.
+    # X is C^1 in e, so no observation needs excluding at the |e| kink.
+    # dh holds dh_t/dtheta and dx_w1 the sum of w1_t dX_t/dtheta.
+    dph = -2.0 / nr * np.einsum("it,t->i", zr, e - e.mean())
+    w1r = np.zeros(nr)
+    w1r[o:] = w1
+    dh = np.zeros((ntheta, nr))
+    dx_w1 = np.zeros((ka, ntheta))
+    for lag in range(1, q + 1):
+        m = min(lag, nr)
+        pos = np.maximum(e[: nr - m], 0.0)
+        neg = np.minimum(e[: nr - m], 0.0)
+        zl = zr[:, : nr - m]
+        dh[:, m:] -= 2.0 * zl * (gamma[lag] * pos + gamma[q + lag] * neg)
+        dh[:, :m] += 0.5 * (gamma[lag] + gamma[q + lag]) * dph[:, None]
+        pre = 0.5 * dph * w1r[:m].sum()
+        dx_w1[lag] = pre - 2.0 * np.einsum("it,t->i", zl, w1r[m:] * pos)
+        dx_w1[q + lag] = pre - 2.0 * np.einsum("it,t->i", zl, w1r[m:] * neg)
+    hess[ntheta:, :ntheta] = (
+        mean_by_slope.T + np.einsum("it,jt->ij", xq * dw1, dh[:, o:]) + dx_w1
+    )
+    hess /= nq
 
-    # Cross blocks by central finite differences of the estimating functions;
-    # observations with residuals at the |e| kink are excluded from the sums.
-    avec = np.concatenate([[aarch.alpha0], aarch.alphas, aarch.betas])
+    # To (alpha0, alphas, betas): gamma's Jacobian, plus the second
+    # derivatives of gamma weighted by the slope-coordinate score.
+    tr = np.eye(k)
+    tr[ntheta:, ntheta:] = _loading_jacobian(spec.aarch)
+    info = tr.T @ info @ tr
+    hess = tr.T @ hess @ tr
+    g = np.einsum("it,t->i", xq, w1) / nq
+    gp, gm = g[1 : 1 + q], g[1 + q :]
+    diag = ntheta + np.arange(1, 1 + q)
+    hess[diag, diag] += 2.0 * (gp + gm)
+    hess[diag + q, diag + q] += 2.0 * (gp + gm)
+    hess[diag, diag + q] += 2.0 * (gp - gm)
+    hess[diag + q, diag] += 2.0 * (gp - gm)
+    return info, hess
 
-    def g_theta(alpha_vec):
-        aa = AarchParams(alpha0=alpha_vec[0], alphas=alpha_vec[1 : 1 + q], betas=alpha_vec[1 + q :])
-        hh = variance_path(aa, e, ph)
-        return np.einsum("it,t->i", zexp, eq / hh[o:]) / nq
 
-    def g_alpha(theta_flat):
-        tt = TarParams(theta_flat.reshape(tar.coefficients.shape))
-        ee = ctx.residuals(tt)
-        pph = float(ee.var())
-        hh = variance_path(aarch, ee, pph)
-        dhh, _, _, _, _ = _alpha_grad_rows(ee, hh, pph, aarch, o)
-        ww = 0.5 * (ee[o:] ** 2 / hh[o:] - 1.0) / hh[o:]
-        ww = np.where(keep, ww, 0.0)
-        return np.einsum("it,t->i", dhh[:, o:], ww) / nq
-
-    for c in range(ka):
-        step = FD_STEP * (1.0 + abs(avec[c]))
-        up, dn = avec.copy(), avec.copy()
-        up[c] += step
-        dn[c] -= step
-        if c == 0:
-            dn[0] = max(dn[0], 1e-12)
-        hess[:ntheta, ntheta + c] = (g_theta(up) - g_theta(dn)) / (up[c] - dn[c])
-    tvec = tar.coefficients.ravel()
-    for c in range(ntheta):
-        step = FD_STEP * (1.0 + abs(tvec[c]))
-        up, dn = tvec.copy(), tvec.copy()
-        up[c] += step
-        dn[c] -= step
-        hess[ntheta:, c] = (g_alpha(up) - g_alpha(dn)) / (2.0 * step)
-
+def _estimate_information(ctx: _FitContext, spec: ModelSpec):
+    info, hess = _sandwich_parts(ctx, spec)
     try:
         hinv = np.linalg.inv(hess)
     except np.linalg.LinAlgError:
@@ -660,7 +616,7 @@ def _estimate_information(ctx: _FitContext, spec: ModelSpec):
             "estimating-function Jacobian is singular; the model may be "
             "weakly identified on this sample"
         ) from None
-    sandwich = hinv @ info @ hinv.T / nq
+    sandwich = hinv @ info @ hinv.T / ctx.nq
     sandwich = 0.5 * (sandwich + sandwich.T)
     info = 0.5 * (info + info.T)
     return info, sandwich

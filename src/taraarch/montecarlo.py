@@ -342,6 +342,15 @@ def _replicate_task(args):
         return (n, r, seed, False, nan_vec, nan_vec.copy(), None, None, None)
 
 
+def _comparable(rows) -> list[ReplicateRow]:
+    """The converged rows whose estimates are all finite.
+
+    A search that selects the wrong regime count converges with NaN
+    estimates; such rows count only toward the selection statistics.
+    """
+    return [row for row in rows if row.converged and np.all(np.isfinite(row.estimates))]
+
+
 def _summarize(plan, names, truth, rows, scaled_covs=None):
     summaries: dict[int, CellSummary] = {}
     failed = False
@@ -352,9 +361,7 @@ def _summarize(plan, names, truth, rows, scaled_covs=None):
         rate = 1.0 - len(conv) / len(cell_rows) if cell_rows else 1.0
         if rate > NONCONVERGENCE_FAILURE_RATE:
             failed = True
-        # A search that selects the wrong regime count converges with NaN
-        # estimates: such rows count only toward the selection statistics.
-        comparable = [row for row in conv if np.all(np.isfinite(row.estimates))]
+        comparable = _comparable(conv)
         if comparable:
             est = np.vstack([row.estimates for row in comparable])
             ses = np.vstack([row.std_errors for row in comparable])
@@ -507,7 +514,7 @@ class EfficiencyReport:
 
 def _scaled_errors(result: ExperimentResult, n: int, name: str) -> np.ndarray:
     idx = result.names.index(name)
-    rows = [row for row in result.rows if row.n == n and row.converged]
+    rows = _comparable(row for row in result.rows if row.n == n)
     est = np.array([row.estimates[idx] for row in rows])
     return np.sqrt(n) * (est - result.truth[idx])
 
@@ -596,8 +603,15 @@ class NormalityCoordinate:
 
 @dataclass(frozen=True)
 class NormalityReport:
+    """Per-coordinate normality checks, the covariance disagreement per n,
+    and per n the skewness of the raw news-impact slope estimates
+    ``(alpha_k + beta_k)**2`` and ``(alpha_k - beta_k)**2`` (keys ``c+_k``,
+    ``c-_k``): the coordinates in which the variance step is a least-squares
+    fit, from which the reported loadings come by a square-root map."""
+
     coordinates: tuple[NormalityCoordinate, ...]
     cov_disagreement: dict[int, float]
+    slope_skewness: dict[int, dict[str, float]]
 
     def to_dict(self) -> dict:
         return {
@@ -613,6 +627,7 @@ class NormalityReport:
                 for c in self.coordinates
             ],
             "cov_disagreement": {str(k): v for k, v in self.cov_disagreement.items()},
+            "slope_skewness": {str(k): v for k, v in self.slope_skewness.items()},
         }
 
 
@@ -624,14 +639,17 @@ def normality_diagnostics(result: ExperimentResult) -> NormalityReport:
     an Anderson-Darling statistic against N(0, 1).  The empirical covariance
     of the sqrt(n)-scaled errors is compared against the mean estimated
     asymptotic covariance; the disagreement is the largest elementwise gap
-    relative to the estimated diagonal scale.
+    relative to the estimated diagonal scale.  Only converged rows with
+    all-finite estimates enter.  The skewness of the slope estimates
+    ``(alpha_k ± beta_k)**2`` is reported alongside as a diagnostic.
     """
     if result.plan.replicates < 100:
         raise ValueError("normality diagnostics need at least 100 replicates")
     coords = []
     disagreement: dict[int, float] = {}
+    slope_skewness: dict[int, dict[str, float]] = {}
     for n in result.plan.sample_sizes:
-        rows = [row for row in result.rows if row.n == n and row.converged]
+        rows = _comparable(row for row in result.rows if row.n == n)
         est = np.vstack([row.estimates for row in rows])
         ses = np.vstack([row.std_errors for row in rows])
         z = (est - result.truth) / ses
@@ -647,6 +665,15 @@ def normality_diagnostics(result: ExperimentResult) -> NormalityReport:
                     ad_pass_1pct=stat < AD_CRITICAL_1PCT,
                 )
             )
+        slope_skewness[n] = {}
+        for idx, name in enumerate(result.names):
+            if not name.startswith("alpha_") or name == "alpha_0":
+                continue
+            lag = name[len("alpha_"):]
+            beta = f"beta_{lag}"
+            b = est[:, result.names.index(beta)] if beta in result.names else 0.0
+            slope_skewness[n][f"c+_{lag}"] = float(skew((est[:, idx] + b) ** 2))
+            slope_skewness[n][f"c-_{lag}"] = float(skew((est[:, idx] - b) ** 2))
         summary = result.summaries[n]
         if summary.mean_scaled_cov is not None:
             scale = np.sqrt(
@@ -656,7 +683,11 @@ def normality_diagnostics(result: ExperimentResult) -> NormalityReport:
             )
             gap = np.abs(summary.cov_scaled - summary.mean_scaled_cov) / scale
             disagreement[n] = float(gap.max())
-    return NormalityReport(coordinates=tuple(coords), cov_disagreement=disagreement)
+    return NormalityReport(
+        coordinates=tuple(coords),
+        cov_disagreement=disagreement,
+        slope_skewness=slope_skewness,
+    )
 
 
 def _fmt(x: float) -> str:

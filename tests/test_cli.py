@@ -258,6 +258,19 @@ class TestExitCodeContract:
             run_cli("price", "--bogus", "1")
         assert err.value.code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("mc", "plan.json", "--seed", "3"),
+            ("simulate", "--canned", "lynx", "--n", "50", "--format", "csv"),
+        ],
+    )
+    def test_flag_of_another_subcommand_is_usage_error(self, argv):
+        # --seed belongs to simulate alone and --format to fit alone
+        with pytest.raises(SystemExit) as err:
+            run_cli(*argv)
+        assert err.value.code == 2
+
     def test_unknown_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit) as err:
             run_cli("frobnicate")

@@ -17,7 +17,9 @@ from taraarch.estimation import (
     theta_step,
     threshold_delay_search,
     _FitContext,
-    _variance_objective,
+    _sandwich_parts,
+    _slope_design,
+    _slopes,
 )
 from taraarch.model import (
     AarchParams,
@@ -26,9 +28,12 @@ from taraarch.model import (
     ThresholdPartition,
     param_vector,
     residuals,
+    variance_path,
 )
 from taraarch.montecarlo import ExperimentPlan, GridRecipe, reference_spec, run_experiment
 from taraarch.simulate import SimConfig, mix_seed, normal_stream, simulate_path
+
+from conftest import load_plan
 
 WORKERS = min(2, os.cpu_count() or 1)
 
@@ -146,9 +151,7 @@ class TestAlphaStep:
         fitted = ModelSpec(p=0, q=1, partition=true.partition, tar=true.tar, aarch=got)
         score = alpha_score(fitted, sim.series)
         nq = sim.series.values.size - 1
-        scaled = score / nq
-        scaled[0] *= got.alpha0  # optimizer works in log(alpha0)
-        assert np.max(np.abs(scaled)) < 1e-6
+        assert np.max(np.abs(score / nq)) < 1e-6
 
     def test_canonical_cone(self):
         true = single_regime_spec([0.0], alpha0=0.1, a1=0.5, b1=0.3)
@@ -240,6 +243,28 @@ class TestFitAlternating:
         assert isinstance(err.value.result, FitReport)
         assert not err.value.result.converged
 
+    def test_variance_step_reaches_zero_slope_kkt_point(self):
+        # A lynx search candidate where a loading-pair optimizer stalls at
+        # c+ = (alpha + beta)**2 ~ 0 with d qll / d c+ > 0.
+        plan = load_plan("search_lynx.json")
+        sim = simulate_path(
+            plan.true_spec, SimConfig(n=500, seed=mix_seed(1, 500, 4), burn_in=500)
+        )
+        part = ThresholdPartition(
+            regimes=2, delay=2, thresholds=np.array([3.226762032174132])
+        )
+        report = fit_alternating(sim.series, part, 2, 1)
+        ctx = _FitContext(sim.series.values, part, 2, 1)
+        e = ctx.residuals(report.spec.tar)
+        x = _slope_design(e, 1)[:, ctx.o :]
+        gamma = _slopes(report.spec.aarch)
+        h = gamma @ x
+        eq = e[ctx.o :]
+        score = x @ (0.5 * (eq * eq / h - 1.0) / h)
+        assert np.all(np.abs(score[gamma > 0]) < 1e-4)
+        assert np.all(score[gamma == 0] < 1e-4)
+        assert report.qll >= 555.31034
+
     def test_report_json_round_trip(self):
         spec = reference_spec()
         sim = simulate_path(spec, SimConfig(n=1200, seed=11))
@@ -306,22 +331,80 @@ class TestAboveBlasThreadingLimits:
         rel = np.abs(g - fd) / np.maximum(1.0, np.abs(fd))
         assert rel.max() < 1e-6
 
-    def test_variance_objective_gradient_matches_finite_differences(self):
+    def test_slope_design_matches_variance_path(self):
         spec = two_lag_spec()
         x = simulate_path(spec, SimConfig(n=self.N, seed=22)).series.values
         ctx = _FitContext(x, spec.partition, 1, 2)
         assert ctx.o == 1
-        objective = _variance_objective(ctx.residuals(spec.tar), 2, ctx.o)
-        u = np.array([np.log(0.12), 0.25, 0.2, 0.15, -0.1])
-        _, g = objective(u)
-        fd = np.empty(u.size)
-        for i in range(u.size):
-            h = 1e-6 * (1.0 + abs(u[i]))
-            up, dn = u.copy(), u.copy()
-            up[i] += h
-            dn[i] -= h
-            fd[i] = (objective(up)[0] - objective(dn)[0]) / (2 * h)
-        np.testing.assert_allclose(g, fd, rtol=0, atol=1e-8)
+        e = ctx.residuals(spec.tar)
+        zero_slopes = AarchParams(0.12, np.array([0.0, 0.2]), np.array([0.0, -0.2]))
+        for aarch in (spec.aarch, zero_slopes):
+            got = _slopes(aarch) @ _slope_design(e, 2)
+            want = variance_path(aarch, e, float(e.var()))
+            assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+def fd_jacobian_blocks(spec: ModelSpec, x: np.ndarray, step: float = 1e-5):
+    """Central differences of the estimating functions: the mean equations
+    by ``(alpha0, alphas, betas)``, the variance equations by the mean
+    coefficients, and the variance equations by ``(alpha0, alphas, betas)``."""
+    q = spec.q
+    nq = x.size - max(spec.p, q, spec.partition.delay)
+    avec = np.concatenate([[spec.aarch.alpha0], spec.aarch.alphas, spec.aarch.betas])
+    tvec = spec.tar.coefficients.ravel()
+
+    def at(avec, tvec):
+        aarch = AarchParams(avec[0], avec[1 : 1 + q], avec[1 + q :])
+        tar = TarParams(tvec.reshape(spec.tar.coefficients.shape))
+        return ModelSpec(p=spec.p, q=q, partition=spec.partition, tar=tar, aarch=aarch)
+
+    def central(f, v):
+        cols = []
+        for c in range(v.size):
+            h = step * (1.0 + abs(v[c]))
+            up, dn = v.copy(), v.copy()
+            up[c] += h
+            dn[c] -= h
+            cols.append((f(up) - f(dn)) / (2.0 * h))
+        return np.column_stack(cols)
+
+    mean_by_var = central(lambda a: concentrated_equation_residuals(at(a, tvec), x), avec)
+    var_by_mean = central(lambda t: alpha_score(at(avec, t), x) / nq, tvec)
+    var_by_var = central(lambda a: alpha_score(at(a, tvec), x) / nq, avec)
+    return mean_by_var, var_by_mean, var_by_var
+
+
+@pytest.mark.parametrize("n", [200, TestAboveBlasThreadingLimits.N])
+def test_sandwich_jacobian_matches_finite_differences(n):
+    # q = 2 puts the likelihood window at o = 1; at n = 200 the presample
+    # terms, which move with ph = var(e), are large enough to show.
+    spec = two_lag_spec()
+    x = simulate_path(spec, SimConfig(n=n, seed=23)).series.values
+    _, hess = _sandwich_parts(_FitContext(x, spec.partition, 1, 2), spec)
+    ntheta = spec.tar.coefficients.size
+    blocks = (
+        hess[:ntheta, ntheta:], hess[ntheta:, :ntheta], hess[ntheta:, ntheta:]
+    )
+    for got, fd in zip(blocks, fd_jacobian_blocks(spec, x)):
+        assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(fd))
+
+
+def test_std_errors_match_finite_difference_sandwich():
+    plan = load_plan("consistency.json")
+    spec = plan.true_spec
+    ntheta = spec.tar.coefficients.size
+    for r in range(8):
+        seed = mix_seed(plan.base_seed, 4000, r)
+        config = SimConfig(n=4000, seed=seed, burn_in=plan.burn_in)
+        x = simulate_path(spec, config).series.values
+        report = fit_alternating(x, spec.partition, spec.p, spec.q)
+        ctx = _FitContext(x, spec.partition, spec.p, spec.q)
+        info, hess = _sandwich_parts(ctx, report.spec)
+        mean_by_var, var_by_mean, _ = fd_jacobian_blocks(report.spec, x)
+        hess[:ntheta, ntheta:], hess[ntheta:, :ntheta] = mean_by_var, var_by_mean
+        hinv = np.linalg.inv(hess)
+        fd_se = np.sqrt(np.diag(hinv @ info @ hinv.T / ctx.nq))
+        assert np.max(np.abs(report.std_errors - fd_se) / fd_se) <= 1e-6
 
 
 @pytest.mark.parametrize(

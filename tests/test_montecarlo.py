@@ -24,7 +24,10 @@ from taraarch.montecarlo import (
     save_results,
     summary_to_dict,
 )
+from scipy.stats import skew
+
 from taraarch.estimation import SearchGrid
+from taraarch.model import param_names, param_vector
 from taraarch.simulate import mix_seed, normal_stream
 
 WORKERS = min(2, os.cpu_count() or 1)
@@ -257,6 +260,52 @@ class TestNormalityDiagnostics:
         assert all(c.ad_pass_1pct for c in diag.coordinates)
         assert max(abs(c.skewness) for c in diag.coordinates) < 0.35
         assert max(abs(c.excess_kurtosis) for c in diag.coordinates) < 0.7
+
+    def test_regime_mismatch_row_left_out(self):
+        # One converged search row with NaN estimates (it selected the wrong
+        # regime count) among 120 comparable rows reaches no statistic.
+        spec = montecarlo.symmetric_reference_spec()
+        names = tuple(param_names(spec))
+        truth = param_vector(spec)
+        n, r_total = 1000, 120
+        z = normal_stream(777, r_total * truth.size).reshape(r_total, truth.size)
+        rows = [
+            ReplicateRow(
+                n=n, r=r, seed=r, converged=True,
+                estimates=truth + 0.01 * z[r], std_errors=np.full(truth.size, 0.01),
+            )
+            for r in range(r_total)
+        ]
+        mismatch = ReplicateRow(
+            n=n, r=r_total, seed=r_total, converged=True,
+            estimates=np.full(truth.size, np.nan), std_errors=np.full(truth.size, np.nan),
+            selected_delay=1, selected_thresholds=(),
+        )
+        plan = ExperimentPlan(
+            true_spec=spec, sample_sizes=(n,), replicates=r_total + 1, base_seed=0
+        )
+
+        def result(rows):
+            summaries, failed = _summarize(plan, names, truth, rows)
+            return ExperimentResult(
+                plan=plan, names=names, truth=truth, rows=tuple(rows),
+                summaries=summaries, failed=failed,
+            )
+
+        clean, mixed = result(rows), result(rows + [mismatch])
+        got = normality_diagnostics(mixed)
+        assert all(
+            np.isfinite([c.skewness, c.excess_kurtosis, c.ad_statistic]).all()
+            for c in got.coordinates
+        )
+        assert got.to_dict() == normality_diagnostics(clean).to_dict()
+        est = np.vstack([row.estimates for row in rows])
+        a, b = est[:, names.index("alpha_1")], est[:, names.index("beta_1")]
+        assert got.slope_skewness[n] == {
+            "c+_1": float(skew((a + b) ** 2)), "c-_1": float(skew((a - b) ** 2))
+        }
+        report = efficiency_comparison(plan, plan, results=(mixed, clean), n_bootstrap=20)
+        assert all(row.ratio == 1.0 for row in report.rows)
 
     def test_requires_hundred_replicates(self):
         plan = small_plan(replicates=5)
