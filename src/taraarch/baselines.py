@@ -3,8 +3,11 @@ pricing, and the full (non-concentrated) QMLE for the symmetric model.
 
 The full QMLE is the comparison point for the concentrated two-step
 estimator: with symmetric ARCH errors the variance recursion is smooth in
-every parameter, so the Gaussian quasi-likelihood can be maximized jointly
-with analytic gradients.
+every parameter, so the Gaussian quasi-likelihood can be maximized jointly.
+Its scores, gradient and Hessian are analytic, all built from one pass that
+returns the residuals, the variances and the rows of their derivative; the
+presample variance is frozen at the warm start so that this pass stays
+smooth and local in the mean parameters.
 """
 
 from __future__ import annotations
@@ -254,18 +257,6 @@ def black_scholes_price(
     return float(spot * ndtr(d1) - strike * math.exp(-rate * tau) * ndtr(d2))
 
 
-def _sym_variance(alpha0, alphas_sq, e, ph):
-    """Variances for the symmetric model; missing lags contribute a_k^2 * ph."""
-    nr = e.size
-    h = np.full(nr, alpha0)
-    sq = e * e
-    for k in range(1, alphas_sq.size + 1):
-        if k <= nr:
-            h[k:] += alphas_sq[k - 1] * sq[: nr - k]
-        h[: min(k, nr)] += alphas_sq[k - 1] * ph
-    return h
-
-
 def tar_arch_full_qmle(
     series,
     partition: ThresholdPartition,
@@ -278,10 +269,16 @@ def tar_arch_full_qmle(
 
     The variance recursion here is ``alpha0 + sum a_k^2 e_{t-k}^2`` (the
     asymmetric loadings are identically zero), so the likelihood is smooth in
-    all parameters and a quasi-Newton search with analytic gradients applies.
-    Positivity of ``alpha0`` and of the loadings is enforced by log
-    transforms.  The presample variance term is frozen at its warm-start
-    value so the objective stays smooth in the mean parameters.
+    all parameters and L-BFGS-B applies.  Positivity of ``alpha0`` and of the
+    loadings is enforced by log transforms.  A lag before the sample holds
+    the variance ``ph`` of the warm-start residuals, frozen there: a live
+    ``var(e)`` would make every variance depend on every residual.
+
+    One pass at ``(theta, alpha0, a)`` yields the residuals, the squared-lag
+    rows, the variances and the rows of ``dh/d(theta, alpha0, a)``; the
+    per-observation scores, the objective's gradient, the OPG information and
+    the Hessian of the mean qll are all analytic in these rows.  ``trace``
+    holds the qll at each iterate as the optimizer itself evaluated it.
 
     Returns a :class:`FitReport` whose ``betas`` are exactly zero; raises
     :class:`ConvergenceError` carrying the best iterate on failure.
@@ -291,11 +288,12 @@ def tar_arch_full_qmle(
     l = partition.regimes
     ntheta = ctx.ntheta
     o, nq, nr = ctx.o, ctx.nq, ctx.nr
+    zexp = ctx.zexp_t
+    kdim = ntheta + 1 + q
 
     flat = AarchParams(alpha0=1.0, alphas=np.zeros(q), betas=np.zeros(q))
     tar0 = _theta_step(ctx, flat, TarParams(np.zeros((l, p + 1))), max_iter=2)
-    e0 = ctx.residuals(tar0)
-    ph = float(e0.var())
+    ph = float(ctx.residuals(tar0).var())
 
     if init is not None:
         theta0 = init.tar.coefficients.ravel()
@@ -306,63 +304,50 @@ def tar_arch_full_qmle(
         ak = np.full(q, math.sqrt(0.3 / q))
     u0 = np.concatenate([theta0, [math.log(a0)], np.log(ak)])
 
-    # The expanded design is stored time-contiguous, one row per mean
-    # parameter, and every time-axis sum runs through np.einsum rather than
-    # BLAS (see the estimation module's docstring on OpenBLAS threading).
-    zexp = np.zeros((ntheta, nr))
-    w = p + 1
-    for j in range(l):
-        rows = np.flatnonzero(ctx.labels_r == j)
-        zexp[j * w : (j + 1) * w, rows] = ctx.Zr[rows].T
-
     def natural(u):
         return u[:ntheta], np.exp(np.minimum(u[ntheta], 700.0)), np.exp(
             np.minimum(u[ntheta + 1 :], 350.0)
         )
 
-    def value_grad_natural(theta, alpha0, alphas):
-        """Mean negative qll and its gradient in natural coordinates."""
+    def variance_rows(theta, alpha0, alphas):
+        """Residuals, squared-lag rows E_k, variances and dh rows, on the
+        residual window; time-contiguous, one row per lag or parameter."""
         e = ctx.y_r - np.einsum("j,jt->t", theta, zexp)
-        asq = alphas * alphas
-        h = _sym_variance(alpha0, asq, e, ph)
+        lag_sq = np.full((q, nr), ph)
+        dh = np.zeros((kdim, nr))
+        for k in range(q):
+            m = min(k + 1, nr)
+            lag_sq[k, m:] = e[: nr - m] ** 2
+            dh[:ntheta, m:] -= 2.0 * alphas[k] ** 2 * e[: nr - m] * zexp[:, : nr - m]
+        h = alpha0 + np.einsum("k,kt->t", alphas * alphas, lag_sq)
+        dh[ntheta] = 1.0
+        dh[ntheta + 1 :] = 2.0 * alphas[:, None] * lag_sq
+        return e, lag_sq, h, dh
+
+    def scores(e, h, dh):
+        """Per-observation scores of qll, one row per parameter; and w1."""
         eq, hq = e[o:], h[o:]
-        f = 0.5 * float(np.sum(np.log(hq) + eq * eq / hq)) / nq
-        if not np.isfinite(f):
-            return 1e100, None
-        gh = np.zeros(nr)
-        gh[o:] = 0.5 * (1.0 / hq - eq * eq / (hq * hq)) / nq
-        grad_theta = -np.einsum("it,t->i", zexp[:, o:], eq / hq) / nq
-        sq = e * e
-        grad_a = np.empty(q)
-        for k in range(1, q + 1):
-            if k <= nr:
-                grad_theta += -2.0 * asq[k - 1] * np.einsum(
-                    "it,t->i", zexp[:, : nr - k], gh[k:] * e[: nr - k]
-                )
-                present = float(np.einsum("t,t->", gh[k:], sq[: nr - k]))
-            else:
-                present = 0.0
-            missing = float(gh[: min(k, nr)].sum()) * ph
-            grad_a[k - 1] = 2.0 * alphas[k - 1] * (present + missing)
-        grad_a0 = float(gh.sum())
-        return f, (grad_theta, grad_a0, grad_a)
+        w1 = 0.5 * (eq * eq / hq - 1.0) / hq
+        s = w1 * dh[:, o:]
+        s[:ntheta] += zexp[:, o:] * (eq / hq)
+        return s, w1
 
     def objective(u):
         theta, alpha0, alphas = natural(u)
-        f, grads = value_grad_natural(theta, alpha0, alphas)
-        if grads is None:
-            return f, np.zeros_like(u)
-        grad_theta, grad_a0, grad_a = grads
-        g = np.empty_like(u)
-        g[:ntheta] = grad_theta
-        g[ntheta] = grad_a0 * alpha0
-        g[ntheta + 1 :] = grad_a * alphas
+        e, _, h, dh = variance_rows(theta, alpha0, alphas)
+        eq, hq = e[o:], h[o:]
+        f = 0.5 * float(np.sum(np.log(hq) + eq * eq / hq)) / nq
+        if not np.isfinite(f):
+            return 1e100, np.zeros_like(u)
+        g = -np.einsum("it->i", scores(e, h, dh)[0]) / nq
+        g[ntheta] *= alpha0
+        g[ntheta + 1 :] *= alphas
         return f, g
 
     trace: list[float] = []
 
-    def callback(uk):
-        trace.append(-objective(uk)[0] * nq)
+    def callback(intermediate_result):
+        trace.append(-intermediate_result.fun * nq)
 
     res = scipy.optimize.minimize(
         objective,
@@ -382,45 +367,35 @@ def tar_arch_full_qmle(
         aarch=AarchParams(alpha0=alpha0, alphas=alphas, betas=np.zeros(q)),
     )
 
-    # Inference in natural coordinates: OPG information from per-observation
-    # scores and a finite-difference Jacobian of the mean gradient.
-    e = ctx.y_r - np.einsum("j,jt->t", theta, zexp)
-    asq = alphas * alphas
-    h = _sym_variance(alpha0, asq, e, ph)
-    eq, hq = e[o:], h[o:]
-    w1 = 0.5 * (eq * eq / hq - 1.0) / hq
-    htheta = np.zeros((ntheta, nr))
-    dh_a = np.empty((q, nr))
-    sq = e * e
-    for k in range(1, q + 1):
-        if k <= nr:
-            htheta[:, k:] += -2.0 * asq[k - 1] * (e[: nr - k] * zexp[:, : nr - k])
-            dh_a[k - 1, k:] = 2.0 * alphas[k - 1] * sq[: nr - k]
-        dh_a[k - 1, : min(k, nr)] = 2.0 * alphas[k - 1] * ph
-    kdim = ntheta + 1 + q
-    # Per-observation scores, one row per parameter.
-    scores = np.empty((kdim, nq))
-    scores[:ntheta] = zexp[:, o:] * (eq / hq) + w1 * htheta[:, o:]
-    scores[ntheta] = w1
-    scores[ntheta + 1 :] = w1 * dh_a[:, o:]
-    info = np.einsum("it,jt->ij", scores, scores) / nq
+    # Inference in natural coordinates: OPG information and the analytic
+    # Hessian of the mean qll,
+    #   -zz'/h + (e/h^2)(e_phi dh' + dh e_phi') + (1/2 - e^2/h)/h^2 dh dh'
+    #   + w1 d2h,
+    # with e_phi = -z in the theta rows, d2h/dtheta2 = sum_k 2 a_k^2 z z' and
+    # d2h/dtheta da_k = -4 a_k e z at lag k, and d2h/da_k^2 = 2 E_k.
+    e, lag_sq, h, dh = variance_rows(theta, alpha0, alphas)
+    s, w1 = scores(e, h, dh)
+    info = np.einsum("it,jt->ij", s, s) / nq
     info = 0.5 * (info + info.T)
-
-    def mean_grad(vec):
-        f, grads = value_grad_natural(vec[:ntheta], vec[ntheta], vec[ntheta + 1 :])
-        grad_theta, grad_a0, grad_a = grads
-        return -np.concatenate([grad_theta, [grad_a0], grad_a])
-
-    base = np.concatenate([theta, [alpha0], alphas])
-    hess = np.empty((kdim, kdim))
-    for c in range(kdim):
-        step = 1e-5 * (1.0 + abs(base[c]))
-        up, dn = base.copy(), base.copy()
-        up[c] += step
-        dn[c] -= step
-        if c >= ntheta:
-            dn[c] = max(dn[c], 1e-12)
-        hess[:, c] = (mean_grad(up) - mean_grad(dn)) / (up[c] - dn[c])
+    eq, hq, zq, dhq = e[o:], h[o:], zexp[:, o:], dh[:, o:]
+    hess = np.einsum("it,jt,t->ij", dhq, dhq, (0.5 - eq * eq / hq) / (hq * hq))
+    cross = np.einsum("it,jt,t->ij", zq, dhq, eq / (hq * hq))
+    hess[:ntheta] -= cross
+    hess[:, :ntheta] -= cross.T
+    hess[:ntheta, :ntheta] -= np.einsum("it,jt,t->ij", zq, zq, 1.0 / hq)
+    gh = np.zeros(nr)
+    gh[o:] = w1
+    for k in range(q):
+        m, a = min(k + 1, nr), ntheta + 1 + k
+        zl, gl = zexp[:, : nr - m], gh[m:]
+        hess[:ntheta, :ntheta] += 2.0 * alphas[k] ** 2 * np.einsum(
+            "it,jt,t->ij", zl, zl, gl
+        )
+        col = -4.0 * alphas[k] * np.einsum("it,t->i", zl, gl * e[: nr - m])
+        hess[:ntheta, a] += col
+        hess[a, :ntheta] += col
+        hess[a, a] += 2.0 * float(np.einsum("t,t->", gh, lag_sq[k]))
+    hess /= nq
 
     try:
         hinv = np.linalg.inv(hess)
@@ -430,24 +405,15 @@ def tar_arch_full_qmle(
         ) from None
     sandwich = hinv @ info @ hinv.T / nq
     sandwich = 0.5 * (sandwich + sandwich.T)
-    kfull = ntheta + 1 + 2 * q
-    std = np.full(kfull, np.nan)
-    sand_full = np.full((kfull, kfull), np.nan)
-    info_full = np.full((kfull, kfull), np.nan)
-    idx = np.arange(kdim)
-    std[:kdim] = np.sqrt(np.maximum(np.diag(sandwich), 0.0))
-    sand_full[np.ix_(idx, idx)] = sandwich
-    info_full[np.ix_(idx, idx)] = info
-
-    qll = gaussian_qll(spec, x)
-    _, g_final = objective(res.x)
-    converged = bool(res.success) or float(np.max(np.abs(g_final))) < 1e-6
+    # the beta coordinates, identically zero here, get NaN inference
+    converged = bool(res.success) or float(np.max(np.abs(res.jac))) < 1e-6
     report = FitReport(
         spec=spec,
-        std_errors=std,
-        info_matrix=info_full,
-        sandwich_cov=sand_full,
-        qll=qll,
+        std_errors=np.pad(np.sqrt(np.maximum(np.diag(sandwich), 0.0)), (0, q),
+                          constant_values=np.nan),
+        info_matrix=np.pad(info, (0, q), constant_values=np.nan),
+        sandwich_cov=np.pad(sandwich, (0, q), constant_values=np.nan),
+        qll=gaussian_qll(spec, x),
         iterations=int(res.nit),
         converged=converged,
         trace=tuple(trace),

@@ -299,6 +299,7 @@ def _single_threaded_blas() -> None:
 
 
 def _replicate_task(args):
+    """One replicate's row and its scaled sandwich covariance (or None)."""
     plan, n, r, compute_se = args
     seed = mix_seed(plan.base_seed, n, r)
     k = len(plan_param_names(plan))
@@ -323,8 +324,8 @@ def _replicate_task(args):
             if outcome.partition.regimes != spec.partition.regimes:
                 # Estimates are not comparable to the truth vector when the
                 # selected regime count differs; keep only the selection.
-                return (n, r, seed, True, nan_vec, nan_vec.copy(), None,
-                        sel_delay, sel_thresholds)
+                return ReplicateRow(n, r, seed, True, nan_vec, nan_vec.copy(),
+                                    sel_delay, sel_thresholds), None
         elif plan.estimator == "concentrated":
             report = fit_alternating(
                 sim.series, spec.partition, spec.p, spec.q, compute_se=compute_se
@@ -336,10 +337,10 @@ def _replicate_task(args):
         scaled_cov = None
         if np.all(np.isfinite(report.sandwich_cov[:k, :k])):
             scaled_cov = n * report.sandwich_cov[:k, :k]
-        return (n, r, seed, True, est, ses, scaled_cov, sel_delay, sel_thresholds)
+        return ReplicateRow(n, r, seed, True, est, ses, sel_delay, sel_thresholds), scaled_cov
     except (ConvergenceError, EstimationError, SimulationError, ValueError,
             np.linalg.LinAlgError):
-        return (n, r, seed, False, nan_vec, nan_vec.copy(), None, None, None)
+        return ReplicateRow(n, r, seed, False, nan_vec, nan_vec.copy()), None
 
 
 def _comparable(rows) -> list[ReplicateRow]:
@@ -448,21 +449,8 @@ def run_experiment(
             raw = list(pool.map(_replicate_task, tasks))
     else:
         raw = [_replicate_task(t) for t in tasks]
-    raw.sort(key=lambda item: (item[0], item[1]))
-    rows = tuple(
-        ReplicateRow(
-            n=n,
-            r=r,
-            seed=seed,
-            converged=conv,
-            estimates=est,
-            std_errors=ses,
-            selected_delay=sel_d,
-            selected_thresholds=sel_t,
-        )
-        for (n, r, seed, conv, est, ses, _, sel_d, sel_t) in raw
-    )
-    scaled_covs = [(n, m) for (n, _, _, conv, _, _, m, _, _) in raw if conv]
+    rows = tuple(row for row, _ in raw)
+    scaled_covs = [(row.n, cov) for row, cov in raw]
     summaries, failed = _summarize(plan, names, truth, rows, scaled_covs)
     return ExperimentResult(
         plan=plan,
@@ -520,12 +508,9 @@ def _scaled_errors(result: ExperimentResult, n: int, name: str) -> np.ndarray:
 
 
 def _bootstrap_var_se(errors: np.ndarray, rng: np.random.Generator, b: int) -> float:
+    """Standard deviation of the sample variance over ``b`` resamples."""
     n = errors.size
-    draws = np.empty(b)
-    for i in range(b):
-        sample = errors[rng.integers(0, n, size=n)]
-        draws[i] = sample.var(ddof=1)
-    return float(draws.std(ddof=1))
+    return float(errors[rng.integers(0, n, size=(b, n))].var(axis=1, ddof=1).std(ddof=1))
 
 
 def efficiency_comparison(

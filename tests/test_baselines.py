@@ -18,7 +18,7 @@ from taraarch.baselines import (
     garch_variance,
     tar_arch_full_qmle,
 )
-from taraarch.estimation import gaussian_qll
+from taraarch.estimation import gaussian_qll, theta_step
 from taraarch.model import (
     AarchParams,
     ModelSpec,
@@ -26,6 +26,7 @@ from taraarch.model import (
     ThresholdPartition,
     variance_path,
 )
+from taraarch.model import residuals as model_residuals
 from taraarch.montecarlo import symmetric_reference_spec
 from taraarch.simulate import SimConfig, normal_stream, simulate_path
 
@@ -45,6 +46,50 @@ def bs_quadrature(spot, strike, rate, sigma, tau):
 
     val, _ = quad(payoff, z0, z0 + 45.0, limit=400, epsabs=1e-13, epsrel=1e-13)
     return math.exp(-rate * tau) * val
+
+
+def natural_vector(spec):
+    """(theta, alpha0, a) of a symmetric fit, the full QMLE's natural coordinates."""
+    return np.concatenate(
+        [spec.tar.coefficients.ravel(), [spec.aarch.alpha0], spec.aarch.alphas]
+    )
+
+
+def frozen_presample_mean_qll(x, spec):
+    """Mean qll of the symmetric model in natural coordinates, rebuilt from
+    public primitives, with the presample variance frozen at the variance of
+    the OLS residuals, as the full QMLE freezes it."""
+    l, w, q = spec.partition.regimes, spec.p + 1, spec.q
+    flat = AarchParams(1.0, np.zeros(q), np.zeros(q))
+    tar0 = theta_step(x, spec.partition, flat, TarParams(np.zeros((l, w))))
+    ph = float(model_residuals(
+        ModelSpec(p=spec.p, q=q, partition=spec.partition, tar=tar0, aarch=flat), x
+    ).var())
+    nq = x.size - spec.presample_length
+    o = spec.presample_length - spec.mean_lag_length
+
+    def mean_qll(v):
+        tar = TarParams(v[: l * w].reshape(l, w))
+        aarch = AarchParams(v[l * w], v[l * w + 1 :], np.zeros(q))
+        probe = ModelSpec(p=spec.p, q=q, partition=spec.partition, tar=tar, aarch=aarch)
+        e = model_residuals(probe, x)
+        h = variance_path(aarch, e, ph)
+        eq, hq = e[o:], h[o:]
+        return -0.5 * float(np.sum(np.log(hq) + eq * eq / hq)) / nq
+
+    return mean_qll
+
+
+def central_hessian(f, v, step):
+    """Central-difference Hessian of a scalar function."""
+    shifts = step * np.eye(v.size)
+    hess = np.empty((v.size, v.size))
+    for i, si in enumerate(shifts):
+        for j, sj in enumerate(shifts):
+            hess[i, j] = (
+                f(v + si + sj) - f(v + si - sj) - f(v - si + sj) + f(v - si - sj)
+            ) / (4 * step * step)
+    return hess
 
 
 class TestArchVariance:
@@ -246,42 +291,18 @@ class TestFullQmle:
         assert inside.mean(axis=0).min() >= 0.95
 
     def test_score_norm_at_optimum(self):
-        # rebuild the frozen-backcast objective from public primitives and
-        # finite-difference it at the returned optimum, in the optimizer's
-        # (log-transformed, per-observation) coordinates
-        from taraarch.estimation import theta_step
-        from taraarch.model import residuals as model_residuals
-
+        # finite-difference the frozen-presample objective at the returned
+        # optimum, in the optimizer's (log-transformed) coordinates
         spec = symmetric_reference_spec()
         sim = simulate_path(spec, SimConfig(n=3000, seed=47))
-        x = sim.series.values
         report = tar_arch_full_qmle(sim.series, spec.partition, spec.p, spec.q)
-
-        flat = AarchParams(1.0, np.zeros(1), np.zeros(1))
-        tar0 = theta_step(x, spec.partition, flat, TarParams(np.zeros((2, 2))))
-        ph = float(model_residuals(
-            ModelSpec(p=1, q=1, partition=spec.partition, tar=tar0, aarch=flat), x
-        ).var())
-        m = spec.presample_length
-        nq = x.size - m
-        o = m - spec.mean_lag_length
+        mean_qll = frozen_presample_mean_qll(sim.series.values, spec)
 
         def mean_negative_qll(u):
-            tar = TarParams(u[:4].reshape(2, 2))
-            aarch = AarchParams(math.exp(u[4]), np.array([math.exp(u[5])]), np.zeros(1))
-            probe = ModelSpec(p=1, q=1, partition=spec.partition, tar=tar, aarch=aarch)
-            e = model_residuals(probe, x)
-            h = variance_path(aarch, e, ph)
-            eq, hq = e[o:], h[o:]
-            return 0.5 * float(np.sum(np.log(hq) + eq * eq / hq)) / nq
+            return -mean_qll(np.concatenate([u[:4], np.exp(u[4:])]))
 
-        est = report.spec
-        u = np.concatenate(
-            [
-                est.tar.coefficients.ravel(),
-                [math.log(est.aarch.alpha0), math.log(est.aarch.alphas[0])],
-            ]
-        )
+        u = natural_vector(report.spec)
+        u[4:] = np.log(u[4:])
         grad = np.empty(u.size)
         for i in range(u.size):
             step = 1e-6 * (1.0 + abs(u[i]))
@@ -290,6 +311,33 @@ class TestFullQmle:
             dn[i] -= step
             grad[i] = (mean_negative_qll(up) - mean_negative_qll(dn)) / (2 * step)
         assert np.max(np.abs(grad)) < 1e-6
+
+    @pytest.mark.parametrize("alphas", [[0.5], [0.4, 0.3]])
+    def test_sandwich_matches_finite_difference_hessian(self, alphas):
+        # At q = 2 the presample lags and the window q > max(p, d) both count.
+        # Seed 49 keeps every loading estimate away from zero: near a = 0 the
+        # sandwich's a entries are O(a^2) and drown in the oracle's own error.
+        base = symmetric_reference_spec()
+        q = len(alphas)
+        spec = ModelSpec(
+            p=1, q=q, partition=base.partition, tar=base.tar,
+            aarch=AarchParams(0.1, np.array(alphas), np.zeros(q)),
+        )
+        sim = simulate_path(spec, SimConfig(n=300, seed=49))
+        report = tar_arch_full_qmle(sim.series, spec.partition, 1, q)
+        mean_qll = frozen_presample_mean_qll(sim.series.values, spec)
+        v = natural_vector(report.spec)
+        k = v.size
+        # Richardson-extrapolated central differences: the O(step^2) error of
+        # one step is about 1e-5 relative here
+        fine, coarse = (central_hessian(mean_qll, v, s) for s in (2.5e-4, 5e-4))
+        hess = (4 * fine - coarse) / 3
+        hinv = np.linalg.inv(hess)
+        nq = sim.series.values.size - spec.presample_length
+        expected = hinv @ report.info_matrix[:k, :k] @ hinv.T / nq
+        got = report.sandwich_cov[:k, :k]
+        scale = np.sqrt(np.outer(np.diag(expected), np.diag(expected)))
+        assert np.max(np.abs(got - expected) / scale) < 1e-6
 
 
 def test_canned_spec_type_fields():

@@ -12,6 +12,7 @@ from taraarch.montecarlo import (
     ExperimentResult,
     GridRecipe,
     ReplicateRow,
+    _bootstrap_var_se,
     _loaded_openblas,
     _summarize,
     anderson_darling_statistic,
@@ -229,6 +230,22 @@ class TestEfficiency:
             efficiency_comparison(plan_a, plan_bad)
         with pytest.raises(ValueError, match="symmetric"):
             efficiency_comparison(plan_bad, plan_bad)
+
+    @pytest.mark.parametrize("n", [2, 3, 23, 24, 199, 500, 501])
+    def test_bootstrap_se_matches_resampling_loop(self, n):
+        # one resample per pass draws the same integers as one (b, n) draw,
+        # over successive calls on one generator
+        def loop_oracle(errors, rng, b):
+            draws = np.empty(b)
+            for i in range(b):
+                draws[i] = errors[rng.integers(0, errors.size, size=errors.size)].var(ddof=1)
+            return float(draws.std(ddof=1))
+
+        errors = normal_stream(n, n)
+        rng_a = np.random.Generator(np.random.Philox(key=7))
+        rng_b = np.random.Generator(np.random.Philox(key=7))
+        for _ in range(3):
+            assert _bootstrap_var_se(errors, rng_a, 500) == loop_oracle(errors, rng_b, 500)
 
 
 class TestNormalityDiagnostics:
