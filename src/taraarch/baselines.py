@@ -22,16 +22,14 @@ from scipy.special import ndtr
 from .estimation import (
     ConvergenceError,
     FitReport,
-    gaussian_qll,
-    _FitContext,
-    _theta_step,
+    _context,
+    _initial_values,
 )
 from .model import (
     AarchParams,
     ModelSpec,
     TarParams,
     ThresholdPartition,
-    series_values,
 )
 
 __all__ = [
@@ -283,16 +281,14 @@ def tar_arch_full_qmle(
     Returns a :class:`FitReport` whose ``betas`` are exactly zero; raises
     :class:`ConvergenceError` carrying the best iterate on failure.
     """
-    x = series_values(series)
-    ctx = _FitContext(x, partition, p, q)
+    ctx = _context(series, partition, p, q)
     l = partition.regimes
     ntheta = ctx.ntheta
     o, nq, nr = ctx.o, ctx.nq, ctx.nr
     zexp = ctx.zexp_t
     kdim = ntheta + 1 + q
 
-    flat = AarchParams(alpha0=1.0, alphas=np.zeros(q), betas=np.zeros(q))
-    tar0 = _theta_step(ctx, flat, TarParams(np.zeros((l, p + 1))), max_iter=2)
+    tar0, _ = _initial_values(ctx)
     ph = float(ctx.residuals(tar0).var())
 
     if init is not None:
@@ -413,7 +409,7 @@ def tar_arch_full_qmle(
                           constant_values=np.nan),
         info_matrix=np.pad(info, (0, q), constant_values=np.nan),
         sandwich_cov=np.pad(sandwich, (0, q), constant_values=np.nan),
-        qll=gaussian_qll(spec, x),
+        qll=ctx.qll_sum(tar, spec.aarch),
         iterations=int(res.nit),
         converged=converged,
         trace=tuple(trace),

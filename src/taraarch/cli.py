@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import baselines, estimation, montecarlo, simulate as sim
-from .model import ModelSpec, ThresholdPartition, check_stationarity, param_names
+from .model import ModelSpec, ThresholdPartition, check_stationarity, param_names, param_vector
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -107,15 +107,7 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
 
 def _fit_report_text(report: estimation.FitReport, fmt: str, extra=None) -> str:
     if fmt == "csv":
-        names = param_names(report.spec)
-        values = np.concatenate(
-            [
-                report.spec.tar.coefficients.ravel(),
-                [report.spec.aarch.alpha0],
-                report.spec.aarch.alphas,
-                report.spec.aarch.betas,
-            ]
-        )
+        names, values = param_names(report.spec), param_vector(report.spec)
         lines = ["name,estimate,std_error"]
         lines += [
             f"{name},{val:.17g},{se:.17g}"
@@ -171,11 +163,9 @@ def _cmd_fit(args) -> int:
             report = estimation.fit_alternating(x, partition, p, q)
             text = _fit_report_text(report, args.format)
     except estimation.ConvergenceError as exc:
+        sys.stderr.write(f"error: {exc}\n")
         if exc.result is not None:
-            sys.stderr.write(f"error: {exc}\n")
             _write_output(_fit_report_text(exc.result, args.format), args.output)
-        else:
-            sys.stderr.write(f"error: {exc}\n")
         return EXIT_NONCONVERGENCE
     _write_output(text, args.output)
     return EXIT_OK
@@ -188,7 +178,6 @@ def _cmd_mc(args) -> int:
     if doc.get("estimator") == "both":
         plan_a = montecarlo.ExperimentPlan.from_dict({**doc, "estimator": "concentrated"})
         plan_b = montecarlo.ExperimentPlan.from_dict({**doc, "estimator": "full_symmetric"})
-        check_stationarity(plan_a.true_spec)
         res_a = montecarlo.run_experiment(plan_a, workers=args.workers)
         res_b = montecarlo.run_experiment(plan_b, workers=args.workers)
         report = montecarlo.efficiency_comparison(
@@ -204,7 +193,6 @@ def _cmd_mc(args) -> int:
         failed = res_a.failed or res_b.failed
     else:
         plan = montecarlo.ExperimentPlan.from_dict(doc)
-        check_stationarity(plan.true_spec)
         result = montecarlo.run_experiment(plan, workers=args.workers)
         summary = montecarlo.summary_to_dict(result)
         if plan.replicates >= 100:

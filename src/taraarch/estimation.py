@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -262,10 +262,13 @@ class _FitContext:
     def variance(self, aarch: AarchParams, e: np.ndarray) -> np.ndarray:
         return np.einsum("j,jt->t", _slopes(aarch), _slope_design(e, self.q))
 
-    def qll_sum(self, tar: TarParams, aarch: AarchParams) -> float:
+    def qll_sum(self, tar: TarParams, aarch: AarchParams, first: int | None = None) -> float:
+        """Quasi-log-likelihood summed from observation ``first`` (default
+        ``max(p, q, d)``) to the end of the series."""
         e = self.residuals(tar)
         h = self.variance(aarch, e)
-        eq, hq = e[self.o :], h[self.o :]
+        start = self.o if first is None else first - self.mpd
+        eq, hq = e[start:], h[start:]
         val = -0.5 * float(np.sum(np.log(hq) + eq * eq / hq))
         if not np.isfinite(val):
             raise ValueError("quasi-log-likelihood is non-finite at these parameters")
@@ -279,25 +282,19 @@ def _context(series, partition: ThresholdPartition, p: int, q: int) -> _FitConte
 def gaussian_qll(spec: ModelSpec, series, conditioning: int | None = None) -> float:
     """Gaussian quasi-log-likelihood ``-0.5 * sum(log h_t + e_t^2 / h_t)``.
 
-    The sum runs over ``t = max(p, q, d) .. n-1`` (additive constant
-    dropped).  ``conditioning`` widens the conditioning window so that fits
-    with different delays can be scored over a common set of terms.
+    The sum runs over ``t = conditioning .. n-1`` (additive constant
+    dropped); ``conditioning`` defaults to ``max(p, q, d)`` and must lie in
+    ``[max(p, q, d), n)``.  Widening it lets fits with different delays be
+    scored over a common set of terms.
     """
     ctx = _context(series, spec.partition, spec.p, spec.q)
-    if conditioning is None:
-        return ctx.qll_sum(spec.tar, spec.aarch)
-    if conditioning < ctx.m:
+    n = ctx.x.size
+    if conditioning is not None and not ctx.m <= conditioning < n:
         raise ValueError(
-            f"conditioning must be >= max(p, q, d) = {ctx.m}, got {conditioning}"
+            f"conditioning must be in [max(p, q, d), n) = [{ctx.m}, {n}), "
+            f"got {conditioning}"
         )
-    e = ctx.residuals(spec.tar)
-    h = ctx.variance(spec.aarch, e)
-    start = conditioning - ctx.mpd
-    eq, hq = e[start:], h[start:]
-    val = -0.5 * float(np.sum(np.log(hq) + eq * eq / hq))
-    if not np.isfinite(val):
-        raise ValueError("quasi-log-likelihood is non-finite at these parameters")
-    return val
+    return ctx.qll_sum(spec.tar, spec.aarch, first=conditioning)
 
 
 def _theta_step(
@@ -475,6 +472,17 @@ def fit_alternating(
     ``result``) if ``max_outer`` alternations do not converge.
     """
     ctx = _context(series, partition, p, q)
+    report = _fit(ctx, init, max_outer, rel_tol)
+    return _with_inference(ctx, report) if compute_se else report
+
+
+def _fit(
+    ctx: _FitContext,
+    init: ModelSpec | None = None,
+    max_outer: int = MAX_OUTER,
+    rel_tol: float = OUTER_REL_TOL,
+) -> FitReport:
+    """The alternating fit on ``ctx``; its inference products are NaN."""
     if init is not None:
         tar, aarch = init.tar, init.aarch
     else:
@@ -496,22 +504,12 @@ def fit_alternating(
 
     tar = _theta_step(ctx, aarch, tar)
     qll = ctx.qll_sum(tar, aarch)
-    spec = ModelSpec(p=p, q=q, partition=partition, tar=tar, aarch=aarch)
-
-    k = ctx.ntheta + 1 + 2 * q
-    if compute_se and converged:
-        info, sandwich = _estimate_information(ctx, spec)
-        std = np.sqrt(np.maximum(np.diag(sandwich), 0.0))
-    else:
-        info = np.full((k, k), np.nan)
-        sandwich = np.full((k, k), np.nan)
-        std = np.full(k, np.nan)
-
+    k = ctx.ntheta + 1 + 2 * ctx.q
     report = FitReport(
-        spec=spec,
-        std_errors=std,
-        info_matrix=info,
-        sandwich_cov=sandwich,
+        spec=ModelSpec(p=ctx.p, q=ctx.q, partition=ctx.partition, tar=tar, aarch=aarch),
+        std_errors=np.full(k, np.nan),
+        info_matrix=np.full((k, k), np.nan),
+        sandwich_cov=np.full((k, k), np.nan),
         qll=qll,
         iterations=iterations,
         converged=converged,
@@ -524,6 +522,17 @@ def fit_alternating(
             result=report,
         )
     return report
+
+
+def _with_inference(ctx: _FitContext, report: FitReport) -> FitReport:
+    """``report`` with the sandwich inference at its estimates on ``ctx``."""
+    info, sandwich = _estimate_information(ctx, report.spec)
+    return replace(
+        report,
+        std_errors=np.sqrt(np.maximum(np.diag(sandwich), 0.0)),
+        info_matrix=info,
+        sandwich_cov=sandwich,
+    )
 
 
 def _sandwich_parts(ctx: _FitContext, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -686,17 +695,14 @@ class SearchGrid:
         )
 
 
+@dataclass(frozen=True)
 class SearchOutcome:
     """Result of a threshold/delay search: selected partition, its fit, and
     the per-candidate score table."""
 
-    def __init__(self, partition, report, candidates):
-        self.partition = partition
-        self.report = report
-        self.candidates = candidates
-
-    def __iter__(self):
-        return iter((self.partition, self.report))
+    partition: ThresholdPartition
+    report: FitReport
+    candidates: list[dict]
 
 
 def _penalized(qll_common: float, k: int, n_common: int) -> float:
@@ -706,13 +712,14 @@ def _penalized(qll_common: float, k: int, n_common: int) -> float:
 def threshold_delay_search(series, p: int, q: int, grid: SearchGrid) -> SearchOutcome:
     """Profile the alternating fit over delay and threshold candidates.
 
-    Every candidate is fitted with the alternating estimator and scored by
-    its quasi-log-likelihood over a common conditioning window (so candidates
-    with different delays are compared on the same likelihood terms), with a
-    ``-(k/2) log n`` penalty that only matters when regime counts differ.
-    Ties are broken toward the smaller delay, then the smaller first
-    threshold.  The selected candidate's fit (with standard errors) is
-    returned together with the full candidate table.
+    Every candidate is fitted once with the alternating estimator and scored
+    by its quasi-log-likelihood over a common conditioning window (so
+    candidates with different delays are compared on the same likelihood
+    terms), with a ``-(k/2) log n`` penalty that only matters when regime
+    counts differ.  Ties are broken toward the smaller delay, then the
+    smaller first threshold.  The selected candidate's own fit is returned,
+    with standard errors computed at its estimates, together with the full
+    candidate table.
     """
     x = series_values(series)
     m_common = max(p, q, max(grid.delay_candidates))
@@ -744,48 +751,36 @@ def threshold_delay_search(series, p: int, q: int, grid: SearchGrid) -> SearchOu
             if counts.min() < grid.min_regime_fraction * n_common:
                 continue
         k = partition.regimes * (p + 1) + 1 + 2 * q
+        row = {
+            "delay": d,
+            "thresholds": list(combo),
+            "qll": None,
+            "qll_common": None,
+            "penalized": None,
+            "k": k,
+            "converged": False,
+        }
+        rows.append(row)
         try:
-            report = fit_alternating(x, partition, p, q, compute_se=False)
-            spec = report.spec
-            qll_common = gaussian_qll(spec, x, conditioning=m_common)
-            score = _penalized(qll_common, k, n_common)
-            rows.append(
-                {
-                    "delay": d,
-                    "thresholds": list(combo),
-                    "qll": report.qll,
-                    "qll_common": qll_common,
-                    "penalized": score,
-                    "k": k,
-                    "converged": True,
-                }
-            )
-            key = (-score, d, combo[0] if combo else -np.inf)
-            if best is None or key < best[0]:
-                best = (key, partition)
+            ctx = _context(x, partition, p, q)
+            report = _fit(ctx)
+            qll_common = ctx.qll_sum(report.spec.tar, report.spec.aarch, first=m_common)
         except (EstimationError, ConvergenceError, ValueError) as exc:
             failures.append(f"d={d}, thresholds={list(combo)}: {exc}")
-            rows.append(
-                {
-                    "delay": d,
-                    "thresholds": list(combo),
-                    "qll": None,
-                    "qll_common": None,
-                    "penalized": None,
-                    "k": k,
-                    "converged": False,
-                }
-            )
+            continue
+        score = _penalized(qll_common, k, n_common)
+        row.update(qll=report.qll, qll_common=qll_common, penalized=score, converged=True)
+        key = (-score, d, combo[0] if combo else -np.inf)
+        if best is None or key < best[0]:
+            best = (key, ctx, report, row)
     if best is None:
         detail = "; ".join(failures[:5])
         raise EstimationError(
             f"all {len(candidates)} search candidates failed ({detail})"
         )
-    partition = best[1]
-    report = fit_alternating(x, partition, p, q, compute_se=True)
+    _, ctx, report, selected = best
     for row in rows:
-        row["selected"] = (
-            row["delay"] == partition.delay
-            and list(partition.thresholds) == row["thresholds"]
-        )
-    return SearchOutcome(partition=partition, report=report, candidates=rows)
+        row["selected"] = row is selected
+    return SearchOutcome(
+        partition=ctx.partition, report=_with_inference(ctx, report), candidates=rows
+    )

@@ -210,8 +210,9 @@ class TestMc:
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(doc))
         prefix = tmp_path / "mc"
-        with pytest.warns(UserWarning, match="stationarity"):
+        with pytest.warns(UserWarning, match="stationarity") as record:
             run_cli("mc", str(plan), "--output", str(prefix))
+        assert sum("stationarity" in str(w.message) for w in record) == 1
 
     def test_failed_experiment_exits_4(self, tmp_path, monkeypatch):
         import taraarch.cli as cli_mod

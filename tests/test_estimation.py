@@ -78,6 +78,14 @@ class TestGaussianQll:
         with pytest.raises(ValueError, match="conditioning"):
             gaussian_qll(spec, sim.series, conditioning=0)
 
+    @pytest.mark.parametrize("conditioning", [100, 500])
+    def test_conditioning_must_leave_a_term(self, conditioning):
+        spec = reference_spec()
+        x = simulate_path(spec, SimConfig(n=100, seed=1)).series
+        assert np.isfinite(gaussian_qll(spec, x, conditioning=99))
+        with pytest.raises(ValueError, match="conditioning"):
+            gaussian_qll(spec, x, conditioning=conditioning)
+
 
 class TestThetaStep:
     def test_constant_weights_reduce_to_ols(self):
@@ -496,13 +504,45 @@ class TestSearch:
         spec = reference_spec()
         sim = simulate_path(spec, SimConfig(n=900, seed=15))
         grid = SearchGrid(delay_candidates=(1,), threshold_candidates=((0.0,),))
-        partition, report = threshold_delay_search(sim.series, 1, 1, grid)
-        assert partition.delay == 1
-        assert partition.thresholds[0] == 0.0
-        assert report.converged
         outcome = threshold_delay_search(sim.series, 1, 1, grid)
+        assert outcome.partition.delay == 1
+        assert outcome.partition.thresholds[0] == 0.0
+        assert outcome.report.converged
         assert len(outcome.candidates) == 1
         assert outcome.candidates[0]["selected"]
+
+    @staticmethod
+    def small_search():
+        x = simulate_path(reference_spec(), SimConfig(n=500, seed=21)).series
+        grid = SearchGrid(
+            delay_candidates=(1, 2),
+            threshold_candidates=((-0.5, 0.0, 0.5),),
+            include_single_regime=True,
+        )
+        return x, grid
+
+    def test_selected_report_is_the_candidates_own_fit(self):
+        x, grid = self.small_search()
+        outcome = threshold_delay_search(x, 1, 1, grid)
+        assert sum(row["selected"] for row in outcome.candidates) == 1
+        refit = fit_alternating(x, outcome.partition, 1, 1)
+        assert outcome.report.to_json() == refit.to_json()
+        assert np.all(np.isfinite(outcome.report.std_errors))
+
+    def test_each_candidate_fitted_once(self, monkeypatch):
+        import taraarch.estimation as estimation
+
+        fitted = []
+        real_fit = estimation._fit
+
+        def counting_fit(ctx, *args, **kwargs):
+            fitted.append((ctx.partition.delay, ctx.partition.thresholds.tolist()))
+            return real_fit(ctx, *args, **kwargs)
+
+        monkeypatch.setattr(estimation, "_fit", counting_fit)
+        x, grid = self.small_search()
+        outcome = threshold_delay_search(x, 1, 1, grid)
+        assert fitted == [(r["delay"], r["thresholds"]) for r in outcome.candidates]
 
     def test_all_candidates_fail_raises(self):
         spec = reference_spec()
