@@ -24,6 +24,8 @@ from .estimation import (
     FitReport,
     _context,
     _initial_values,
+    _sandwich,
+    _std_errors,
 )
 from .model import (
     AarchParams,
@@ -47,6 +49,7 @@ __all__ = [
 ]
 
 MEAN_ABS_STANDARD_NORMAL = math.sqrt(2.0 / math.pi)
+MAX_FULL_QMLE_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -261,7 +264,6 @@ def tar_arch_full_qmle(
     p: int,
     q: int,
     init: ModelSpec | None = None,
-    max_iter: int = 500,
 ) -> FitReport:
     """Jointly maximize the Gaussian quasi-likelihood of the symmetric model.
 
@@ -279,7 +281,9 @@ def tar_arch_full_qmle(
     holds the qll at each iterate as the optimizer itself evaluated it.
 
     Returns a :class:`FitReport` whose ``betas`` are exactly zero; raises
-    :class:`ConvergenceError` carrying the best iterate on failure.
+    :class:`ConvergenceError` carrying the best iterate on failure, and
+    :class:`~taraarch.estimation.EstimationError` if the Hessian at the
+    optimum is singular.
     """
     ctx = _context(series, partition, p, q)
     l = partition.regimes
@@ -351,7 +355,7 @@ def tar_arch_full_qmle(
         jac=True,
         method="L-BFGS-B",
         callback=callback,
-        options={"maxiter": max_iter, "ftol": 1e-14, "gtol": 1e-9},
+        options={"maxiter": MAX_FULL_QMLE_ITER, "ftol": 1e-14, "gtol": 1e-9},
     )
     theta, alpha0, alphas = natural(res.x)
     tar = TarParams(theta.reshape(l, p + 1))
@@ -372,7 +376,6 @@ def tar_arch_full_qmle(
     e, lag_sq, h, dh = variance_rows(theta, alpha0, alphas)
     s, w1 = scores(e, h, dh)
     info = np.einsum("it,jt->ij", s, s) / nq
-    info = 0.5 * (info + info.T)
     eq, hq, zq, dhq = e[o:], h[o:], zexp[:, o:], dh[:, o:]
     hess = np.einsum("it,jt,t->ij", dhq, dhq, (0.5 - eq * eq / hq) / (hq * hq))
     cross = np.einsum("it,jt,t->ij", zq, dhq, eq / (hq * hq))
@@ -393,20 +396,12 @@ def tar_arch_full_qmle(
         hess[a, a] += 2.0 * float(np.einsum("t,t->", gh, lag_sq[k]))
     hess /= nq
 
-    try:
-        hinv = np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        raise ConvergenceError(
-            "full QMLE Hessian is singular at the optimum", result=None
-        ) from None
-    sandwich = hinv @ info @ hinv.T / nq
-    sandwich = 0.5 * (sandwich + sandwich.T)
+    info, sandwich = _sandwich(info, hess, nq)
     # the beta coordinates, identically zero here, get NaN inference
     converged = bool(res.success) or float(np.max(np.abs(res.jac))) < 1e-6
     report = FitReport(
         spec=spec,
-        std_errors=np.pad(np.sqrt(np.maximum(np.diag(sandwich), 0.0)), (0, q),
-                          constant_values=np.nan),
+        std_errors=np.pad(_std_errors(sandwich), (0, q), constant_values=np.nan),
         info_matrix=np.pad(info, (0, q), constant_values=np.nan),
         sandwich_cov=np.pad(sandwich, (0, q), constant_values=np.nan),
         qll=ctx.qll_sum(tar, spec.aarch),
@@ -416,7 +411,7 @@ def tar_arch_full_qmle(
     )
     if not converged:
         raise ConvergenceError(
-            f"full QMLE did not converge in {max_iter} iterations ({res.message})",
+            f"full QMLE did not converge in {MAX_FULL_QMLE_ITER} iterations ({res.message})",
             result=report,
         )
     return report

@@ -66,6 +66,7 @@ __all__ = [
 ]
 
 THETA_TOL = 1e-10
+MAX_THETA_ITER = 100
 VARIANCE_TOL = 1e-12
 OUTER_REL_TOL = 1e-9
 MAX_OUTER = 200
@@ -297,13 +298,7 @@ def gaussian_qll(spec: ModelSpec, series, conditioning: int | None = None) -> fl
     return ctx.qll_sum(spec.tar, spec.aarch, first=conditioning)
 
 
-def _theta_step(
-    ctx: _FitContext,
-    aarch: AarchParams,
-    theta_init: TarParams,
-    tol: float = THETA_TOL,
-    max_iter: int = 100,
-) -> TarParams:
+def _theta_step(ctx: _FitContext, aarch: AarchParams, theta_init: TarParams) -> TarParams:
     p = ctx.p
     coeffs = np.array(theta_init.coefficients)
     for j, rows in enumerate(ctx.regime_rows):
@@ -313,7 +308,7 @@ def _theta_step(
             raise EstimationError(
                 f"regime {j + 1} has {rows.size} observations; need at least {p + 1}"
             )
-    for _ in range(max_iter):
+    for _ in range(MAX_THETA_ITER):
         e = ctx.residuals(TarParams(coeffs))
         h = ctx.variance(aarch, e)
         w = 1.0 / h[ctx.o :]
@@ -333,20 +328,20 @@ def _theta_step(
             raise EstimationError("mean step produced non-finite coefficients")
         delta = float(np.max(np.abs(new - coeffs)))
         coeffs = new
-        if delta < tol:
+        if delta < THETA_TOL:
             break
     return TarParams(coeffs)
 
 
-def theta_step(series, partition, aarch, theta_init, tol: float = THETA_TOL) -> TarParams:
+def theta_step(series, partition, aarch, theta_init) -> TarParams:
     """Solve the concentrated mean equations by iteratively reweighted least squares.
 
     The conditional variances act as fixed weights inside each pass and are
     refreshed from the updated residuals between passes, until the maximum
-    coefficient change falls below ``tol``.
+    coefficient change falls below ``THETA_TOL``.
     """
     ctx = _context(series, partition, theta_init.p, aarch.q)
-    return _theta_step(ctx, aarch, theta_init, tol=tol)
+    return _theta_step(ctx, aarch, theta_init)
 
 
 def _alpha_step(
@@ -446,7 +441,7 @@ def _initial_values(ctx: _FitContext) -> tuple[TarParams, AarchParams]:
     q = ctx.q
     flat = AarchParams(alpha0=1.0, alphas=np.zeros(q), betas=np.zeros(q))
     zero = TarParams(np.zeros((ctx.partition.regimes, ctx.p + 1)))
-    tar = _theta_step(ctx, flat, zero, max_iter=2)
+    tar = _theta_step(ctx, flat, zero)
     e = ctx.residuals(tar)
     return tar, AarchParams(
         alpha0=max(float(e.var()), 1e-12), alphas=np.zeros(q), betas=np.zeros(q)
@@ -528,10 +523,7 @@ def _with_inference(ctx: _FitContext, report: FitReport) -> FitReport:
     """``report`` with the sandwich inference at its estimates on ``ctx``."""
     info, sandwich = _estimate_information(ctx, report.spec)
     return replace(
-        report,
-        std_errors=np.sqrt(np.maximum(np.diag(sandwich), 0.0)),
-        info_matrix=info,
-        sandwich_cov=sandwich,
+        report, std_errors=_std_errors(sandwich), info_matrix=info, sandwich_cov=sandwich
     )
 
 
@@ -616,8 +608,9 @@ def _sandwich_parts(ctx: _FitContext, spec: ModelSpec) -> tuple[np.ndarray, np.n
     return info, hess
 
 
-def _estimate_information(ctx: _FitContext, spec: ModelSpec):
-    info, hess = _sandwich_parts(ctx, spec)
+def _sandwich(info: np.ndarray, hess: np.ndarray, nq: int):
+    """Symmetrized ``(info, hinv @ info @ hinv.T / nq)`` with ``hinv`` the
+    inverse of the estimating equations' Jacobian ``hess``."""
     try:
         hinv = np.linalg.inv(hess)
     except np.linalg.LinAlgError:
@@ -625,10 +618,16 @@ def _estimate_information(ctx: _FitContext, spec: ModelSpec):
             "estimating-function Jacobian is singular; the model may be "
             "weakly identified on this sample"
         ) from None
-    sandwich = hinv @ info @ hinv.T / ctx.nq
-    sandwich = 0.5 * (sandwich + sandwich.T)
-    info = 0.5 * (info + info.T)
-    return info, sandwich
+    sandwich = hinv @ info @ hinv.T / nq
+    return 0.5 * (info + info.T), 0.5 * (sandwich + sandwich.T)
+
+
+def _std_errors(sandwich: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.maximum(np.diag(sandwich), 0.0))
+
+
+def _estimate_information(ctx: _FitContext, spec: ModelSpec):
+    return _sandwich(*_sandwich_parts(ctx, spec), ctx.nq)
 
 
 def estimate_information(series, spec: ModelSpec):
@@ -664,6 +663,8 @@ class SearchGrid:
         object.__setattr__(self, "delay_candidates", delays)
         cands = tuple(tuple(float(t) for t in row) for row in self.threshold_candidates)
         object.__setattr__(self, "threshold_candidates", cands)
+        object.__setattr__(self, "min_regime_fraction", float(self.min_regime_fraction))
+        object.__setattr__(self, "include_single_regime", bool(self.include_single_regime))
         if not 0.0 < self.min_regime_fraction < 0.5:
             raise ValueError(
                 f"min_regime_fraction must be in (0, 0.5), got {self.min_regime_fraction}"
@@ -732,6 +733,8 @@ def threshold_delay_search(series, p: int, q: int, grid: SearchGrid) -> SearchOu
         candidates.append((1, ()))
     for d in grid.delay_candidates:
         for combo in itertools.product(*grid.threshold_candidates):
+            if not combo:  # the single-regime model is added once, above
+                continue
             if len(combo) > 1 and any(
                 b <= a for a, b in zip(combo[:-1], combo[1:])
             ):

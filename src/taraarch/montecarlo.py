@@ -5,6 +5,10 @@ documented mix of the plan's base seed with the cell coordinates, so results
 are identical regardless of worker count or execution order.  Non-convergent
 replicates are recorded and excluded from summaries; their rate is itself a
 health metric and an experiment is flagged failed when it exceeds 20%.
+
+A persisted record's JSON is its dataclass fields in declaration order
+(:func:`_fields`): arrays become lists, dict keys strings, and a nested
+object with ``to_dict`` writes its own document.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ import csv
 import ctypes
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
@@ -85,6 +89,25 @@ def symmetric_reference_spec() -> ModelSpec:
     )
 
 
+def _encode(value):
+    if hasattr(value, "to_dict"):
+        return value.to_dict()
+    if is_dataclass(value):
+        return _fields(value)
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {str(k): _encode(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_encode(v) for v in value]
+    return value
+
+
+def _fields(record) -> dict:
+    """A record's JSON document: its fields in declaration order."""
+    return {f.name: _encode(getattr(record, f.name)) for f in fields(record)}
+
+
 @dataclass(frozen=True)
 class GridRecipe:
     """Per-replicate quantile grid: thresholds are recomputed from each
@@ -98,34 +121,24 @@ class GridRecipe:
     min_regime_fraction: float = 0.1
     include_single_regime: bool = False
 
+    def __post_init__(self):
+        def coerce(name, kind):
+            object.__setattr__(self, name, kind(getattr(self, name)))
+
+        object.__setattr__(self, "delays", tuple(int(d) for d in self.delays))
+        coerce("boundaries", int)
+        for name in ("lo", "hi", "step", "min_regime_fraction"):
+            coerce(name, float)
+        coerce("include_single_regime", bool)
+
     def materialize(self, series) -> SearchGrid:
-        return SearchGrid.from_series(
-            series,
-            delays=self.delays,
-            boundaries=self.boundaries,
-            lo=self.lo,
-            hi=self.hi,
-            step=self.step,
-            min_regime_fraction=self.min_regime_fraction,
-            include_single_regime=self.include_single_regime,
-        )
+        return SearchGrid.from_series(series, **asdict(self))
 
     def to_dict(self) -> dict:
-        return {
-            "type": "quantile",
-            "delays": list(self.delays),
-            "boundaries": self.boundaries,
-            "lo": self.lo,
-            "hi": self.hi,
-            "step": self.step,
-            "min_regime_fraction": self.min_regime_fraction,
-            "include_single_regime": self.include_single_regime,
-        }
+        return {"type": "quantile", **_fields(self)}
 
 
-def _grid_to_dict(grid) -> dict:
-    if isinstance(grid, GridRecipe):
-        return grid.to_dict()
+def _grid_to_dict(grid: SearchGrid) -> dict:
     return {
         "type": "fixed",
         "delays": list(grid.delay_candidates),
@@ -136,22 +149,16 @@ def _grid_to_dict(grid) -> dict:
 
 
 def _grid_from_dict(d: dict):
+    """A plan's grid from its document; an unknown key raises ValueError."""
+    keys = {k: v for k, v in d.items() if k != "type"}
     if d["type"] == "quantile":
-        return GridRecipe(
-            delays=tuple(d["delays"]),
-            boundaries=int(d.get("boundaries", 1)),
-            lo=float(d.get("lo", 0.10)),
-            hi=float(d.get("hi", 0.90)),
-            step=float(d.get("step", 0.025)),
-            min_regime_fraction=float(d.get("min_regime_fraction", 0.1)),
-            include_single_regime=bool(d.get("include_single_regime", False)),
-        )
-    return SearchGrid(
-        delay_candidates=tuple(d["delays"]),
-        threshold_candidates=tuple(tuple(row) for row in d["threshold_candidates"]),
-        min_regime_fraction=float(d.get("min_regime_fraction", 0.1)),
-        include_single_regime=bool(d.get("include_single_regime", False)),
-    )
+        cls = GridRecipe
+    else:
+        cls, keys["delay_candidates"] = SearchGrid, keys.pop("delays")
+    try:
+        return cls(**keys)
+    except TypeError as exc:  # an unknown or missing key
+        raise ValueError(f"{d['type']} grid: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -181,15 +188,10 @@ class ExperimentPlan:
             raise ValueError("full_symmetric estimator requires a symmetric truth")
 
     def to_dict(self) -> dict:
-        return {
-            "true_spec": self.true_spec.to_dict(),
-            "sample_sizes": list(self.sample_sizes),
-            "replicates": self.replicates,
-            "base_seed": self.base_seed,
-            "estimator": self.estimator,
-            "grid": None if self.grid is None else _grid_to_dict(self.grid),
-            "burn_in": self.burn_in,
-        }
+        doc = _fields(self)
+        if isinstance(self.grid, SearchGrid):
+            doc["grid"] = _grid_to_dict(self.grid)
+        return doc
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentPlan":
@@ -229,6 +231,8 @@ class ReplicateRow:
     std_errors: np.ndarray
     selected_delay: int | None = None
     selected_thresholds: tuple[float, ...] | None = None
+    # n times the sandwich covariance; not written to the CSV
+    scaled_cov: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -298,8 +302,8 @@ def _single_threaded_blas() -> None:
         setter(1)
 
 
-def _replicate_task(args):
-    """One replicate's row and its scaled sandwich covariance (or None)."""
+def _replicate_task(args) -> ReplicateRow:
+    """One replicate's row."""
     plan, n, r, compute_se = args
     seed = mix_seed(plan.base_seed, n, r)
     k = len(plan_param_names(plan))
@@ -325,7 +329,7 @@ def _replicate_task(args):
                 # Estimates are not comparable to the truth vector when the
                 # selected regime count differs; keep only the selection.
                 return ReplicateRow(n, r, seed, True, nan_vec, nan_vec.copy(),
-                                    sel_delay, sel_thresholds), None
+                                    sel_delay, sel_thresholds)
         elif plan.estimator == "concentrated":
             report = fit_alternating(
                 sim.series, spec.partition, spec.p, spec.q, compute_se=compute_se
@@ -337,10 +341,10 @@ def _replicate_task(args):
         scaled_cov = None
         if np.all(np.isfinite(report.sandwich_cov[:k, :k])):
             scaled_cov = n * report.sandwich_cov[:k, :k]
-        return ReplicateRow(n, r, seed, True, est, ses, sel_delay, sel_thresholds), scaled_cov
+        return ReplicateRow(n, r, seed, True, est, ses, sel_delay, sel_thresholds, scaled_cov)
     except (ConvergenceError, EstimationError, SimulationError, ValueError,
             np.linalg.LinAlgError):
-        return ReplicateRow(n, r, seed, False, nan_vec, nan_vec.copy()), None
+        return ReplicateRow(n, r, seed, False, nan_vec, nan_vec.copy())
 
 
 def _comparable(rows) -> list[ReplicateRow]:
@@ -352,7 +356,7 @@ def _comparable(rows) -> list[ReplicateRow]:
     return [row for row in rows if row.converged and np.all(np.isfinite(row.estimates))]
 
 
-def _summarize(plan, names, truth, rows, scaled_covs=None):
+def _summarize(plan, names, truth, rows):
     summaries: dict[int, CellSummary] = {}
     failed = False
     k = len(names)
@@ -381,11 +385,8 @@ def _summarize(plan, names, truth, rows, scaled_covs=None):
             rmse = np.full(k, np.nan)
             cov_scaled = np.full((k, k), np.nan)
             coverage = np.full(k, np.nan)
-        mean_scaled = None
-        if scaled_covs is not None:
-            mats = [m for (nn, m) in scaled_covs if nn == n and m is not None]
-            if mats:
-                mean_scaled = np.mean(mats, axis=0)
+        mats = [row.scaled_cov for row in cell_rows if row.scaled_cov is not None]
+        mean_scaled = np.mean(mats, axis=0) if mats else None
         delay_mode = None
         threshold_medians = None
         sel = [row for row in conv if row.selected_delay is not None]
@@ -446,12 +447,10 @@ def run_experiment(
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_single_threaded_blas
         ) as pool:
-            raw = list(pool.map(_replicate_task, tasks))
+            rows = tuple(pool.map(_replicate_task, tasks))
     else:
-        raw = [_replicate_task(t) for t in tasks]
-    rows = tuple(row for row, _ in raw)
-    scaled_covs = [(row.n, cov) for row, cov in raw]
-    summaries, failed = _summarize(plan, names, truth, rows, scaled_covs)
+        rows = tuple(_replicate_task(t) for t in tasks)
+    summaries, failed = _summarize(plan, names, truth, rows)
     return ExperimentResult(
         plan=plan,
         names=tuple(names),
@@ -482,22 +481,7 @@ class EfficiencyReport:
     rows: tuple[EfficiencyRow, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "estimator_a": self.estimator_a,
-            "estimator_b": self.estimator_b,
-            "rows": [
-                {
-                    "n": row.n,
-                    "name": row.name,
-                    "var_a": row.var_a,
-                    "var_b": row.var_b,
-                    "se_var_a": row.se_var_a,
-                    "se_var_b": row.se_var_b,
-                    "ratio": row.ratio,
-                }
-                for row in self.rows
-            ],
-        }
+        return _fields(self)
 
 
 def _scaled_errors(result: ExperimentResult, n: int, name: str) -> np.ndarray:
@@ -599,21 +583,7 @@ class NormalityReport:
     slope_skewness: dict[int, dict[str, float]]
 
     def to_dict(self) -> dict:
-        return {
-            "coordinates": [
-                {
-                    "n": c.n,
-                    "name": c.name,
-                    "skewness": c.skewness,
-                    "excess_kurtosis": c.excess_kurtosis,
-                    "ad_statistic": c.ad_statistic,
-                    "ad_pass_1pct": c.ad_pass_1pct,
-                }
-                for c in self.coordinates
-            ],
-            "cov_disagreement": {str(k): v for k, v in self.cov_disagreement.items()},
-            "slope_skewness": {str(k): v for k, v in self.slope_skewness.items()},
-        }
+        return _fields(self)
 
 
 def normality_diagnostics(result: ExperimentResult) -> NormalityReport:
@@ -702,26 +672,6 @@ def results_to_csv(result: ExperimentResult, fh) -> None:
         writer.writerow(record)
 
 
-def _cell_to_dict(c: CellSummary) -> dict:
-    return {
-        "n": c.n,
-        "n_total": c.n_total,
-        "n_converged": c.n_converged,
-        "nonconverged_rate": c.nonconverged_rate,
-        "bias": c.bias.tolist(),
-        "rmse": c.rmse.tolist(),
-        "cov_scaled": c.cov_scaled.tolist(),
-        "coverage": c.coverage.tolist(),
-        "mean_scaled_cov": (
-            None if c.mean_scaled_cov is None else c.mean_scaled_cov.tolist()
-        ),
-        "delay_mode": c.delay_mode,
-        "threshold_medians": (
-            None if c.threshold_medians is None else list(c.threshold_medians)
-        ),
-    }
-
-
 def summary_to_dict(result: ExperimentResult) -> dict:
     """Summary document with the full resolved plan for reproducibility."""
     return {
@@ -729,7 +679,7 @@ def summary_to_dict(result: ExperimentResult) -> dict:
         "failed": result.failed,
         "param_names": list(result.names),
         "truth": result.truth.tolist(),
-        "cells": {str(n): _cell_to_dict(result.summaries[n]) for n in result.plan.sample_sizes},
+        "cells": {str(n): _fields(result.summaries[n]) for n in result.plan.sample_sizes},
     }
 
 
@@ -753,10 +703,12 @@ def load_results(csv_path, json_path) -> ExperimentResult:
     plan = ExperimentPlan.from_dict(doc["plan"])
     names = tuple(doc["param_names"])
     truth = np.asarray(doc["truth"], dtype=float)
-    k = len(names)
     rows = []
     with open(csv_path, newline="") as fh:
         reader = csv.DictReader(fh)
+        threshold_cols = [
+            c for c in reader.fieldnames or () if c.startswith("selected_threshold_")
+        ]
         for rec in reader:
             conv = bool(int(rec["converged"]))
             est = np.array([float(rec[name]) for name in names])
@@ -765,14 +717,7 @@ def load_results(csv_path, json_path) -> ExperimentResult:
             sel_ths = None
             if "selected_delay" in rec and rec["selected_delay"] not in (None, ""):
                 sel_delay = int(rec["selected_delay"])
-                ths = []
-                i = 1
-                while f"selected_threshold_{i}" in rec:
-                    val = rec[f"selected_threshold_{i}"]
-                    if val != "":
-                        ths.append(float(val))
-                    i += 1
-                sel_ths = tuple(ths)
+                sel_ths = tuple(float(rec[c]) for c in threshold_cols if rec[c] != "")
             rows.append(
                 ReplicateRow(
                     n=int(rec["n"]),
@@ -802,12 +747,7 @@ def load_results(csv_path, json_path) -> ExperimentResult:
             raise ValueError(f"stored cov_scaled at n={n} disagrees with raw rows")
         mean_scaled = stored.get("mean_scaled_cov")
         if mean_scaled is not None:
-            summaries[n] = CellSummary(
-                **{
-                    **fresh.__dict__,
-                    "mean_scaled_cov": np.asarray(mean_scaled, dtype=float),
-                }
-            )
+            summaries[n] = replace(fresh, mean_scaled_cov=np.asarray(mean_scaled, dtype=float))
     if bool(doc["failed"]) != failed:
         raise ValueError("stored failure flag disagrees with raw rows")
     return ExperimentResult(

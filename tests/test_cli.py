@@ -214,6 +214,14 @@ class TestMc:
             run_cli("mc", str(plan), "--output", str(prefix))
         assert sum("stationarity" in str(w.message) for w in record) == 1
 
+    def test_unknown_grid_key_is_data_error(self, tmp_path, capsys):
+        doc = {**self.plan_doc(replicates=1),
+               "grid": {"type": "quantile", "delays": [1], "setp": 0.05}}
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(doc))
+        assert run_cli("mc", str(plan), "--output", str(tmp_path / "mc")) == 1
+        assert "setp" in capsys.readouterr().err
+
     def test_failed_experiment_exits_4(self, tmp_path, monkeypatch):
         import taraarch.cli as cli_mod
 

@@ -21,6 +21,7 @@ from taraarch.estimation import (
     _slope_design,
     _slopes,
 )
+from taraarch.baselines import tar_arch_full_qmle
 from taraarch.model import (
     AarchParams,
     ModelSpec,
@@ -30,7 +31,13 @@ from taraarch.model import (
     residuals,
     variance_path,
 )
-from taraarch.montecarlo import ExperimentPlan, GridRecipe, reference_spec, run_experiment
+from taraarch.montecarlo import (
+    ExperimentPlan,
+    GridRecipe,
+    reference_spec,
+    run_experiment,
+    symmetric_reference_spec,
+)
 from taraarch.simulate import SimConfig, mix_seed, normal_stream, simulate_path
 
 from conftest import load_plan
@@ -498,6 +505,19 @@ class TestEstimateInformation:
         with pytest.raises((EstimationError, ValueError)):
             estimate_information(x, single_regime_spec([0.0, 0.0], alpha0=1.0))
 
+    def test_singular_jacobian_raises_estimation_error_in_both_estimators(self, monkeypatch):
+        spec = symmetric_reference_spec()
+        sim = simulate_path(spec, SimConfig(n=500, seed=5))
+
+        def singular(a):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(np.linalg, "inv", singular)
+        with pytest.raises(EstimationError, match="Jacobian is singular"):
+            fit_alternating(sim.series, spec.partition, 1, 1)
+        with pytest.raises(EstimationError, match="Jacobian is singular"):
+            tar_arch_full_qmle(sim.series, spec.partition, 1, 1)
+
 
 class TestSearch:
     def test_single_candidate_returned(self):
@@ -543,6 +563,17 @@ class TestSearch:
         x, grid = self.small_search()
         outcome = threshold_delay_search(x, 1, 1, grid)
         assert fitted == [(r["delay"], r["thresholds"]) for r in outcome.candidates]
+
+    def test_single_regime_only_grid_fits_it_once(self):
+        x = simulate_path(reference_spec(), SimConfig(n=500, seed=3)).series
+        grid = SearchGrid(
+            delay_candidates=(1, 2), threshold_candidates=(), include_single_regime=True
+        )
+        outcome = threshold_delay_search(x, 1, 1, grid)
+        assert [(r["delay"], r["thresholds"], r["selected"]) for r in outcome.candidates] == [
+            (1, [], True)
+        ]
+        assert outcome.partition.regimes == 1
 
     def test_all_candidates_fail_raises(self):
         spec = reference_spec()

@@ -8,9 +8,13 @@ import pytest
 
 from taraarch import montecarlo
 from taraarch.montecarlo import (
+    EfficiencyReport,
+    EfficiencyRow,
     ExperimentPlan,
     ExperimentResult,
     GridRecipe,
+    NormalityCoordinate,
+    NormalityReport,
     ReplicateRow,
     _bootstrap_var_se,
     _loaded_openblas,
@@ -86,6 +90,40 @@ class TestPlan:
         )
         again = ExperimentPlan.from_dict(json.loads(json.dumps(fixed.to_dict())))
         assert again.to_dict() == fixed.to_dict()
+
+    def test_persisted_key_order(self):
+        doc = small_plan(grid=GridRecipe(delays=(1, 2))).to_dict()
+        assert list(doc) == [
+            "true_spec", "sample_sizes", "replicates", "base_seed", "estimator", "grid",
+            "burn_in",
+        ]
+        assert list(doc["grid"]) == [
+            "type", "delays", "boundaries", "lo", "hi", "step", "min_regime_fraction",
+            "include_single_regime",
+        ]
+        fixed = small_plan(
+            grid=SearchGrid(delay_candidates=(1,), threshold_candidates=((0.0,),))
+        ).to_dict()["grid"]
+        assert list(fixed) == [
+            "type", "delays", "threshold_candidates", "min_regime_fraction",
+            "include_single_regime",
+        ]
+
+    def test_sparse_quantile_grid_takes_field_defaults(self):
+        doc = small_plan().to_dict()
+        doc["grid"] = {"type": "quantile", "delays": [2], "lo": 0}
+        plan = ExperimentPlan.from_dict(doc)
+        assert plan.grid == GridRecipe(delays=(2,), lo=0.0)
+        assert '"lo": 0.0,' in json.dumps(plan.to_dict())
+
+    @pytest.mark.parametrize("grid", [
+        {"type": "quantile", "delays": [1], "setp": 0.05},
+        {"type": "fixed", "delays": [1], "threshold_candidates": [[0.0]], "setp": 0.05},
+    ])
+    def test_unknown_grid_key_is_rejected(self, grid):
+        doc = {**small_plan().to_dict(), "grid": grid}
+        with pytest.raises(ValueError, match="setp"):
+            ExperimentPlan.from_dict(doc)
 
 
 class TestRunExperiment:
@@ -362,6 +400,52 @@ class TestAsymptoticInvariants:
             if prev is not None:
                 assert np.all(var <= prev * 1.05)
             prev = var
+
+    def test_summary_json_key_order(self):
+        plan = small_plan(replicates=2)
+        rows = [
+            ReplicateRow(n=300, r=r, seed=r, converged=True, estimates=np.full(7, 0.1 * r),
+                         std_errors=np.full(7, 0.1), scaled_cov=np.eye(7))
+            for r in range(2)
+        ]
+        summaries, failed = _summarize(plan, ["x"] * 7, np.zeros(7), rows)
+        result = ExperimentResult(plan=plan, names=("x",) * 7, truth=np.zeros(7),
+                                  rows=tuple(rows), summaries=summaries, failed=failed)
+        doc = summary_to_dict(result)
+        assert list(doc) == ["plan", "failed", "param_names", "truth", "cells"]
+        assert list(doc["cells"]["300"]) == [
+            "n", "n_total", "n_converged", "nonconverged_rate", "bias", "rmse", "cov_scaled",
+            "coverage", "mean_scaled_cov", "delay_mode", "threshold_medians",
+        ]
+        assert doc["cells"]["300"]["mean_scaled_cov"] == np.eye(7).tolist()
+
+    def test_report_json_key_order(self):
+        eff = EfficiencyReport("concentrated", "full_symmetric", (
+            EfficiencyRow(n=300, name="alpha_0", var_a=1.0, var_b=2.0, se_var_a=0.1,
+                          se_var_b=0.2, ratio=0.5),
+        )).to_dict()
+        assert list(eff) == ["estimator_a", "estimator_b", "rows"]
+        assert list(eff["rows"][0]) == [
+            "n", "name", "var_a", "var_b", "se_var_a", "se_var_b", "ratio",
+        ]
+        norm = NormalityReport(
+            coordinates=(NormalityCoordinate(n=300, name="alpha_0", skewness=0.1,
+                                             excess_kurtosis=0.2, ad_statistic=0.3,
+                                             ad_pass_1pct=True),),
+            cov_disagreement={300: 0.4},
+            slope_skewness={300: {"c+_1": 0.5, "c-_1": 0.6}},
+        ).to_dict()
+        assert norm == {
+            "coordinates": [{"n": 300, "name": "alpha_0", "skewness": 0.1,
+                             "excess_kurtosis": 0.2, "ad_statistic": 0.3,
+                             "ad_pass_1pct": True}],
+            "cov_disagreement": {"300": 0.4},
+            "slope_skewness": {"300": {"c+_1": 0.5, "c-_1": 0.6}},
+        }
+        assert list(norm) == ["coordinates", "cov_disagreement", "slope_skewness"]
+        assert list(norm["coordinates"][0]) == [
+            "n", "name", "skewness", "excess_kurtosis", "ad_statistic", "ad_pass_1pct",
+        ]
 
     def test_summary_json_document_shape(self, multi_n_result):
         doc = summary_to_dict(multi_n_result)
