@@ -68,6 +68,7 @@ from .montecarlo import (
     normality_diagnostics,
     reference_spec,
     run_experiment,
+    run_experiments,
     symmetric_reference_spec,
 )
 

@@ -178,8 +178,7 @@ def _cmd_mc(args) -> int:
     if doc.get("estimator") == "both":
         plan_a = montecarlo.ExperimentPlan.from_dict({**doc, "estimator": "concentrated"})
         plan_b = montecarlo.ExperimentPlan.from_dict({**doc, "estimator": "full_symmetric"})
-        res_a = montecarlo.run_experiment(plan_a, workers=args.workers)
-        res_b = montecarlo.run_experiment(plan_b, workers=args.workers)
+        res_a, res_b = montecarlo.run_experiments((plan_a, plan_b), workers=args.workers)
         report = montecarlo.efficiency_comparison(
             plan_a, plan_b, results=(res_a, res_b)
         )

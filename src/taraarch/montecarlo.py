@@ -49,6 +49,7 @@ __all__ = [
     "CellSummary",
     "GridRecipe",
     "run_experiment",
+    "run_experiments",
     "efficiency_comparison",
     "EfficiencyReport",
     "normality_diagnostics",
@@ -302,49 +303,65 @@ def _single_threaded_blas() -> None:
         setter(1)
 
 
-def _replicate_task(args) -> ReplicateRow:
-    """One replicate's row."""
-    plan, n, r, compute_se = args
-    seed = mix_seed(plan.base_seed, n, r)
+# What the harness records as a non-converged replicate.
+_FAILURES = (ConvergenceError, EstimationError, SimulationError, ValueError,
+             np.linalg.LinAlgError)
+
+
+def _nonconverged_row(plan, n, r, seed) -> ReplicateRow:
+    nan_vec = np.full(len(plan_param_names(plan)), np.nan)
+    return ReplicateRow(n, r, seed, False, nan_vec, nan_vec.copy())
+
+
+def _fit_row(plan, series, n, r, seed, compute_se) -> ReplicateRow:
+    """One plan's row on a simulated series, fitted by its grid or estimator."""
+    spec = plan.true_spec
     k = len(plan_param_names(plan))
-    nan_vec = np.full(k, np.nan)
+    sel_delay = None
+    sel_thresholds = None
     try:
-        sim = simulate_path(
-            plan.true_spec, SimConfig(n=n, seed=seed, burn_in=plan.burn_in)
-        )
-        spec = plan.true_spec
-        sel_delay = None
-        sel_thresholds = None
         if plan.grid is not None:
             grid = (
-                plan.grid.materialize(sim.series)
+                plan.grid.materialize(series)
                 if isinstance(plan.grid, GridRecipe)
                 else plan.grid
             )
-            outcome = threshold_delay_search(sim.series, spec.p, spec.q, grid)
+            outcome = threshold_delay_search(series, spec.p, spec.q, grid)
             report = outcome.report
             sel_delay = outcome.partition.delay
             sel_thresholds = tuple(float(t) for t in outcome.partition.thresholds)
             if outcome.partition.regimes != spec.partition.regimes:
                 # Estimates are not comparable to the truth vector when the
                 # selected regime count differs; keep only the selection.
+                nan_vec = np.full(k, np.nan)
                 return ReplicateRow(n, r, seed, True, nan_vec, nan_vec.copy(),
                                     sel_delay, sel_thresholds)
         elif plan.estimator == "concentrated":
             report = fit_alternating(
-                sim.series, spec.partition, spec.p, spec.q, compute_se=compute_se
+                series, spec.partition, spec.p, spec.q, compute_se=compute_se
             )
         else:
-            report = tar_arch_full_qmle(sim.series, spec.partition, spec.p, spec.q)
+            report = tar_arch_full_qmle(series, spec.partition, spec.p, spec.q)
         est = param_vector(report.spec)[:k]
         ses = report.std_errors[:k]
         scaled_cov = None
         if np.all(np.isfinite(report.sandwich_cov[:k, :k])):
             scaled_cov = n * report.sandwich_cov[:k, :k]
         return ReplicateRow(n, r, seed, True, est, ses, sel_delay, sel_thresholds, scaled_cov)
-    except (ConvergenceError, EstimationError, SimulationError, ValueError,
-            np.linalg.LinAlgError):
-        return ReplicateRow(n, r, seed, False, nan_vec, nan_vec.copy())
+    except _FAILURES:
+        return _nonconverged_row(plan, n, r, seed)
+
+
+def _replicate_task(args) -> tuple[ReplicateRow, ...]:
+    """Replicate ``r`` at size ``n``: one simulated path, one row per plan."""
+    plans, n, r, compute_se = args
+    first = plans[0]
+    seed = mix_seed(first.base_seed, n, r)
+    try:
+        sim = simulate_path(first.true_spec, SimConfig(n=n, seed=seed, burn_in=first.burn_in))
+    except _FAILURES:
+        return tuple(_nonconverged_row(plan, n, r, seed) for plan in plans)
+    return tuple(_fit_row(plan, sim.series, n, r, seed, compute_se) for plan in plans)
 
 
 def _comparable(rows) -> list[ReplicateRow]:
@@ -419,46 +436,79 @@ def _summarize(plan, names, truth, rows):
     return summaries, failed
 
 
-def run_experiment(
-    plan: ExperimentPlan, workers: int = 1, compute_se: bool = True
-) -> ExperimentResult:
-    """Simulate and fit every (sample size, replicate) cell of the plan.
+# The plan fields that fix every cell's simulated path.
+_PATH_INPUTS = ("true_spec", "sample_sizes", "replicates", "base_seed", "burn_in")
 
-    Deterministic for a given plan: replicate ``r`` at size ``n`` always uses
-    the seed ``mix_seed(base_seed, n, r)``, so the result does not depend on
-    ``workers``.  ``compute_se=False`` skips the sandwich computation when
-    only point estimates are needed.  The result is flagged ``failed`` when
-    any cell's non-convergence rate exceeds 20%.
 
-    With ``workers > 1`` the replicates run in a process pool that hands each
-    worker one task at a time.  Every worker sets each loaded OpenBLAS to one
-    thread when it starts, so the workers do not oversubscribe the cores;
-    this process keeps its own BLAS thread count.
+def run_experiments(
+    plans, workers: int = 1, compute_se: bool = True
+) -> tuple[ExperimentResult, ...]:
+    """Simulate every (sample size, replicate) cell once and fit it by each plan.
+
+    The plans must share the inputs that fix the simulated path (truth,
+    sample sizes, replicates, base seed and burn-in), otherwise ``ValueError``;
+    their estimators and grids may differ.  Replicate ``r`` at size ``n``
+    always uses the seed ``mix_seed(base_seed, n, r)``, so the results do not
+    depend on ``workers``.  ``compute_se=False`` skips the sandwich
+    computation of the concentrated fit when only point estimates are
+    needed.  A result is flagged ``failed`` when any of its cells'
+    non-convergence rate exceeds 20%.
+
+    With ``workers > 1`` the replicates run in one process pool that hands
+    each worker one task at a time.  Every worker sets each loaded OpenBLAS
+    to one thread when it starts, so the workers do not oversubscribe the
+    cores; this process keeps its own BLAS thread count.
     """
-    check_stationarity(plan.true_spec)
-    names = plan_param_names(plan)
-    truth = plan_truth(plan)
+    plans = tuple(plans)
+    if not plans:
+        raise ValueError("need at least one plan")
+    first = plans[0]
+    shared = first.to_dict()
+    for plan in plans[1:]:
+        doc = plan.to_dict()
+        for key in _PATH_INPUTS:
+            if doc[key] != shared[key]:
+                raise ValueError(f"plans must share {key}")
+    check_stationarity(first.true_spec)
     tasks = [
-        (plan, n, r, compute_se)
-        for n in plan.sample_sizes
-        for r in range(plan.replicates)
+        (plans, n, r, compute_se)
+        for n in first.sample_sizes
+        for r in range(first.replicates)
     ]
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_single_threaded_blas
         ) as pool:
-            rows = tuple(pool.map(_replicate_task, tasks))
+            cells = list(pool.map(_replicate_task, tasks))
     else:
-        rows = tuple(_replicate_task(t) for t in tasks)
-    summaries, failed = _summarize(plan, names, truth, rows)
-    return ExperimentResult(
-        plan=plan,
-        names=tuple(names),
-        truth=truth,
-        rows=rows,
-        summaries=summaries,
-        failed=failed,
-    )
+        cells = [_replicate_task(t) for t in tasks]
+    results = []
+    for i, plan in enumerate(plans):
+        names = plan_param_names(plan)
+        truth = plan_truth(plan)
+        rows = tuple(cell[i] for cell in cells)
+        summaries, failed = _summarize(plan, names, truth, rows)
+        results.append(ExperimentResult(
+            plan=plan,
+            names=tuple(names),
+            truth=truth,
+            rows=rows,
+            summaries=summaries,
+            failed=failed,
+        ))
+    return tuple(results)
+
+
+def run_experiment(
+    plan: ExperimentPlan, workers: int = 1, compute_se: bool = True
+) -> ExperimentResult:
+    """Simulate and fit every (sample size, replicate) cell of one plan.
+
+    The one-plan case of :func:`run_experiments`, which documents the seeds,
+    the pool and the failure flag.
+    """
+    (result,) = run_experiments((plan,), workers=workers, compute_se=compute_se)
+    return result
 
 
 @dataclass(frozen=True)
@@ -510,6 +560,10 @@ def efficiency_comparison(
     so the full symmetric QMLE applies) and the same design.  Variances are
     of the scaled errors ``sqrt(n) * (estimate - truth)`` over converged
     replicates, with a bootstrap standard error attached to each.
+
+    Without ``results`` both plans run through :func:`run_experiments`, which
+    simulates each replicate once and fits both estimators on it in one
+    pool; the plans must then also share replicates, base seed and burn-in.
     """
     if plan_a.true_spec.to_dict() != plan_b.true_spec.to_dict():
         raise ValueError("plans must share the same true_spec")
@@ -518,8 +572,7 @@ def efficiency_comparison(
     if plan_a.sample_sizes != plan_b.sample_sizes:
         raise ValueError("plans must share sample_sizes")
     if results is None:
-        res_a = run_experiment(plan_a, workers=workers)
-        res_b = run_experiment(plan_b, workers=workers)
+        res_a, res_b = run_experiments((plan_a, plan_b), workers=workers)
     else:
         res_a, res_b = results
     common = [name for name in res_a.names if name in res_b.names]

@@ -10,6 +10,7 @@ break that contract.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -133,49 +134,46 @@ def simulate_path(spec: ModelSpec, config: SimConfig) -> SimulatedPath:
     z = normal_stream(config.seed, total).tolist()
     thresholds = spec.partition.thresholds.tolist()
     coeffs = [tuple(row) for row in spec.tar.coefficients.tolist()]
-    alphas = spec.aarch.alphas.tolist()
-    betas = spec.aarch.betas.tolist()
+    loadings = list(zip(spec.aarch.alphas.tolist(), spec.aarch.betas.tolist()))
     alpha0 = spec.aarch.alpha0
 
-    xs = [0.0] * total
-    es = [0.0] * total
+    # x[t] sits at xs[mpd + t] behind the presample values, eps[t] at
+    # es[q + t] behind q zero shocks, so no lag reaches before the lists.
+    xs = list(init) + [0.0] * total
+    es = [0.0] * (q + total)
     hs = [0.0] * total
-    nth = len(thresholds)
 
     for t in range(total):
         h = alpha0
-        for k in range(1, q + 1):
-            idx = t - k
-            ev = es[idx] if idx >= 0 else 0.0
-            term = alphas[k - 1] * abs(ev) + betas[k - 1] * ev
+        j = q + t
+        for a, b in loadings:
+            j -= 1
+            ev = es[j]
+            term = a * abs(ev) + b * ev
             h += term * term
 
-        idx = t - d
-        xd = xs[idx] if idx >= 0 else init[mpd + idx]
-        j = 0
-        while j < nth and xd > thresholds[j]:
-            j += 1
-        row = coeffs[j]
+        i = mpd + t
+        # thresholds increase strictly, so this is the regime_index rule
+        row = coeffs[bisect_left(thresholds, xs[i - d])]
         mean = row[0]
         for k in range(1, p + 1):
-            idx = t - k
-            mean += row[k] * (xs[idx] if idx >= 0 else init[mpd + idx])
+            mean += row[k] * xs[i - k]
 
         eps = z[t] * math.sqrt(h)
         x = mean + eps
-        if not math.isfinite(x) or abs(x) > _EXPLOSION_LIMIT:
+        if not -_EXPLOSION_LIMIT <= x <= _EXPLOSION_LIMIT:  # also NaN and inf
             raise SimulationError(
                 f"simulated path exploded at step {t} "
                 f"(|x| = {abs(x):.3g}, burn_in = {config.burn_in})",
                 index=t,
             )
-        xs[t] = x
-        es[t] = eps
+        xs[i] = x
+        es[q + t] = eps
         hs[t] = h
 
     b = config.burn_in
     return SimulatedPath(
-        series=TimeSeries(np.array(xs[b:]), origin_label="simulated"),
+        series=TimeSeries(np.array(xs[mpd + b :]), origin_label="simulated"),
         innovations=np.array(z[b:]),
         variances=np.array(hs[b:]),
     )

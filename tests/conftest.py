@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import settings
 
-from taraarch.montecarlo import ExperimentPlan, run_experiment
+from taraarch.montecarlo import ExperimentPlan, run_experiment, run_experiments
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -38,11 +38,11 @@ def consistency_result():
 
 @pytest.fixture(scope="session")
 def efficiency_pair():
-    """Concentrated and full QMLE runs of the committed efficiency plan."""
+    """Concentrated and full QMLE fits of the committed efficiency plan, on one
+    simulated path per replicate."""
     plan_a = load_plan("efficiency.json", estimator="concentrated")
     plan_b = load_plan("efficiency.json", estimator="full_symmetric")
-    res_a = run_experiment(plan_a, workers=WORKERS)
-    res_b = run_experiment(plan_b, workers=WORKERS)
+    res_a, res_b = run_experiments((plan_a, plan_b), workers=WORKERS)
     return plan_a, plan_b, res_a, res_b
 
 

@@ -214,6 +214,17 @@ class TestMc:
             run_cli("mc", str(plan), "--output", str(prefix))
         assert sum("stationarity" in str(w.message) for w in record) == 1
 
+    def test_nonstationary_both_plan_warns_once(self, tmp_path, capsys):
+        doc = self.plan_doc(estimator="both", replicates=1)
+        doc["true_spec"] = symmetric_reference_spec().to_dict()
+        doc["true_spec"]["alphas"] = [1.05]
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(doc))
+        prefix = tmp_path / "mc"
+        with pytest.warns(UserWarning, match="stationarity") as record:
+            run_cli("mc", str(plan), "--output", str(prefix))
+        assert sum("stationarity" in str(w.message) for w in record) == 1
+
     def test_unknown_grid_key_is_data_error(self, tmp_path, capsys):
         doc = {**self.plan_doc(replicates=1),
                "grid": {"type": "quantile", "delays": [1], "setp": 0.05}}

@@ -2,6 +2,7 @@ import ctypes
 import io
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from taraarch.montecarlo import (
     reference_spec,
     results_to_csv,
     run_experiment,
+    run_experiments,
     save_results,
     summary_to_dict,
 )
@@ -33,7 +35,7 @@ from scipy.stats import skew
 
 from taraarch.estimation import SearchGrid
 from taraarch.model import param_names, param_vector
-from taraarch.simulate import mix_seed, normal_stream
+from taraarch.simulate import SimulationError, mix_seed, normal_stream
 
 WORKERS = min(2, os.cpu_count() or 1)
 
@@ -185,6 +187,71 @@ class TestRunExperiment:
         json_path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match="disagrees"):
             load_results(csv_path, json_path)
+
+
+class TestRunExperiments:
+    def both_plans(self, sym_spec, **kwargs):
+        return tuple(
+            ExperimentPlan(true_spec=sym_spec, sample_sizes=(300,), replicates=4,
+                           base_seed=23, estimator=est, **kwargs)
+            for est in ("concentrated", "full_symmetric")
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_one_pass_matches_separate_runs(self, sym_spec, workers):
+        plans = self.both_plans(sym_spec)
+        together = run_experiments(plans, workers=workers)
+        for plan, res in zip(plans, together):
+            alone = run_experiment(plan, workers=1)
+            assert res.plan is plan
+            assert res.names == alone.names
+            assert len(res.rows) == len(alone.rows) == 4
+            for a, b in zip(res.rows, alone.rows):
+                assert (a.n, a.r, a.seed, a.converged) == (b.n, b.r, b.seed, b.converged)
+                assert a.estimates.tobytes() == b.estimates.tobytes()
+                assert a.std_errors.tobytes() == b.std_errors.tobytes()
+                assert a.scaled_cov.tobytes() == b.scaled_cov.tobytes()
+
+    def test_simulates_each_cell_once(self, sym_spec, monkeypatch):
+        calls = []
+        real = montecarlo.simulate_path
+
+        def counting(spec, config):
+            calls.append((config.n, config.seed))
+            return real(spec, config)
+
+        monkeypatch.setattr(montecarlo, "simulate_path", counting)
+        plans = tuple(
+            replace(plan, sample_sizes=(300, 400), replicates=2)
+            for plan in self.both_plans(sym_spec)
+        )
+        run_experiments(plans, workers=1)
+        assert calls == [(n, mix_seed(23, n, r)) for n in (300, 400) for r in range(2)]
+
+    def test_simulation_error_fails_every_plan(self, sym_spec, monkeypatch):
+        def explode(spec, config):
+            raise SimulationError("simulated path exploded at step 0", index=0)
+
+        monkeypatch.setattr(montecarlo, "simulate_path", explode)
+        for res in run_experiments(self.both_plans(sym_spec), workers=1):
+            assert res.failed
+            for row in res.rows:
+                assert not row.converged
+                assert row.estimates.shape == (len(res.names),)
+                assert np.isnan(row.estimates).all()
+
+    @pytest.mark.parametrize("field, value", [
+        ("base_seed", 24),
+        ("sample_sizes", (400,)),
+        ("replicates", 5),
+        ("burn_in", 300),
+        ("true_spec", reference_spec()),
+    ])
+    def test_plans_must_share_the_path_inputs(self, sym_spec, field, value):
+        plan_a, _ = self.both_plans(sym_spec)
+        plan_b = replace(plan_a, **{field: value})
+        with pytest.raises(ValueError, match=field):
+            run_experiments((plan_a, plan_b))
 
 
 class TestSummaries:

@@ -14,7 +14,7 @@ from taraarch.model import (
     conditional_mean,
     regime_indices,
 )
-from taraarch.montecarlo import reference_spec
+from taraarch.montecarlo import reference_spec, symmetric_reference_spec
 from taraarch.simulate import (
     SimConfig,
     SimulationError,
@@ -55,7 +55,93 @@ class TestSeeding:
         assert abs(z.var() - 1.0) < 0.01
 
 
+def three_regime_spec():
+    return ModelSpec(
+        p=2,
+        q=3,
+        partition=ThresholdPartition(regimes=3, delay=2, thresholds=np.array([-0.5, 0.4])),
+        tar=TarParams(np.array([[0.1, 0.3, -0.2], [0.0, 0.5, 0.1], [-0.1, -0.4, 0.2]])),
+        aarch=AarchParams(0.2, np.array([0.3, 0.2, 0.1]), np.array([0.1, -0.05, 0.05])),
+    )
+
+
+def loop_oracle(spec, config):
+    """The step loop with explicit presample branches and a linear regime scan."""
+    p, q, d = spec.p, spec.q, spec.partition.delay
+    mpd = spec.mean_lag_length
+    init = config.init_values if config.init_values is not None else ()
+    if len(init) < mpd:
+        init = (0.0,) * (mpd - len(init)) + tuple(init)
+    else:
+        init = tuple(init[len(init) - mpd :])
+    total = config.burn_in + config.n
+    z = normal_stream(config.seed, total).tolist()
+    thresholds = spec.partition.thresholds.tolist()
+    coeffs = [tuple(row) for row in spec.tar.coefficients.tolist()]
+    alphas = spec.aarch.alphas.tolist()
+    betas = spec.aarch.betas.tolist()
+    xs = [0.0] * total
+    es = [0.0] * total
+    hs = [0.0] * total
+    for t in range(total):
+        h = spec.aarch.alpha0
+        for k in range(1, q + 1):
+            idx = t - k
+            ev = es[idx] if idx >= 0 else 0.0
+            term = alphas[k - 1] * abs(ev) + betas[k - 1] * ev
+            h += term * term
+        idx = t - d
+        xd = xs[idx] if idx >= 0 else init[mpd + idx]
+        j = 0
+        while j < len(thresholds) and xd > thresholds[j]:
+            j += 1
+        row = coeffs[j]
+        mean = row[0]
+        for k in range(1, p + 1):
+            idx = t - k
+            mean += row[k] * (xs[idx] if idx >= 0 else init[mpd + idx])
+        eps = z[t] * math.sqrt(h)
+        x = mean + eps
+        if not math.isfinite(x) or abs(x) > 1e12:
+            raise SimulationError("exploded", index=t)
+        xs[t], es[t], hs[t] = x, eps, h
+    b = config.burn_in
+    return np.array(xs[b:]), np.array(z[b:]), np.array(hs[b:])
+
+
 class TestSimulatePath:
+    @pytest.mark.parametrize(
+        "make_spec", [reference_spec, symmetric_reference_spec, three_regime_spec]
+    )
+    @pytest.mark.parametrize("config", [
+        {"n": 5},
+        {"n": 60, "init_values": (0.7, -1.3, 2.0)},
+        {"n": 60, "burn_in": 0, "init_values": (3.0,)},
+    ])
+    def test_step_loop_matches_oracle_bitwise(self, make_spec, config):
+        spec = make_spec()
+        for seed in range(20):
+            cfg = SimConfig(seed=seed, **config)
+            path = simulate_path(spec, cfg)
+            got = (path.series.values, path.innovations, path.variances)
+            for a, b in zip(got, loop_oracle(spec, cfg)):
+                assert a.tobytes() == b.tobytes()
+
+    def test_explosion_index_matches_oracle(self):
+        boom = ModelSpec(
+            p=1,
+            q=2,
+            partition=ThresholdPartition(regimes=2, delay=1, thresholds=np.array([0.0])),
+            tar=TarParams(np.array([[0.0, 1.5], [0.0, 1.2]])),
+            aarch=AarchParams(1.0, np.array([1.5, 0.5]), np.array([0.3, 0.0])),
+        )
+        cfg = SimConfig(n=2000, seed=4)
+        with pytest.raises(SimulationError) as got:
+            simulate_path(boom, cfg)
+        with pytest.raises(SimulationError) as want:
+            loop_oracle(boom, cfg)
+        assert got.value.index == want.value.index
+
     def test_same_config_bitwise_identical(self):
         spec = reference_spec()
         a = simulate_path(spec, SimConfig(n=500, seed=8))
