@@ -293,7 +293,7 @@ def tar_arch_full_qmle(
     kdim = ntheta + 1 + q
 
     tar0, _ = _initial_values(ctx)
-    ph = float(ctx.residuals(tar0).var())
+    ph = float(ctx.residuals(tar0.coefficients).var())
 
     if init is not None:
         theta0 = init.tar.coefficients.ravel()
@@ -312,7 +312,7 @@ def tar_arch_full_qmle(
     def variance_rows(theta, alpha0, alphas):
         """Residuals, squared-lag rows E_k, variances and dh rows, on the
         residual window; time-contiguous, one row per lag or parameter."""
-        e = ctx.y_r - np.einsum("j,jt->t", theta, zexp)
+        e = ctx.residuals(theta)
         lag_sq = np.full((q, nr), ph)
         dh = np.zeros((kdim, nr))
         for k in range(q):

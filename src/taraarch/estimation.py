@@ -210,6 +210,11 @@ class _FitContext:
     a further ``max(p, q, d) - max(p, d)`` observations so that every
     likelihood term has its full history, matching the convention of
     conditioning on the first ``max(p, q, d)`` observations.
+
+    ``zexp_t``, built once here, is the lag design expanded to the full
+    theta dimension on the residual window, shape ``(ntheta, nr)``: block
+    ``j`` holds the design where regime ``j`` is active and zeros elsewhere,
+    so the conditional means are the single product ``theta @ zexp_t``.
     """
 
     def __init__(self, x: np.ndarray, partition: ThresholdPartition, p: int, q: int):
@@ -240,25 +245,15 @@ class _FitContext:
         self.regime_z = [np.ascontiguousarray(zq_t[:, rows]) for rows in self.regime_rows]
         self.regime_y = [self.y_q[rows] for rows in self.regime_rows]
         self.ntheta = l * (p + 1)
-        self._zexp = None
+        self.zexp_t = np.zeros((self.ntheta, self.nr))
+        for j, block in enumerate(np.split(self.zexp_t, l)):
+            np.copyto(block, self.Zr.T, where=self.labels_r == j)
 
-    @property
-    def zexp_t(self) -> np.ndarray:
-        """Design expanded to the full theta dimension, zero outside the active
-        regime, on the residual window: shape ``(ntheta, nr)``."""
-        if self._zexp is None:
-            z = np.zeros((self.ntheta, self.nr))
-            w = self.p + 1
-            zr_t = self.Zr.T
-            for j in range(self.partition.regimes):
-                cols = self.labels_r == j
-                z[j * w : (j + 1) * w, cols] = zr_t[:, cols]
-            self._zexp = z
-        return self._zexp
-
-    def residuals(self, tar: TarParams) -> np.ndarray:
-        means = np.einsum("ij,ij->i", self.Zr, tar.coefficients[self.labels_r])
-        return self.y_r - means
+    def residuals(self, theta: np.ndarray) -> np.ndarray:
+        """Mean residuals on the residual window for the coefficients
+        ``theta`` in regime-major order: flat, or the ``(regimes, p + 1)``
+        array of :class:`TarParams`."""
+        return self.y_r - np.einsum("j,jt->t", np.ravel(theta), self.zexp_t)
 
     def variance(self, aarch: AarchParams, e: np.ndarray) -> np.ndarray:
         return np.einsum("j,jt->t", _slopes(aarch), _slope_design(e, self.q))
@@ -266,7 +261,7 @@ class _FitContext:
     def qll_sum(self, tar: TarParams, aarch: AarchParams, first: int | None = None) -> float:
         """Quasi-log-likelihood summed from observation ``first`` (default
         ``max(p, q, d)``) to the end of the series."""
-        e = self.residuals(tar)
+        e = self.residuals(tar.coefficients)
         h = self.variance(aarch, e)
         start = self.o if first is None else first - self.mpd
         eq, hq = e[start:], h[start:]
@@ -309,7 +304,7 @@ def _theta_step(ctx: _FitContext, aarch: AarchParams, theta_init: TarParams) -> 
                 f"regime {j + 1} has {rows.size} observations; need at least {p + 1}"
             )
     for _ in range(MAX_THETA_ITER):
-        e = ctx.residuals(TarParams(coeffs))
+        e = ctx.residuals(coeffs)
         h = ctx.variance(aarch, e)
         w = 1.0 / h[ctx.o :]
         new = np.empty_like(coeffs)
@@ -351,7 +346,7 @@ def _alpha_step(
     fit_lags: bool = True,
 ) -> AarchParams:
     q = ctx.q
-    e = ctx.residuals(tar)
+    e = ctx.residuals(tar.coefficients)
     eq = e[ctx.o :]
     sq = eq * eq
     if not fit_lags:
@@ -415,7 +410,7 @@ def alpha_score(spec: ModelSpec, series) -> np.ndarray:
     taken through ``d gamma / d(alpha0, alphas, betas)``.
     """
     ctx = _context(series, spec.partition, spec.p, spec.q)
-    e = ctx.residuals(spec.tar)
+    e = ctx.residuals(spec.tar.coefficients)
     x = _slope_design(e, spec.q)[:, ctx.o :]
     h = np.einsum("j,jt->t", _slopes(spec.aarch), x)
     eq = e[ctx.o :]
@@ -431,7 +426,7 @@ def concentrated_equation_residuals(spec: ModelSpec, series) -> np.ndarray:
     the mean step's fixed point.
     """
     ctx = _context(series, spec.partition, spec.p, spec.q)
-    e = ctx.residuals(spec.tar)
+    e = ctx.residuals(spec.tar.coefficients)
     h = ctx.variance(spec.aarch, e)
     ratio = e[ctx.o :] / h[ctx.o :]
     return np.einsum("it,t->i", ctx.zexp_t[:, ctx.o :], ratio) / ctx.nq
@@ -442,7 +437,7 @@ def _initial_values(ctx: _FitContext) -> tuple[TarParams, AarchParams]:
     flat = AarchParams(alpha0=1.0, alphas=np.zeros(q), betas=np.zeros(q))
     zero = TarParams(np.zeros((ctx.partition.regimes, ctx.p + 1)))
     tar = _theta_step(ctx, flat, zero)
-    e = ctx.residuals(tar)
+    e = ctx.residuals(tar.coefficients)
     return tar, AarchParams(
         alpha0=max(float(e.var()), 1e-12), alphas=np.zeros(q), betas=np.zeros(q)
     )
@@ -534,7 +529,7 @@ def _sandwich_parts(ctx: _FitContext, spec: ModelSpec) -> tuple[np.ndarray, np.n
     coordinates ``(theta, alpha0, alphas, betas)``.
     """
     q, o, nq, nr = spec.q, ctx.o, ctx.nq, ctx.nr
-    e = ctx.residuals(spec.tar)
+    e = ctx.residuals(spec.tar.coefficients)
     x = _slope_design(e, q)
     gamma = _slopes(spec.aarch)
     h = np.einsum("j,jt->t", gamma, x)

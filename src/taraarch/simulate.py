@@ -108,7 +108,7 @@ class SimulatedPath(NamedTuple):
 
 
 def simulate_path(spec: ModelSpec, config: SimConfig) -> SimulatedPath:
-    """Drive the mean and variance recursions forward with seeded normal shocks.
+    """Drive the variance and mean recursions forward with seeded normal shocks.
 
     Presample observations default to zero (or ``config.init_values``),
     presample shocks are zero, and the first ``burn_in`` generated points are
@@ -116,11 +116,18 @@ def simulate_path(spec: ModelSpec, config: SimConfig) -> SimulatedPath:
     conditional variances ``h`` aligned with it, so that
     ``x[t] - conditional_mean(t) == z[t] * sqrt(h[t])`` at every index.
 
+    The shocks ``eps[t] = z[t] * sqrt(h[t])`` never read the path, so the
+    variance recursion runs first over all of ``z``, and the mean recursion
+    then adds each precomputed shock.  Float arithmetic does not raise on
+    overflow, so both loops run to the end and the path is checked after
+    them.
+
     Raises
     ------
     SimulationError
         If a generated value exceeds 1e12 in magnitude or is non-finite; the
-        exception carries the 0-based step index (burn-in included).
+        exception carries the 0-based step index (burn-in included) of the
+        first such value.
     """
     p, q, d = spec.p, spec.q, spec.partition.delay
     mpd = spec.mean_lag_length
@@ -130,50 +137,48 @@ def simulate_path(spec: ModelSpec, config: SimConfig) -> SimulatedPath:
     else:
         init = tuple(init[len(init) - mpd :])
 
-    total = config.burn_in + config.n
-    z = normal_stream(config.seed, total).tolist()
+    z = normal_stream(config.seed, config.burn_in + config.n).tolist()
     thresholds = spec.partition.thresholds.tolist()
     coeffs = [tuple(row) for row in spec.tar.coefficients.tolist()]
-    loadings = list(zip(spec.aarch.alphas.tolist(), spec.aarch.betas.tolist()))
+    loadings = list(enumerate(zip(spec.aarch.alphas.tolist(), spec.aarch.betas.tolist()), 1))
     alpha0 = spec.aarch.alpha0
 
-    # x[t] sits at xs[mpd + t] behind the presample values, eps[t] at
-    # es[q + t] behind q zero shocks, so no lag reaches before the lists.
-    xs = list(init) + [0.0] * total
-    es = [0.0] * (q + total)
-    hs = [0.0] * total
-
-    for t in range(total):
+    # Lags are read by negative index: the shocks grow behind q zero shocks,
+    # the path behind its presample values, so no lag reaches before a list.
+    es = [0.0] * q
+    hs = []
+    for zt in z:
         h = alpha0
-        j = q + t
-        for a, b in loadings:
-            j -= 1
-            ev = es[j]
+        for k, (a, b) in loadings:
+            ev = es[-k]
             term = a * abs(ev) + b * ev
             h += term * term
+        es.append(zt * math.sqrt(h))
+        hs.append(h)
 
-        i = mpd + t
+    xs = list(init)
+    lags = range(1, p + 1)
+    for eps in es[q:]:
         # thresholds increase strictly, so this is the regime_index rule
-        row = coeffs[bisect_left(thresholds, xs[i - d])]
+        row = coeffs[bisect_left(thresholds, xs[-d])]
         mean = row[0]
-        for k in range(1, p + 1):
-            mean += row[k] * xs[i - k]
+        for k in lags:
+            mean += row[k] * xs[-k]
+        xs.append(mean + eps)
 
-        eps = z[t] * math.sqrt(h)
-        x = mean + eps
-        if not -_EXPLOSION_LIMIT <= x <= _EXPLOSION_LIMIT:  # also NaN and inf
-            raise SimulationError(
-                f"simulated path exploded at step {t} "
-                f"(|x| = {abs(x):.3g}, burn_in = {config.burn_in})",
-                index=t,
-            )
-        xs[i] = x
-        es[q + t] = eps
-        hs[t] = h
+    x = np.array(xs[mpd:])
+    exploded = np.flatnonzero(~(np.abs(x) <= _EXPLOSION_LIMIT))  # also NaN and inf
+    if exploded.size:
+        t = int(exploded[0])
+        raise SimulationError(
+            f"simulated path exploded at step {t} "
+            f"(|x| = {abs(x[t]):.3g}, burn_in = {config.burn_in})",
+            index=t,
+        )
 
     b = config.burn_in
     return SimulatedPath(
-        series=TimeSeries(np.array(xs[mpd + b :]), origin_label="simulated"),
+        series=TimeSeries(x[b:], origin_label="simulated"),
         innovations=np.array(z[b:]),
         variances=np.array(hs[b:]),
     )

@@ -270,7 +270,7 @@ class TestFitAlternating:
         )
         report = fit_alternating(sim.series, part, 2, 1)
         ctx = _FitContext(sim.series.values, part, 2, 1)
-        e = ctx.residuals(report.spec.tar)
+        e = ctx.residuals(report.spec.tar.coefficients)
         x = _slope_design(e, 1)[:, ctx.o :]
         gamma = _slopes(report.spec.aarch)
         h = gamma @ x
@@ -351,12 +351,63 @@ class TestAboveBlasThreadingLimits:
         x = simulate_path(spec, SimConfig(n=self.N, seed=22)).series.values
         ctx = _FitContext(x, spec.partition, 1, 2)
         assert ctx.o == 1
-        e = ctx.residuals(spec.tar)
+        e = ctx.residuals(spec.tar.coefficients)
         zero_slopes = AarchParams(0.12, np.array([0.0, 0.2]), np.array([0.0, -0.2]))
         for aarch in (spec.aarch, zero_slopes):
             got = _slopes(aarch) @ _slope_design(e, 2)
             want = variance_path(aarch, e, float(e.var()))
             assert np.max(np.abs(got - want) / want) <= 1e-12
+
+
+def three_regime_p2_spec(delay, q):
+    return ModelSpec(
+        p=2,
+        q=q,
+        partition=ThresholdPartition(regimes=3, delay=delay, thresholds=np.array([-0.4, 0.3])),
+        tar=TarParams(np.array([[0.1, 0.3, -0.2], [0.0, 0.5, 0.1], [-0.1, -0.4, 0.2]])),
+        aarch=AarchParams(0.2, np.full(q, 0.25), np.full(q, 0.05)),
+    )
+
+
+class TestFitContext:
+    """The expanded design and the residual product against ``model.residuals``."""
+
+    def test_residuals_bitwise_equal_to_oracle_at_reference(self):
+        spec = reference_spec()
+        x = simulate_path(spec, SimConfig(n=16000, seed=31)).series.values
+        ctx = _FitContext(x, spec.partition, spec.p, spec.q)
+        got = ctx.residuals(spec.tar.coefficients)
+        assert got.tobytes() == residuals(spec, x).tobytes()
+        flat = ctx.residuals(spec.tar.coefficients.ravel())
+        assert flat.tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("delay, q", [(3, 2), (3, 4)])
+    def test_residuals_within_last_bits_of_oracle_at_p2(self, delay, q):
+        spec = three_regime_p2_spec(delay, q)
+        x = simulate_path(spec, SimConfig(n=4000, seed=32)).series.values
+        ctx = _FitContext(x, spec.partition, spec.p, spec.q)
+        assert ctx.o == max(q - delay, 0)
+        got = ctx.residuals(spec.tar.coefficients)
+        want = residuals(spec, x)
+        # Both sum p + 1 products and subtract from y, each within
+        # (p + 2) / 2 eps of |y| + sum |theta z| whatever the order of the sum.
+        theta = spec.tar.coefficients[ctx.labels_r]
+        scale = np.abs(ctx.y_r) + np.einsum("ij,ij->i", np.abs(ctx.Zr), np.abs(theta))
+        assert np.all(np.abs(got - want) <= (spec.p + 2) * np.finfo(float).eps * scale)
+
+    def test_expanded_design_holds_regime_rows_and_exact_zeros(self):
+        spec = three_regime_p2_spec(3, 2)
+        x = simulate_path(spec, SimConfig(n=500, seed=33)).series.values
+        ctx = _FitContext(x, spec.partition, spec.p, spec.q)
+        w = spec.p + 1
+        assert ctx.zexp_t.shape == (3 * w, ctx.nr)
+        for j in range(3):
+            block = ctx.zexp_t[j * w : (j + 1) * w]
+            on = ctx.labels_r == j
+            assert on.any()
+            assert block[:, on].tobytes() == ctx.Zr[on].T.tobytes()
+            off = block[:, ~on]
+            assert np.all(off == 0.0) and not np.any(np.signbit(off))
 
 
 def fd_jacobian_blocks(spec: ModelSpec, x: np.ndarray, step: float = 1e-5):

@@ -103,10 +103,31 @@ def loop_oracle(spec, config):
         eps = z[t] * math.sqrt(h)
         x = mean + eps
         if not math.isfinite(x) or abs(x) > 1e12:
-            raise SimulationError("exploded", index=t)
+            raise SimulationError(
+                f"simulated path exploded at step {t} "
+                f"(|x| = {abs(x):.3g}, burn_in = {config.burn_in})",
+                index=t,
+            )
         xs[t], es[t], hs[t] = x, eps, h
     b = config.burn_in
     return np.array(xs[b:]), np.array(z[b:]), np.array(hs[b:])
+
+
+def assert_explosion_matches_oracle(tar, alphas, betas):
+    boom = ModelSpec(
+        p=1,
+        q=2,
+        partition=ThresholdPartition(regimes=2, delay=1, thresholds=np.array([0.0])),
+        tar=TarParams(np.array(tar)),
+        aarch=AarchParams(1.0, np.array(alphas), np.array(betas)),
+    )
+    cfg = SimConfig(n=2000, seed=4)
+    with pytest.raises(SimulationError) as got:
+        simulate_path(boom, cfg)
+    with pytest.raises(SimulationError) as want:
+        loop_oracle(boom, cfg)
+    assert got.value.index == want.value.index
+    assert str(got.value) == str(want.value)
 
 
 class TestSimulatePath:
@@ -128,19 +149,16 @@ class TestSimulatePath:
                 assert a.tobytes() == b.tobytes()
 
     def test_explosion_index_matches_oracle(self):
-        boom = ModelSpec(
-            p=1,
-            q=2,
-            partition=ThresholdPartition(regimes=2, delay=1, thresholds=np.array([0.0])),
-            tar=TarParams(np.array([[0.0, 1.5], [0.0, 1.2]])),
-            aarch=AarchParams(1.0, np.array([1.5, 0.5]), np.array([0.3, 0.0])),
+        assert_explosion_matches_oracle(
+            [[0.0, 1.5], [0.0, 1.2]], [1.5, 0.5], [0.3, 0.0]
         )
-        cfg = SimConfig(n=2000, seed=4)
-        with pytest.raises(SimulationError) as got:
-            simulate_path(boom, cfg)
-        with pytest.raises(SimulationError) as want:
-            loop_oracle(boom, cfg)
-        assert got.value.index == want.value.index
+
+    def test_variance_only_explosion_matches_oracle(self):
+        # Stable mean coefficients; the loading of 3 makes h overflow to inf
+        # (and then NaN) long before the loops end.
+        assert_explosion_matches_oracle(
+            [[0.2, 0.5], [-0.3, -0.4]], [3.0, 0.0], [0.5, 0.0]
+        )
 
     def test_same_config_bitwise_identical(self):
         spec = reference_spec()
