@@ -21,7 +21,6 @@ from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 from scipy.special import ndtr, ndtri
-from scipy.stats import kurtosis, skew
 
 from .baselines import tar_arch_full_qmle
 from .estimation import (
@@ -364,13 +363,18 @@ def _replicate_task(args) -> tuple[ReplicateRow, ...]:
     return tuple(_fit_row(plan, sim.series, n, r, seed, compute_se) for plan in plans)
 
 
-def _comparable(rows) -> list[ReplicateRow]:
-    """The converged rows whose estimates are all finite.
+def _cell(rows, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(m, k)`` estimates and standard errors of the comparable rows at
+    size ``n``: those that converged with all-finite estimates.
 
     A search that selects the wrong regime count converges with NaN
     estimates; such rows count only toward the selection statistics.
     """
-    return [row for row in rows if row.converged and np.all(np.isfinite(row.estimates))]
+    cell = [row for row in rows
+            if row.n == n and row.converged and np.all(np.isfinite(row.estimates))]
+    est = np.array([row.estimates for row in cell]).reshape(len(cell), k)
+    ses = np.array([row.std_errors for row in cell]).reshape(len(cell), k)
+    return est, ses
 
 
 def _summarize(plan, names, truth, rows):
@@ -383,14 +387,12 @@ def _summarize(plan, names, truth, rows):
         rate = 1.0 - len(conv) / len(cell_rows) if cell_rows else 1.0
         if rate > NONCONVERGENCE_FAILURE_RATE:
             failed = True
-        comparable = _comparable(conv)
-        if comparable:
-            est = np.vstack([row.estimates for row in comparable])
-            ses = np.vstack([row.std_errors for row in comparable])
+        est, ses = _cell(cell_rows, n, k)
+        if len(est):
             err = est - truth
             bias = err.mean(axis=0)
             rmse = np.sqrt((err * err).mean(axis=0))
-            if len(comparable) > 1:
+            if len(est) > 1:
                 cov_scaled = n * np.cov(est, rowvar=False, ddof=1).reshape(k, k)
             else:
                 cov_scaled = np.zeros((k, k))
@@ -536,15 +538,24 @@ class EfficiencyReport:
 
 def _scaled_errors(result: ExperimentResult, n: int, name: str) -> np.ndarray:
     idx = result.names.index(name)
-    rows = _comparable(row for row in result.rows if row.n == n)
-    est = np.array([row.estimates[idx] for row in rows])
-    return np.sqrt(n) * (est - result.truth[idx])
+    est, _ = _cell(result.rows, n, len(result.names))
+    return np.sqrt(n) * (est[:, idx] - result.truth[idx])
 
 
 def _bootstrap_var_se(errors: np.ndarray, rng: np.random.Generator, b: int) -> float:
-    """Standard deviation of the sample variance over ``b`` resamples."""
+    """Standard deviation of the sample variance over ``b`` resamples; NaN,
+    with nothing drawn, below 2 errors."""
     n = errors.size
+    if n < 2:
+        return np.nan
     return float(errors[rng.integers(0, n, size=(b, n))].var(axis=1, ddof=1).std(ddof=1))
+
+
+def _ratio(va: float, vb: float) -> float:
+    """``va / vb``; infinite when only ``vb`` is zero, NaN when either is NaN."""
+    if vb > 0:
+        return va / vb
+    return np.inf if vb == 0 and np.isfinite(va) else np.nan
 
 
 def efficiency_comparison(
@@ -559,7 +570,9 @@ def efficiency_comparison(
     Both plans must share the same symmetric truth (beta identically zero,
     so the full symmetric QMLE applies) and the same design.  Variances are
     of the scaled errors ``sqrt(n) * (estimate - truth)`` over converged
-    replicates, with a bootstrap standard error attached to each.
+    replicates, with a bootstrap standard error attached to each.  An
+    estimator with fewer than 2 such replicates in a cell gets a NaN
+    variance and standard error there, and the cell's ratio is NaN.
 
     Without ``results`` both plans run through :func:`run_experiments`, which
     simulates each replicate once and fits both estimators on it in one
@@ -584,8 +597,8 @@ def efficiency_comparison(
         for name in common:
             ea = _scaled_errors(res_a, n, name)
             eb = _scaled_errors(res_b, n, name)
-            va = float(ea.var(ddof=1))
-            vb = float(eb.var(ddof=1))
+            va = float(ea.var(ddof=1)) if ea.size > 1 else np.nan
+            vb = float(eb.var(ddof=1)) if eb.size > 1 else np.nan
             rows.append(
                 EfficiencyRow(
                     n=n,
@@ -594,7 +607,7 @@ def efficiency_comparison(
                     var_b=vb,
                     se_var_a=_bootstrap_var_se(ea, rng, n_bootstrap),
                     se_var_b=_bootstrap_var_se(eb, rng, n_bootstrap),
-                    ratio=va / vb if vb > 0 else np.inf,
+                    ratio=_ratio(va, vb),
                 )
             )
     return EfficiencyReport(
@@ -611,6 +624,24 @@ def anderson_darling_statistic(standardized: np.ndarray) -> float:
     u = np.clip(ndtr(x), 1e-15, 1.0 - 1e-15)
     i = np.arange(1, n + 1)
     return float(-n - np.mean((2 * i - 1) * (np.log(u) + np.log(1.0 - u[::-1]))))
+
+
+def _moment_ratios(z: np.ndarray) -> tuple[float, float]:
+    """Biased skewness and excess kurtosis of a 1-D sample.
+
+    Both are NaN below 2 values and when the sample is constant to machine
+    precision.  The operations run in the order of ``scipy.stats.skew`` and
+    ``scipy.stats.kurtosis``, so the results are theirs bit for bit.
+    """
+    if z.size < 2:
+        return np.nan, np.nan
+    mean = z.mean()
+    d = z - mean
+    d2 = d * d
+    m2 = d2.mean()
+    if m2 <= (np.finfo(float).eps * mean) ** 2:
+        return np.nan, np.nan
+    return float((d2 * d).mean() / m2**1.5), float((d2 * d2).mean() / m2**2.0 - 3.0)
 
 
 @dataclass(frozen=True)
@@ -648,7 +679,8 @@ def normality_diagnostics(result: ExperimentResult) -> NormalityReport:
     of the sqrt(n)-scaled errors is compared against the mean estimated
     asymptotic covariance; the disagreement is the largest elementwise gap
     relative to the estimated diagonal scale.  Only converged rows with
-    all-finite estimates enter.  The skewness of the slope estimates
+    all-finite estimates enter; a sample size with fewer than 2 of them gets
+    NaN statistics.  The skewness of the slope estimates
     ``(alpha_k ± beta_k)**2`` is reported alongside as a diagnostic.
     """
     if result.plan.replicates < 100:
@@ -657,18 +689,17 @@ def normality_diagnostics(result: ExperimentResult) -> NormalityReport:
     disagreement: dict[int, float] = {}
     slope_skewness: dict[int, dict[str, float]] = {}
     for n in result.plan.sample_sizes:
-        rows = _comparable(row for row in result.rows if row.n == n)
-        est = np.vstack([row.estimates for row in rows])
-        ses = np.vstack([row.std_errors for row in rows])
+        est, ses = _cell(result.rows, n, len(result.names))
         z = (est - result.truth) / ses
         for idx, name in enumerate(result.names):
-            stat = anderson_darling_statistic(z[:, idx])
+            stat = anderson_darling_statistic(z[:, idx]) if len(z) > 1 else np.nan
+            skewness, excess_kurtosis = _moment_ratios(z[:, idx])
             coords.append(
                 NormalityCoordinate(
                     n=n,
                     name=name,
-                    skewness=float(skew(z[:, idx])),
-                    excess_kurtosis=float(kurtosis(z[:, idx], fisher=True)),
+                    skewness=skewness,
+                    excess_kurtosis=excess_kurtosis,
                     ad_statistic=stat,
                     ad_pass_1pct=stat < AD_CRITICAL_1PCT,
                 )
@@ -680,8 +711,8 @@ def normality_diagnostics(result: ExperimentResult) -> NormalityReport:
             lag = name[len("alpha_"):]
             beta = f"beta_{lag}"
             b = est[:, result.names.index(beta)] if beta in result.names else 0.0
-            slope_skewness[n][f"c+_{lag}"] = float(skew((est[:, idx] + b) ** 2))
-            slope_skewness[n][f"c-_{lag}"] = float(skew((est[:, idx] - b) ** 2))
+            slope_skewness[n][f"c+_{lag}"] = _moment_ratios((est[:, idx] + b) ** 2)[0]
+            slope_skewness[n][f"c-_{lag}"] = _moment_ratios((est[:, idx] - b) ** 2)[0]
         summary = result.summaries[n]
         if summary.mean_scaled_cov is not None:
             scale = np.sqrt(

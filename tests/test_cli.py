@@ -224,6 +224,10 @@ class TestMc:
         with pytest.warns(UserWarning, match="stationarity") as record:
             run_cli("mc", str(plan), "--output", str(prefix))
         assert sum("stationarity" in str(w.message) for w in record) == 1
+        # one replicate leaves no variance to compare, and says so without warning
+        assert not [w for w in record if issubclass(w.category, RuntimeWarning)]
+        summary = json.loads((tmp_path / "mc_summary.json").read_text())
+        assert all(math.isnan(row["ratio"]) for row in summary["efficiency"]["rows"])
 
     def test_unknown_grid_key_is_data_error(self, tmp_path, capsys):
         doc = {**self.plan_doc(replicates=1),
@@ -249,6 +253,28 @@ class TestMc:
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(self.plan_doc(replicates=1)))
         assert run_cli("mc", str(plan), "--output", str(tmp_path / "mc")) == 4
+
+    def test_failed_cell_writes_files_and_exits_4(self, tmp_path, monkeypatch, capsys):
+        # every replicate fails, so no row reaches the normality statistics
+        import taraarch.cli as cli_mod
+
+        mc = cli_mod.montecarlo
+
+        def fail(args):
+            plans, n, r, _ = args
+            return tuple(mc._nonconverged_row(plan, n, r, mc.mix_seed(plan.base_seed, n, r))
+                         for plan in plans)
+
+        monkeypatch.setattr(mc, "_replicate_task", fail)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(self.plan_doc(replicates=100)))
+        assert run_cli("mc", str(plan), "--output", str(tmp_path / "mc")) == 4
+        assert "non-convergence" in capsys.readouterr().err
+        assert len((tmp_path / "mc_results.csv").read_text().splitlines()) == 101
+        normality = json.loads((tmp_path / "mc_summary.json").read_text())["normality"]
+        assert len(normality["coordinates"]) == 7
+        assert all(math.isnan(c["skewness"]) and not c["ad_pass_1pct"]
+                   for c in normality["coordinates"])
 
 
 class TestPrice:

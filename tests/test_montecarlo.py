@@ -2,6 +2,9 @@ import ctypes
 import io
 import json
 import os
+import subprocess
+import sys
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +22,9 @@ from taraarch.montecarlo import (
     ReplicateRow,
     _bootstrap_var_se,
     _loaded_openblas,
+    _moment_ratios,
+    _nonconverged_row,
+    _ratio,
     _summarize,
     anderson_darling_statistic,
     efficiency_comparison,
@@ -31,7 +37,7 @@ from taraarch.montecarlo import (
     save_results,
     summary_to_dict,
 )
-from scipy.stats import skew
+from scipy.stats import kurtosis, skew
 
 from taraarch.estimation import SearchGrid
 from taraarch.model import param_names, param_vector
@@ -353,6 +359,104 @@ class TestEfficiency:
             assert _bootstrap_var_se(errors, rng_a, 500) == loop_oracle(errors, rng_b, 500)
 
 
+    def test_cell_below_two_comparable_rows_reports_nan(self, sym_spec):
+        # n = 300 keeps one comparable row for the first estimator and none for
+        # the second; n = 600 has 5 of each.
+        names = tuple(param_names(sym_spec))
+        truth = param_vector(sym_spec)
+        z = normal_stream(31, 20 * truth.size).reshape(20, truth.size)
+
+        def result(sizes, estimator, comparable):
+            offset = 5 if estimator == "full_symmetric" else 0
+            plan = ExperimentPlan(true_spec=sym_spec, sample_sizes=sizes, replicates=5,
+                                  base_seed=3, estimator=estimator)
+            rows = tuple(
+                ReplicateRow(n=n, r=r, seed=r, converged=True,
+                             estimates=truth + 0.05 * z[r + offset + 10 * (n == 600)],
+                             std_errors=np.full(truth.size, 0.05))
+                if r < comparable.get(n, 5) else _nonconverged_row(plan, n, r, r)
+                for n in sizes for r in range(5)
+            )
+            return plan, ExperimentResult(plan=plan, names=names, truth=truth, rows=rows,
+                                          summaries={}, failed=False)
+
+        (plan_a, res_a), (plan_b, res_b) = (
+            result((300, 600), estimator, {300: m})
+            for estimator, m in (("concentrated", 1), ("full_symmetric", 0))
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = efficiency_comparison(plan_a, plan_b, results=(res_a, res_b),
+                                           n_bootstrap=30)
+        bad = [row for row in report.rows if row.n == 300]
+        assert len(bad) == len(names)
+        for row in bad:
+            assert np.isnan([row.var_a, row.var_b, row.se_var_a, row.se_var_b,
+                             row.ratio]).all()
+        # no resample was drawn for n = 300: n = 600 reads what it reads alone
+        (plan_a6, res_a6), (plan_b6, res_b6) = (
+            result((600,), estimator, {}) for estimator in ("concentrated", "full_symmetric")
+        )
+        alone = efficiency_comparison(plan_a6, plan_b6, results=(res_a6, res_b6),
+                                      n_bootstrap=30)
+        assert [row for row in report.rows if row.n == 600] == list(alone.rows)
+        assert all(np.isfinite(row.ratio) for row in alone.rows)
+
+    @pytest.mark.parametrize("va, vb, ratio", [
+        (2.0, 0.5, 4.0), (1.0, 0.0, np.inf), (0.0, 0.0, np.inf),
+        (np.nan, 1.0, np.nan), (1.0, np.nan, np.nan), (np.nan, 0.0, np.nan),
+    ])
+    def test_ratio_infinite_only_for_a_finite_variance_over_zero(self, va, vb, ratio):
+        np.testing.assert_array_equal(_ratio(va, vb), ratio)
+
+
+class TestMomentRatios:
+    """The helper against ``scipy.stats.skew`` and ``kurtosis(fisher=True)``."""
+
+    @staticmethod
+    def scipy_ratios(z):
+        return float(skew(z)), float(kurtosis(z, fisher=True))
+
+    @pytest.mark.parametrize("m", [2, 3, 100, 501])
+    def test_bitwise_equal_on_strided_columns(self, m):
+        a = 3.0 + 0.7 * normal_stream(m, m * 5).reshape(m, 5)
+        for col in (a[:, j] for j in range(5)):
+            assert not col.flags.c_contiguous
+            assert _moment_ratios(col) == self.scipy_ratios(col)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bitwise_equal_on_squared_data(self, seed):
+        z = (0.2 + 0.05 * normal_stream(seed, 400)) ** 2
+        assert _moment_ratios(z) == self.scipy_ratios(z)
+        assert _moment_ratios(z)[0] > 0.1
+
+    def test_constant_sample_is_nan_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _moment_ratios(np.full(100, 2.5))
+        assert np.isnan(got).all()
+        with pytest.warns(RuntimeWarning):  # scipy warns for the same sample
+            assert np.isnan(self.scipy_ratios(np.full(100, 2.5))).all()
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_fewer_than_two_values_is_nan_without_warning(self, m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(_moment_ratios(np.ones(m))).all()
+
+
+def test_import_loads_no_scipy_stats():
+    """The package and its CLI import without ``scipy.stats``."""
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    code = ("import sys, taraarch, taraarch.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 class TestNormalityDiagnostics:
     def test_null_calibration_with_exact_normals(self):
         spec = reference_spec()
@@ -428,6 +532,35 @@ class TestNormalityDiagnostics:
         }
         report = efficiency_comparison(plan, plan, results=(mixed, clean), n_bootstrap=20)
         assert all(row.ratio == 1.0 for row in report.rows)
+
+    def test_cell_below_two_comparable_rows_reports_nan(self):
+        # n = 300 has one comparable row and n = 600 none, among 100 replicates
+        spec = reference_spec()
+        names = tuple(param_names(spec))
+        truth = param_vector(spec)
+        plan = ExperimentPlan(true_spec=spec, sample_sizes=(300, 600), replicates=100,
+                              base_seed=0)
+        good = ReplicateRow(n=300, r=0, seed=0, converged=True, estimates=truth + 0.01,
+                            std_errors=np.full(truth.size, 0.01))
+        rows = (good,) + tuple(
+            _nonconverged_row(plan, n, r, r) for n in (300, 600) for r in range(100)
+            if (n, r) != (300, 0)
+        )
+        summaries, failed = _summarize(plan, names, truth, rows)
+        result = ExperimentResult(plan=plan, names=names, truth=truth, rows=rows,
+                                  summaries=summaries, failed=failed)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = normality_diagnostics(result)
+        assert [(c.n, c.name) for c in got.coordinates] == [
+            (n, name) for n in (300, 600) for name in names
+        ]
+        for c in got.coordinates:
+            assert np.isnan([c.skewness, c.excess_kurtosis, c.ad_statistic]).all()
+            assert not c.ad_pass_1pct
+        for n in (300, 600):
+            assert list(got.slope_skewness[n]) == ["c+_1", "c-_1"]
+            assert np.isnan(list(got.slope_skewness[n].values())).all()
 
     def test_requires_hundred_replicates(self):
         plan = small_plan(replicates=5)
