@@ -21,6 +21,7 @@ from scipy.special import ndtr
 
 from .estimation import (
     ConvergenceError,
+    EstimationError,
     FitReport,
     _context,
     _initial_values,
@@ -282,8 +283,8 @@ def tar_arch_full_qmle(
 
     Returns a :class:`FitReport` whose ``betas`` are exactly zero; raises
     :class:`ConvergenceError` carrying the best iterate on failure, and
-    :class:`~taraarch.estimation.EstimationError` if the Hessian at the
-    optimum is singular.
+    :class:`~taraarch.estimation.EstimationError` if it stops at a non-finite
+    point or at ``alpha0 = 0``, or if the Hessian there is singular.
     """
     ctx = _context(series, partition, p, q)
     l = partition.regimes
@@ -358,6 +359,8 @@ def tar_arch_full_qmle(
         options={"maxiter": MAX_FULL_QMLE_ITER, "ftol": 1e-14, "gtol": 1e-9},
     )
     theta, alpha0, alphas = natural(res.x)
+    if not (np.all(np.isfinite(res.x)) and alpha0 > 0.0):  # exp may underflow
+        raise EstimationError(f"full QMLE stopped at alpha0 = {alpha0} ({res.message})")
     tar = TarParams(theta.reshape(l, p + 1))
     spec = ModelSpec(
         p=p,

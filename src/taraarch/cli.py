@@ -1,8 +1,9 @@
 """Command-line front end: transforms, simulation, fitting, experiments, pricing.
 
-Exit codes: 0 success, 1 data error, 2 usage error, 3 non-convergence,
-4 failed experiment.  Every subcommand is deterministic given its flags;
-repeated invocations produce byte-identical output.
+Exit codes: 0 success, 1 data error (bad input or plan), 2 usage error,
+3 a fit failed (``EstimationError``), 4 failed experiment.  Every subcommand
+is deterministic given its flags; repeated invocations produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ EXIT_NONCONVERGENCE = 3
 EXIT_FAILED_EXPERIMENT = 4
 
 
-class _DataError(Exception):
+class _DataError(ValueError):
     pass
 
 
@@ -291,16 +292,10 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE
-    except _DataError as exc:
+    except (ValueError, KeyError, OSError, sim.SimulationError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
-    except sim.SimulationError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DATA
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DATA
-    except estimation.EstimationError as exc:
+    except estimation.EstimationError as exc:  # ConvergenceError included
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_NONCONVERGENCE
 

@@ -74,10 +74,11 @@ MAX_VARIANCE_ITER = 500
 
 
 class EstimationError(RuntimeError):
-    """A fit cannot proceed (empty regime, singular design, singular information)."""
+    """A fit failed on its data (empty regime, singular design or information,
+    non-finite quasi-likelihood, no convergence); a Monte Carlo non-convergence."""
 
 
-class ConvergenceError(RuntimeError):
+class ConvergenceError(EstimationError):
     """An optimizer failed to converge; carries the best iterate found."""
 
     def __init__(self, message: str, result=None):
@@ -267,7 +268,7 @@ class _FitContext:
         eq, hq = e[start:], h[start:]
         val = -0.5 * float(np.sum(np.log(hq) + eq * eq / hq))
         if not np.isfinite(val):
-            raise ValueError("quasi-log-likelihood is non-finite at these parameters")
+            raise EstimationError("quasi-log-likelihood is non-finite at these parameters")
         return val
 
 
@@ -281,7 +282,8 @@ def gaussian_qll(spec: ModelSpec, series, conditioning: int | None = None) -> fl
     The sum runs over ``t = conditioning .. n-1`` (additive constant
     dropped); ``conditioning`` defaults to ``max(p, q, d)`` and must lie in
     ``[max(p, q, d), n)``.  Widening it lets fits with different delays be
-    scored over a common set of terms.
+    scored over a common set of terms.  A non-finite sum raises
+    :class:`EstimationError`.
     """
     ctx = _context(series, spec.partition, spec.p, spec.q)
     n = ctx.x.size
@@ -364,11 +366,13 @@ def _alpha_step(
         rhs = np.einsum("it,t->i", xw, sq)
         try:
             chol = np.linalg.cholesky(gram)
+            new, _ = scipy.optimize.nnls(
+                chol.T, scipy.linalg.solve_triangular(chol, rhs, lower=True)
+            )
         except np.linalg.LinAlgError:
             raise EstimationError("variance-step design is singular") from None
-        new, _ = scipy.optimize.nnls(
-            chol.T, scipy.linalg.solve_triangular(chol, rhs, lower=True)
-        )
+        except ValueError as exc:  # scipy's check of non-finite input
+            raise EstimationError(f"variance step: {exc}") from None
         if new[0] <= 0.0:
             raise EstimationError("variance step drove alpha0 to zero")
         h_new = np.einsum("j,jt->t", new, x)
@@ -763,7 +767,7 @@ def threshold_delay_search(series, p: int, q: int, grid: SearchGrid) -> SearchOu
             ctx = _context(x, partition, p, q)
             report = _fit(ctx)
             qll_common = ctx.qll_sum(report.spec.tar, report.spec.aarch, first=m_common)
-        except (EstimationError, ConvergenceError, ValueError) as exc:
+        except EstimationError as exc:
             failures.append(f"d={d}, thresholds={list(combo)}: {exc}")
             continue
         score = _penalized(qll_common, k, n_common)

@@ -24,7 +24,6 @@ from scipy.special import ndtr, ndtri
 
 from .baselines import tar_arch_full_qmle
 from .estimation import (
-    ConvergenceError,
     EstimationError,
     SearchGrid,
     fit_alternating,
@@ -186,6 +185,9 @@ class ExperimentPlan:
             )
         if self.estimator == "full_symmetric" and not self.true_spec.aarch.is_symmetric:
             raise ValueError("full_symmetric estimator requires a symmetric truth")
+        m = self.true_spec.presample_length
+        if sizes[0] <= m:
+            raise ValueError(f"sample sizes must exceed max(p, q, d) = {m}, got {sizes[0]}")
 
     def to_dict(self) -> dict:
         doc = _fields(self)
@@ -302,17 +304,15 @@ def _single_threaded_blas() -> None:
         setter(1)
 
 
-# What the harness records as a non-converged replicate.
-_FAILURES = (ConvergenceError, EstimationError, SimulationError, ValueError,
-             np.linalg.LinAlgError)
-
-
-def _nonconverged_row(plan, n, r, seed) -> ReplicateRow:
+def _row_without_estimates(plan, n, r, seed, converged=False, delay=None,
+                           thresholds=None) -> ReplicateRow:
+    """A row with NaN estimates: a failed simulation or fit, or a search that
+    selected the wrong regime count (converged, with its selection)."""
     nan_vec = np.full(len(plan_param_names(plan)), np.nan)
-    return ReplicateRow(n, r, seed, False, nan_vec, nan_vec.copy())
+    return ReplicateRow(n, r, seed, converged, nan_vec, nan_vec.copy(), delay, thresholds)
 
 
-def _fit_row(plan, series, n, r, seed, compute_se) -> ReplicateRow:
+def _fit_row(plan, series, n, r, seed) -> ReplicateRow:
     """One plan's row on a simulated series, fitted by its grid or estimator."""
     spec = plan.true_spec
     k = len(plan_param_names(plan))
@@ -320,11 +320,9 @@ def _fit_row(plan, series, n, r, seed, compute_se) -> ReplicateRow:
     sel_thresholds = None
     try:
         if plan.grid is not None:
-            grid = (
-                plan.grid.materialize(series)
-                if isinstance(plan.grid, GridRecipe)
-                else plan.grid
-            )
+            grid = plan.grid
+            if isinstance(grid, GridRecipe):
+                grid = grid.materialize(series)
             outcome = threshold_delay_search(series, spec.p, spec.q, grid)
             report = outcome.report
             sel_delay = outcome.partition.delay
@@ -332,35 +330,30 @@ def _fit_row(plan, series, n, r, seed, compute_se) -> ReplicateRow:
             if outcome.partition.regimes != spec.partition.regimes:
                 # Estimates are not comparable to the truth vector when the
                 # selected regime count differs; keep only the selection.
-                nan_vec = np.full(k, np.nan)
-                return ReplicateRow(n, r, seed, True, nan_vec, nan_vec.copy(),
-                                    sel_delay, sel_thresholds)
+                return _row_without_estimates(plan, n, r, seed, converged=True,
+                                              delay=sel_delay, thresholds=sel_thresholds)
         elif plan.estimator == "concentrated":
-            report = fit_alternating(
-                series, spec.partition, spec.p, spec.q, compute_se=compute_se
-            )
+            report = fit_alternating(series, spec.partition, spec.p, spec.q)
         else:
             report = tar_arch_full_qmle(series, spec.partition, spec.p, spec.q)
-        est = param_vector(report.spec)[:k]
-        ses = report.std_errors[:k]
-        scaled_cov = None
-        if np.all(np.isfinite(report.sandwich_cov[:k, :k])):
-            scaled_cov = n * report.sandwich_cov[:k, :k]
-        return ReplicateRow(n, r, seed, True, est, ses, sel_delay, sel_thresholds, scaled_cov)
-    except _FAILURES:
-        return _nonconverged_row(plan, n, r, seed)
+        cov = report.sandwich_cov[:k, :k]
+        scaled_cov = n * cov if np.all(np.isfinite(cov)) else None
+        return ReplicateRow(n, r, seed, True, param_vector(report.spec)[:k],
+                            report.std_errors[:k], sel_delay, sel_thresholds, scaled_cov)
+    except EstimationError:
+        return _row_without_estimates(plan, n, r, seed)
 
 
 def _replicate_task(args) -> tuple[ReplicateRow, ...]:
     """Replicate ``r`` at size ``n``: one simulated path, one row per plan."""
-    plans, n, r, compute_se = args
+    plans, n, r = args
     first = plans[0]
     seed = mix_seed(first.base_seed, n, r)
     try:
         sim = simulate_path(first.true_spec, SimConfig(n=n, seed=seed, burn_in=first.burn_in))
-    except _FAILURES:
-        return tuple(_nonconverged_row(plan, n, r, seed) for plan in plans)
-    return tuple(_fit_row(plan, sim.series, n, r, seed, compute_se) for plan in plans)
+    except SimulationError:
+        return tuple(_row_without_estimates(plan, n, r, seed) for plan in plans)
+    return tuple(_fit_row(plan, sim.series, n, r, seed) for plan in plans)
 
 
 def _cell(rows, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -442,19 +435,18 @@ def _summarize(plan, names, truth, rows):
 _PATH_INPUTS = ("true_spec", "sample_sizes", "replicates", "base_seed", "burn_in")
 
 
-def run_experiments(
-    plans, workers: int = 1, compute_se: bool = True
-) -> tuple[ExperimentResult, ...]:
+def run_experiments(plans, workers: int = 1) -> tuple[ExperimentResult, ...]:
     """Simulate every (sample size, replicate) cell once and fit it by each plan.
 
     The plans must share the inputs that fix the simulated path (truth,
     sample sizes, replicates, base seed and burn-in), otherwise ``ValueError``;
     their estimators and grids may differ.  Replicate ``r`` at size ``n``
     always uses the seed ``mix_seed(base_seed, n, r)``, so the results do not
-    depend on ``workers``.  ``compute_se=False`` skips the sandwich
-    computation of the concentrated fit when only point estimates are
-    needed.  A result is flagged ``failed`` when any of its cells'
-    non-convergence rate exceeds 20%.
+    depend on ``workers``.  A replicate whose simulation raises
+    :class:`SimulationError` or whose fit raises :class:`EstimationError`
+    counts as non-converged; any other exception propagates.  A result is
+    flagged ``failed`` when any of its cells' non-convergence rate exceeds
+    20%.
 
     With ``workers > 1`` the replicates run in one process pool that hands
     each worker one task at a time.  Every worker sets each loaded OpenBLAS
@@ -472,11 +464,7 @@ def run_experiments(
             if doc[key] != shared[key]:
                 raise ValueError(f"plans must share {key}")
     check_stationarity(first.true_spec)
-    tasks = [
-        (plans, n, r, compute_se)
-        for n in first.sample_sizes
-        for r in range(first.replicates)
-    ]
+    tasks = [(plans, n, r) for n in first.sample_sizes for r in range(first.replicates)]
     if workers > 1:
         with ProcessPoolExecutor(
             max_workers=workers, initializer=_single_threaded_blas
@@ -501,15 +489,13 @@ def run_experiments(
     return tuple(results)
 
 
-def run_experiment(
-    plan: ExperimentPlan, workers: int = 1, compute_se: bool = True
-) -> ExperimentResult:
+def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
     """Simulate and fit every (sample size, replicate) cell of one plan.
 
     The one-plan case of :func:`run_experiments`, which documents the seeds,
     the pool and the failure flag.
     """
-    (result,) = run_experiments((plan,), workers=workers, compute_se=compute_se)
+    (result,) = run_experiments((plan,), workers=workers)
     return result
 
 

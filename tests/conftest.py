@@ -54,11 +54,11 @@ def search_result():
 
 @pytest.fixture(scope="session")
 def multi_n_result(ref_spec):
-    """Point estimates only, across three quadruplings of the sample size."""
+    """Three quadruplings of the sample size."""
     plan = ExperimentPlan(
         true_spec=ref_spec,
         sample_sizes=(1000, 4000, 16000),
         replicates=500,
         base_seed=424242,
     )
-    return run_experiment(plan, workers=WORKERS, compute_se=False)
+    return run_experiment(plan, workers=WORKERS)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from scipy.integrate import quad
 from scipy.stats import norm
 
@@ -18,7 +19,7 @@ from taraarch.baselines import (
     garch_variance,
     tar_arch_full_qmle,
 )
-from taraarch.estimation import gaussian_qll, theta_step
+from taraarch.estimation import EstimationError, gaussian_qll, theta_step
 from taraarch.model import (
     AarchParams,
     ModelSpec,
@@ -263,6 +264,30 @@ class TestFullQmle:
         e = x - x.mean()
         assert report.spec.tar.coefficients[0, 0] == pytest.approx(x.mean(), abs=0.02)
         assert report.spec.aarch.alpha0 == pytest.approx(np.mean(e * e), rel=0.05)
+
+    # The optimizer's coordinates are (theta, log alpha0, log a): the
+    # reference spec has 4 theta entries, so log alpha0 sits at index 4.
+    @pytest.mark.parametrize("index, value", [
+        pytest.param(0, np.nan, id="nan_theta"),
+        pytest.param(4, np.nan, id="nan_log_alpha0"),
+        pytest.param(4, -800.0, id="alpha0_underflow"),
+        pytest.param(5, np.nan, id="nan_log_loading"),
+    ])
+    def test_unusable_optimizer_point_raises_estimation_error(self, monkeypatch, index,
+                                                              value):
+        real = scipy.optimize.minimize
+
+        def minimize(fun, x0, **kwargs):
+            res = real(fun, x0, **kwargs)
+            res.x = res.x.copy()
+            res.x[index] = value
+            return res
+
+        monkeypatch.setattr(scipy.optimize, "minimize", minimize)
+        spec = symmetric_reference_spec()
+        sim = simulate_path(spec, SimConfig(n=500, seed=48))
+        with pytest.raises(EstimationError, match="full QMLE stopped at alpha0"):
+            tar_arch_full_qmle(sim.series, spec.partition, spec.p, spec.q)
 
     def test_ascent_from_truth(self):
         spec = symmetric_reference_spec()

@@ -10,6 +10,8 @@ from taraarch.model import param_vector
 from taraarch.montecarlo import reference_spec, symmetric_reference_spec
 from taraarch.simulate import SimConfig, simulate_path
 
+from conftest import PLANS
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -237,13 +239,34 @@ class TestMc:
         assert run_cli("mc", str(plan), "--output", str(tmp_path / "mc")) == 1
         assert "setp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("name, edit, message", [
+        pytest.param("search_lynx.json", lambda d: d["grid"].update(min_regime_fraction=0.7),
+                     "min_regime_fraction must be in (0, 0.5), got 0.7", id="lynx_fraction"),
+        pytest.param("consistency.json", lambda d: d.update(sample_sizes=[0, 300]),
+                     "sample sizes must exceed max(p, q, d) = 1, got 0", id="consistency_n0"),
+    ])
+    def test_plan_error_exits_1_not_as_nonconvergence(self, tmp_path, capsys, name, edit,
+                                                      message, workers):
+        # a bad plan is the user's error, not a replicate that failed to converge
+        doc = {**json.loads((PLANS / name).read_text()), "replicates": 3}
+        edit(doc)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(doc))
+        assert run_cli("mc", str(plan), "--workers", workers,
+                       "--output", str(tmp_path / "mc")) == 1
+        err = capsys.readouterr().err
+        assert f"error: {message}\n" in err
+        assert "non-convergence" not in err
+        assert not list(tmp_path.glob("mc_*"))
+
     def test_failed_experiment_exits_4(self, tmp_path, monkeypatch):
         import taraarch.cli as cli_mod
 
         real = cli_mod.montecarlo.run_experiment
 
-        def fail_all(plan, workers=1, compute_se=True):
-            res = real(plan, workers=workers, compute_se=compute_se)
+        def fail_all(plan, workers=1):
+            res = real(plan, workers=workers)
             return type(res)(
                 plan=res.plan, names=res.names, truth=res.truth,
                 rows=res.rows, summaries=res.summaries, failed=True,
@@ -261,8 +284,8 @@ class TestMc:
         mc = cli_mod.montecarlo
 
         def fail(args):
-            plans, n, r, _ = args
-            return tuple(mc._nonconverged_row(plan, n, r, mc.mix_seed(plan.base_seed, n, r))
+            plans, n, r = args
+            return tuple(mc._row_without_estimates(plan, n, r, mc.mix_seed(plan.base_seed, n, r))
                          for plan in plans)
 
         monkeypatch.setattr(mc, "_replicate_task", fail)

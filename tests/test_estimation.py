@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from taraarch.estimation import (
     ConvergenceError,
@@ -84,6 +85,14 @@ class TestGaussianQll:
         assert shorter != full
         with pytest.raises(ValueError, match="conditioning"):
             gaussian_qll(spec, sim.series, conditioning=0)
+
+    def test_overflowing_residuals_raise_estimation_error(self):
+        spec = reference_spec()
+        x = simulate_path(spec, SimConfig(n=100, seed=1)).series
+        huge = single_regime_spec([1e200, 0.0], alpha0=0.1, a1=0.4, b1=0.2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(EstimationError, match="non-finite"):
+                gaussian_qll(huge, x)
 
     @pytest.mark.parametrize("conditioning", [100, 500])
     def test_conditioning_must_leave_a_term(self, conditioning):
@@ -177,6 +186,16 @@ class TestAlphaStep:
                 AarchParams(0.3, np.array([0.2]), np.array([0.0])),
             )
             assert got.alphas[0] >= abs(got.betas[0])
+
+    def test_nonfinite_input_to_nnls_raises_estimation_error(self, monkeypatch):
+        def nnls(a, b):
+            raise ValueError("array must not contain infs or NaNs")
+
+        monkeypatch.setattr(scipy.optimize, "nnls", nnls)
+        true = single_regime_spec([0.0], alpha0=0.1, a1=0.5, b1=0.3)
+        sim = simulate_path(true, SimConfig(n=500, seed=9))
+        with pytest.raises(EstimationError, match="variance step: array must not"):
+            alpha_step(sim.series, true.partition, true.tar, true.aarch)
 
     def test_monte_carlo_three_se_coverage(self):
         true = single_regime_spec([0.0], alpha0=0.1, a1=0.5, b1=0.3)
@@ -625,6 +644,46 @@ class TestSearch:
             (1, [], True)
         ]
         assert outcome.partition.regimes == 1
+
+    @pytest.mark.parametrize("exc", [ValueError("plan fault"),
+                                     np.linalg.LinAlgError("matrix fault"),
+                                     TypeError("call fault")],
+                             ids=lambda e: type(e).__name__)
+    def test_untyped_error_propagates(self, monkeypatch, exc):
+        import taraarch.estimation as estimation
+
+        def fit(ctx, *args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(estimation, "_fit", fit)
+        x, grid = self.small_search()
+        with pytest.raises(type(exc), match=str(exc)):
+            threshold_delay_search(x, 1, 1, grid)
+
+    @pytest.mark.parametrize("exc", [EstimationError("regime 2 is empty"),
+                                     ConvergenceError("did not converge")],
+                             ids=lambda e: type(e).__name__)
+    def test_typed_error_skips_the_candidate(self, monkeypatch, exc):
+        import taraarch.estimation as estimation
+
+        real_fit = estimation._fit
+
+        def fit(ctx, *args, **kwargs):
+            if ctx.partition.delay == 2:
+                raise exc
+            return real_fit(ctx, *args, **kwargs)
+
+        x, grid = self.small_search()
+        before = threshold_delay_search(x, 1, 1, grid).candidates
+        monkeypatch.setattr(estimation, "_fit", fit)
+        after = threshold_delay_search(x, 1, 1, grid).candidates
+        assert any(row["converged"] for row in before if row["delay"] == 2)
+        assert [(r["delay"], r["thresholds"]) for r in after] == [
+            (r["delay"], r["thresholds"]) for r in before
+        ]
+        for old, new in zip(before, after):
+            assert new["converged"] == (old["converged"] and new["delay"] != 2)
+            assert new["selected"] == old["selected"]
 
     def test_all_candidates_fail_raises(self):
         spec = reference_spec()

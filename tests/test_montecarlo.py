@@ -1,3 +1,4 @@
+import ast
 import ctypes
 import io
 import json
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,8 +25,8 @@ from taraarch.montecarlo import (
     _bootstrap_var_se,
     _loaded_openblas,
     _moment_ratios,
-    _nonconverged_row,
     _ratio,
+    _row_without_estimates,
     _summarize,
     anderson_darling_statistic,
     efficiency_comparison,
@@ -39,7 +41,8 @@ from taraarch.montecarlo import (
 )
 from scipy.stats import kurtosis, skew
 
-from taraarch.estimation import SearchGrid
+from taraarch import estimation
+from taraarch.estimation import ConvergenceError, EstimationError, SearchGrid
 from taraarch.model import param_names, param_vector
 from taraarch.simulate import SimulationError, mix_seed, normal_stream
 
@@ -88,6 +91,9 @@ class TestPlan:
             small_plan(estimator="bogus")
         with pytest.raises(ValueError, match="symmetric"):
             small_plan(estimator="full_symmetric")
+        with pytest.raises(ValueError, match=r"exceed max\(p, q, d\) = 1, got 1"):
+            small_plan(n=(1, 300))
+        assert small_plan(n=(2,)).sample_sizes == (2,)
 
     def test_json_round_trip(self):
         plan = small_plan(grid=GridRecipe(delays=(1, 2)))
@@ -260,6 +266,81 @@ class TestRunExperiments:
             run_experiments((plan_a, plan_b))
 
 
+UNTYPED = [ValueError("plan fault"), np.linalg.LinAlgError("matrix fault"),
+           TypeError("call fault")]
+TYPED = [EstimationError("regime 2 is empty"), ConvergenceError("did not converge")]
+
+
+def raising(exc):
+    def fit(*args, **kwargs):
+        raise exc
+    return fit
+
+
+class TestFailurePolicy:
+    """Only a typed failure is a non-converged row: EstimationError from a
+    fit (ConvergenceError is one) or SimulationError from a path.  Any other
+    exception is a fault of the plan or the program and propagates."""
+
+    # (function patched, module it is looked up in, plan keywords)
+    SITES = [
+        ("fit_alternating", montecarlo, {}),
+        ("tar_arch_full_qmle", montecarlo, {"estimator": "full_symmetric"}),
+        ("_fit", estimation,
+         {"grid": SearchGrid(delay_candidates=(1,), threshold_candidates=((0.0,),))}),
+    ]
+
+    def plan(self, sym_spec, kwargs):
+        return ExperimentPlan(true_spec=sym_spec, sample_sizes=(300,), replicates=2,
+                              base_seed=5, **kwargs)
+
+    @pytest.mark.parametrize("exc", UNTYPED, ids=lambda e: type(e).__name__)
+    @pytest.mark.parametrize("name, module, kwargs", SITES, ids=[s[0] for s in SITES])
+    def test_untyped_error_propagates(self, sym_spec, monkeypatch, name, module, kwargs, exc):
+        monkeypatch.setattr(module, name, raising(exc))
+        with pytest.raises(type(exc), match=str(exc)):
+            run_experiment(self.plan(sym_spec, kwargs))
+
+    @pytest.mark.parametrize("exc", TYPED, ids=lambda e: type(e).__name__)
+    @pytest.mark.parametrize("name, module, kwargs", SITES, ids=[s[0] for s in SITES])
+    def test_typed_error_is_a_nonconverged_row(self, sym_spec, monkeypatch, name, module,
+                                               kwargs, exc):
+        monkeypatch.setattr(module, name, raising(exc))
+        res = run_experiment(self.plan(sym_spec, kwargs))
+        assert res.failed
+        for row in res.rows:
+            assert not row.converged
+            assert np.isnan(row.estimates).all()
+            assert row.selected_delay is None
+
+    @staticmethod
+    def handler_names(handler: ast.ExceptHandler) -> set[str]:
+        if handler.type is None:
+            return {"<bare except>"}
+        return {node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(handler.type)
+                if isinstance(node, (ast.Name, ast.Attribute))}
+
+    def test_no_handler_names_an_untyped_error(self):
+        # The harness and the search record failures by type alone: a handler
+        # for ValueError or LinAlgError would count a fault as non-convergence.
+        forbidden = {"ValueError", "LinAlgError", "Exception", "BaseException",
+                     "<bare except>"}
+        trees = [ast.parse(Path(montecarlo.__file__).read_text())]
+        trees += [node for node in ast.walk(ast.parse(Path(estimation.__file__).read_text()))
+                  if isinstance(node, ast.FunctionDef)
+                  and node.name == "threshold_delay_search"]
+        assert len(trees) == 2
+        named = {
+            (handler.lineno, name)
+            for tree in trees for handler in ast.walk(tree)
+            if isinstance(handler, ast.ExceptHandler)
+            for name in self.handler_names(handler)
+        }
+        assert {name for _, name in named} >= {"EstimationError", "SimulationError"}
+        assert not {(line, name) for line, name in named if name in forbidden}
+
+
 class TestSummaries:
     def _row(self, n, r, est, converged=True):
         k = len(est)
@@ -374,7 +455,7 @@ class TestEfficiency:
                 ReplicateRow(n=n, r=r, seed=r, converged=True,
                              estimates=truth + 0.05 * z[r + offset + 10 * (n == 600)],
                              std_errors=np.full(truth.size, 0.05))
-                if r < comparable.get(n, 5) else _nonconverged_row(plan, n, r, r)
+                if r < comparable.get(n, 5) else _row_without_estimates(plan, n, r, r)
                 for n in sizes for r in range(5)
             )
             return plan, ExperimentResult(plan=plan, names=names, truth=truth, rows=rows,
@@ -543,7 +624,7 @@ class TestNormalityDiagnostics:
         good = ReplicateRow(n=300, r=0, seed=0, converged=True, estimates=truth + 0.01,
                             std_errors=np.full(truth.size, 0.01))
         rows = (good,) + tuple(
-            _nonconverged_row(plan, n, r, r) for n in (300, 600) for r in range(100)
+            _row_without_estimates(plan, n, r, r) for n in (300, 600) for r in range(100)
             if (n, r) != (300, 0)
         )
         summaries, failed = _summarize(plan, names, truth, rows)
