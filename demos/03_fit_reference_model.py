@@ -1,9 +1,9 @@
 """Two-step concentrated QML fit on simulated data.
 
-The mean step is iteratively reweighted least squares with the variances as
-weights; the variance step is non-negative least squares in slope
-coordinates with the residuals held fixed.  Alternating the two converges in
-a handful of rounds.
+Each sweep makes one variance pass in slope coordinates with the residuals
+held fixed (non-negative least squares, or a Newton step once every slope is
+free), then one weighted least-squares pass for the mean with the variances
+as weights.  The fit settles in a handful of sweeps.
 """
 
 import numpy as np
@@ -23,7 +23,7 @@ spec = reference_spec()
 sim = simulate_path(spec, SimConfig(n=4000, seed=2024))
 report = fit_alternating(sim.series, spec.partition, p=1, q=1)
 
-print("converged:", report.converged, "after", report.iterations, "alternations")
+print("converged:", report.converged, "after", report.iterations, "sweeps")
 print("final quasi-log-likelihood: %.3f" % report.qll)
 print("qll at the true parameters: %.3f" % gaussian_qll(spec, sim.series))
 
@@ -37,5 +37,5 @@ eq = concentrated_equation_residuals(report.spec, sim.series)
 print("\nconcentrated estimating equations at the optimum (should be ~0):")
 print(" ", np.array2string(eq, precision=2))
 
-print("\nobjective trace across alternations (settles in a few rounds):")
+print("\nobjective after each sweep (settles in a few sweeps):")
 print(" ", np.array2string(np.array(report.trace), precision=6))

@@ -3,17 +3,16 @@
 The Gaussian quasi-likelihood cannot be maximized jointly by gradient methods
 because the variance recursion depends on absolute residuals, so its
 derivative with respect to the mean parameters has kinks.  Estimation
-therefore alternates two concentrated steps:
+therefore alternates two concentrated passes, one of each per sweep:
 
-* the mean step solves the weighted per-regime least-squares system obtained
-  by treating the conditional variances as fixed weights, refreshing the
-  weights between passes (IRLS);
-* the variance step maximizes the quasi-likelihood over the variance
+* the mean pass solves the weighted per-regime least-squares system with
+  the conditional variances as fixed weights (IRLS across sweeps);
+* the variance pass solves the quasi-likelihood's equations in the variance
   parameters with the residuals held fixed.  In the news-impact slopes
   ``gamma = (alpha0, (alphas + betas)**2, (alphas - betas)**2)`` the
-  variance is linear, ``h = gamma @ X`` (:func:`_slope_design`), so this
-  step is non-negative least squares in slope coordinates: a scoring
-  iteration of weighted fits of ``e**2`` on ``X`` under ``gamma >= 0``.
+  variance is linear, ``h = gamma @ X`` (:func:`_slope_design`), so a
+  scoring pass is a weighted fit of ``e**2`` on ``X`` under ``gamma >= 0``
+  (NNLS); while every slope is free, a Newton pass takes its place.
 
 Standard errors come from a sandwich estimate built on the two families of
 estimating functions, with analytic cross blocks of their Jacobian.
@@ -91,7 +90,8 @@ class FitReport:
     """Estimates plus inference products from one fit.
 
     ``qll`` is the final quasi-log-likelihood (sum form, constant dropped),
-    ``trace`` holds the objective after each outer alternation, and
+    ``iterations`` counts the concentrated fit's sweeps (or the full QMLE's
+    optimizer iterations) and ``trace`` holds the objective after each, and
     ``info_matrix`` is the outer-product-of-scores information estimate whose
     sandwich combination with the estimating-function Jacobian gives
     ``std_errors``.
@@ -259,17 +259,29 @@ class _FitContext:
     def variance(self, aarch: AarchParams, e: np.ndarray) -> np.ndarray:
         return np.einsum("j,jt->t", _slopes(aarch), _slope_design(e, self.q))
 
+    def slope_window(self, theta: np.ndarray, gamma: np.ndarray):
+        """On the likelihood window, the slope design ``x`` and the squared
+        residuals of ``theta``, and the variances ``gamma @ x``."""
+        e = self.residuals(theta)
+        eq = e[self.o :]
+        x = _slope_design(e, self.q)[:, self.o :]
+        return x, eq * eq, np.einsum("j,jt->t", gamma, x)
+
     def qll_sum(self, tar: TarParams, aarch: AarchParams, first: int | None = None) -> float:
         """Quasi-log-likelihood summed from observation ``first`` (default
         ``max(p, q, d)``) to the end of the series."""
         e = self.residuals(tar.coefficients)
         h = self.variance(aarch, e)
         start = self.o if first is None else first - self.mpd
-        eq, hq = e[start:], h[start:]
-        val = -0.5 * float(np.sum(np.log(hq) + eq * eq / hq))
-        if not np.isfinite(val):
-            raise EstimationError("quasi-log-likelihood is non-finite at these parameters")
-        return val
+        eq = e[start:]
+        return _qll(eq * eq, h[start:])
+
+
+def _qll(sq: np.ndarray, h: np.ndarray) -> float:
+    val = -0.5 * float(np.sum(np.log(h) + sq / h))
+    if not np.isfinite(val):
+        raise EstimationError("quasi-log-likelihood is non-finite at these parameters")
+    return val
 
 
 def _context(series, partition: ThresholdPartition, p: int, q: int) -> _FitContext:
@@ -295,9 +307,11 @@ def gaussian_qll(spec: ModelSpec, series, conditioning: int | None = None) -> fl
     return ctx.qll_sum(spec.tar, spec.aarch, first=conditioning)
 
 
-def _theta_step(ctx: _FitContext, aarch: AarchParams, theta_init: TarParams) -> TarParams:
+def _mean_pass(ctx: _FitContext, w: np.ndarray) -> np.ndarray:
+    """The ``(regimes, p + 1)`` per-regime least-squares fits of ``y`` on the lag
+    design with weights ``w`` on the likelihood window: one mean pass."""
     p = ctx.p
-    coeffs = np.array(theta_init.coefficients)
+    new = np.empty((ctx.partition.regimes, p + 1))
     for j, rows in enumerate(ctx.regime_rows):
         if rows.size == 0:
             raise EstimationError(f"regime {j + 1} is empty on the fitting window")
@@ -305,29 +319,17 @@ def _theta_step(ctx: _FitContext, aarch: AarchParams, theta_init: TarParams) -> 
             raise EstimationError(
                 f"regime {j + 1} has {rows.size} observations; need at least {p + 1}"
             )
-    for _ in range(MAX_THETA_ITER):
-        e = ctx.residuals(coeffs)
-        h = ctx.variance(aarch, e)
-        w = 1.0 / h[ctx.o :]
-        new = np.empty_like(coeffs)
-        for j, rows in enumerate(ctx.regime_rows):
-            zj = ctx.regime_z[j]
-            wj = w[rows]
-            gram = np.einsum("it,jt->ij", zj, zj * wj)
-            rhs = np.einsum("it,t->i", zj, ctx.regime_y[j] * wj)
-            try:
-                new[j] = np.linalg.solve(gram, rhs)
-            except np.linalg.LinAlgError:
-                raise EstimationError(
-                    f"singular design matrix in regime {j + 1}"
-                ) from None
-        if not np.all(np.isfinite(new)):
-            raise EstimationError("mean step produced non-finite coefficients")
-        delta = float(np.max(np.abs(new - coeffs)))
-        coeffs = new
-        if delta < THETA_TOL:
-            break
-    return TarParams(coeffs)
+        zj = ctx.regime_z[j]
+        wj = w[rows]
+        gram = np.einsum("it,jt->ij", zj, zj * wj)
+        rhs = np.einsum("it,t->i", zj, ctx.regime_y[j] * wj)
+        try:
+            new[j] = np.linalg.solve(gram, rhs)
+        except np.linalg.LinAlgError:
+            raise EstimationError(f"singular design matrix in regime {j + 1}") from None
+    if not np.all(np.isfinite(new)):
+        raise EstimationError("mean step produced non-finite coefficients")
+    return new
 
 
 def theta_step(series, partition, aarch, theta_init) -> TarParams:
@@ -338,30 +340,42 @@ def theta_step(series, partition, aarch, theta_init) -> TarParams:
     coefficient change falls below ``THETA_TOL``.
     """
     ctx = _context(series, partition, theta_init.p, aarch.q)
-    return _theta_step(ctx, aarch, theta_init)
+    coeffs = theta_init.coefficients
+    for _ in range(MAX_THETA_ITER):
+        h = ctx.variance(aarch, ctx.residuals(coeffs))
+        coeffs, old = _mean_pass(ctx, 1.0 / h[ctx.o :]), coeffs
+        if float(np.max(np.abs(coeffs - old))) < THETA_TOL:
+            break
+    return TarParams(coeffs)
 
 
-def _alpha_step(
-    ctx: _FitContext,
-    tar: TarParams,
-    aarch_init: AarchParams,
-    fit_lags: bool = True,
-) -> AarchParams:
-    q = ctx.q
-    e = ctx.residuals(tar.coefficients)
-    eq = e[ctx.o :]
-    sq = eq * eq
-    if not fit_lags:
-        # With the lag loadings pinned at zero the maximizer is closed form.
-        return AarchParams(alpha0=float(np.mean(sq)), alphas=np.zeros(q), betas=np.zeros(q))
-    x = _slope_design(e, q)[:, ctx.o :]
-    gamma = _slopes(aarch_init)
-    h = np.einsum("j,jt->t", gamma, x)
-    # Scoring iteration: each pass is the weighted least-squares fit of e**2
-    # on X with weights 1/h**2, under gamma >= 0.  On the Cholesky factor L
-    # of the weighted gram, that fit is the NNLS problem |L' gamma - L^-1 r|.
-    for _ in range(MAX_VARIANCE_ITER):
-        xw = x / (h * h)
+def _variance_pass(x: np.ndarray, sq: np.ndarray, gamma: np.ndarray, h: np.ndarray,
+                   newton: bool) -> tuple[np.ndarray, np.ndarray, float]:
+    """One variance pass at fixed residuals from ``gamma``, with ``h = gamma @ x``
+    and ``sq = e**2``: the new slopes, their ``h`` and its largest relative change.
+
+    With ``newton`` (``gamma`` came out of a pass with every slope free) it is
+    a Newton step on the observed information ``X diag((e**2/h - 1/2)/h**2) X'``,
+    kept if that has a Cholesky factor and every slope stays positive.
+    Otherwise it is a scoring pass, the fit of ``e**2`` on ``X`` with weights
+    ``1/h**2`` under ``gamma >= 0``, which puts slopes on zero and holds KKT
+    there: on the Cholesky factor L of the weighted gram, the NNLS problem
+    ``|L' gamma - L^-1 r|``.
+    """
+    hh = h * h
+    new = None
+    if newton:
+        info = np.einsum("it,jt->ij", x * ((sq / h - 0.5) / hh), x)
+        try:
+            np.linalg.cholesky(info)
+        except np.linalg.LinAlgError:
+            pass
+        else:
+            step = gamma + np.linalg.solve(info, np.einsum("it,t->i", x, 0.5 * (sq - h) / hh))
+            if np.all(step > 0.0):
+                new = step
+    if new is None:
+        xw = x / hh
         gram = np.einsum("it,jt->ij", xw, x)
         rhs = np.einsum("it,t->i", xw, sq)
         try:
@@ -375,16 +389,8 @@ def _alpha_step(
             raise EstimationError(f"variance step: {exc}") from None
         if new[0] <= 0.0:
             raise EstimationError("variance step drove alpha0 to zero")
-        h_new = np.einsum("j,jt->t", new, x)
-        change = float(np.max(np.abs(h_new - h) / h))
-        gamma, h = new, h_new
-        if change <= VARIANCE_TOL:
-            return _loadings(gamma, q)
-    raise ConvergenceError(
-        f"variance step did not converge in {MAX_VARIANCE_ITER} iterations "
-        f"(last relative change in h {change:.3g})",
-        result=_loadings(gamma, q),
-    )
+    h_new = np.einsum("j,jt->t", new, x)
+    return new, h_new, float(np.max(np.abs(h_new - h) / h))
 
 
 def alpha_step(series, partition, tar, aarch_init, fit_lags: bool = True) -> AarchParams:
@@ -392,17 +398,34 @@ def alpha_step(series, partition, tar, aarch_init, fit_lags: bool = True) -> Aar
 
     The residuals implied by ``tar`` are held fixed.  The fit is non-negative
     least squares in slope coordinates ``(alpha0, (alphas + betas)**2,
-    (alphas - betas)**2)``, iterated with weights ``1/h**2`` to the
-    quasi-likelihood's KKT point.  Each lag term is invariant under sign
-    flips and swaps of its loading pair; mapping the slopes back gives
-    estimates in the canonical cone ``alphas >= |betas| >= 0``.  Raises
-    :class:`EstimationError` if ``alpha0`` reaches zero and
+    (alphas - betas)**2)``: scoring passes with weights ``1/h**2``, and Newton
+    passes while every slope is free, to the quasi-likelihood's KKT point
+    (relative change in ``h`` at most ``VARIANCE_TOL``).  Each lag term is
+    invariant under sign flips and swaps of its loading pair; mapping the
+    slopes back gives estimates in the canonical cone ``alphas >= |betas| >=
+    0``.  Raises :class:`EstimationError` if ``alpha0`` reaches zero and
     :class:`ConvergenceError` (carrying the last iterate) if the iteration
     does not converge.  With ``fit_lags=False`` only ``alpha0`` is estimated
     and the lag loadings stay at zero.
     """
-    ctx = _context(series, partition, tar.p, aarch_init.q)
-    return _alpha_step(ctx, tar, aarch_init, fit_lags=fit_lags)
+    q = aarch_init.q
+    ctx = _context(series, partition, tar.p, q)
+    gamma = _slopes(aarch_init)
+    x, sq, h = ctx.slope_window(tar.coefficients, gamma)
+    if not fit_lags:
+        # With the lag loadings pinned at zero the maximizer is closed form.
+        return AarchParams(alpha0=float(np.mean(sq)), alphas=np.zeros(q), betas=np.zeros(q))
+    newton = False
+    for _ in range(MAX_VARIANCE_ITER):
+        gamma, h, change = _variance_pass(x, sq, gamma, h, newton)
+        newton = bool(np.all(gamma > 0.0))
+        if change <= VARIANCE_TOL:
+            return _loadings(gamma, q)
+    raise ConvergenceError(
+        f"variance step did not converge in {MAX_VARIANCE_ITER} iterations "
+        f"(last relative change in h {change:.3g})",
+        result=_loadings(gamma, q),
+    )
 
 
 def alpha_score(spec: ModelSpec, series) -> np.ndarray:
@@ -414,11 +437,8 @@ def alpha_score(spec: ModelSpec, series) -> np.ndarray:
     taken through ``d gamma / d(alpha0, alphas, betas)``.
     """
     ctx = _context(series, spec.partition, spec.p, spec.q)
-    e = ctx.residuals(spec.tar.coefficients)
-    x = _slope_design(e, spec.q)[:, ctx.o :]
-    h = np.einsum("j,jt->t", _slopes(spec.aarch), x)
-    eq = e[ctx.o :]
-    score = np.einsum("it,t->i", x, 0.5 * (eq * eq / h - 1.0) / h)
+    x, sq, h = ctx.slope_window(spec.tar.coefficients, _slopes(spec.aarch))
+    score = np.einsum("it,t->i", x, 0.5 * (sq / h - 1.0) / h)
     return score @ _loading_jacobian(spec.aarch)
 
 
@@ -438,9 +458,7 @@ def concentrated_equation_residuals(spec: ModelSpec, series) -> np.ndarray:
 
 def _initial_values(ctx: _FitContext) -> tuple[TarParams, AarchParams]:
     q = ctx.q
-    flat = AarchParams(alpha0=1.0, alphas=np.zeros(q), betas=np.zeros(q))
-    zero = TarParams(np.zeros((ctx.partition.regimes, ctx.p + 1)))
-    tar = _theta_step(ctx, flat, zero)
+    tar = TarParams(_mean_pass(ctx, np.ones(ctx.nq)))
     e = ctx.residuals(tar.coefficients)
     return tar, AarchParams(
         alpha0=max(float(e.var()), 1e-12), alphas=np.zeros(q), betas=np.zeros(q)
@@ -459,11 +477,11 @@ def fit_alternating(
 ) -> FitReport:
     """Two-step concentrated QML fit with a fixed threshold partition.
 
-    Alternates the mean step and the variance step until the relative change
-    in the quasi-log-likelihood falls below ``rel_tol``, then runs one final
-    mean step so the concentrated equations hold at the returned parameter
-    pair.  Raises :class:`ConvergenceError` (carrying the best iterate in
-    ``result``) if ``max_outer`` alternations do not converge.
+    Runs sweeps of one variance pass and one mean pass until, in one sweep,
+    the mean coefficients move by less than ``THETA_TOL``, the variances by
+    at most ``VARIANCE_TOL`` and the quasi-log-likelihood by at most
+    ``rel_tol``, both relative.  Raises :class:`ConvergenceError` (carrying
+    the last iterate in ``result``) if ``max_outer`` sweeps do not converge.
     """
     ctx = _context(series, partition, p, q)
     report = _fit(ctx, init, max_outer, rel_tol)
@@ -476,43 +494,45 @@ def _fit(
     max_outer: int = MAX_OUTER,
     rel_tol: float = OUTER_REL_TOL,
 ) -> FitReport:
-    """The alternating fit on ``ctx``; its inference products are NaN."""
-    if init is not None:
-        tar, aarch = init.tar, init.aarch
-    else:
-        tar, aarch = _initial_values(ctx)
-
+    """The sweeps on ``ctx``, with NaN inference products.  Each opens with the
+    variance pass: a mean pass would only repeat the start's constant-weight fit."""
+    tar, aarch = (init.tar, init.aarch) if init is not None else _initial_values(ctx)
+    theta, gamma = tar.coefficients, _slopes(aarch)
+    x, sq, h = ctx.slope_window(theta, gamma)
+    qll = _qll(sq, h)
     trace: list[float] = []
-    qll_prev = -np.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_outer + 1):
-        tar = _theta_step(ctx, aarch, tar)
-        aarch = _alpha_step(ctx, tar, aarch)
-        qll = ctx.qll_sum(tar, aarch)
+    newton = converged = False
+    theta_change = h_change = qll_change = np.inf
+    for _ in range(max_outer):
+        gamma, h, h_change = _variance_pass(x, sq, gamma, h, newton)
+        newton = bool(np.all(gamma > 0.0))
+        theta, old = _mean_pass(ctx, 1.0 / h), theta
+        theta_change = float(np.max(np.abs(theta - old)))
+        x, sq, h = ctx.slope_window(theta, gamma)
+        qll, old = _qll(sq, h), qll
+        qll_change = abs(qll - old) / (1.0 + abs(qll))
         trace.append(qll)
-        if abs(qll - qll_prev) <= rel_tol * (1.0 + abs(qll)):
+        if theta_change < THETA_TOL and h_change <= VARIANCE_TOL and qll_change <= rel_tol:
             converged = True
             break
-        qll_prev = qll
 
-    tar = _theta_step(ctx, aarch, tar)
-    qll = ctx.qll_sum(tar, aarch)
     k = ctx.ntheta + 1 + 2 * ctx.q
+    tar, aarch = TarParams(theta), _loadings(gamma, ctx.q)
     report = FitReport(
         spec=ModelSpec(p=ctx.p, q=ctx.q, partition=ctx.partition, tar=tar, aarch=aarch),
         std_errors=np.full(k, np.nan),
         info_matrix=np.full((k, k), np.nan),
         sandwich_cov=np.full((k, k), np.nan),
         qll=qll,
-        iterations=iterations,
+        iterations=len(trace),
         converged=converged,
         trace=tuple(trace),
     )
     if not converged:
         raise ConvergenceError(
-            f"alternating fit did not converge in {max_outer} iterations "
-            f"(last relative change {abs(qll - qll_prev) / (1.0 + abs(qll)):.3g})",
+            f"alternating fit did not converge in {max_outer} sweeps (last sweep: "
+            f"theta change {theta_change:.3g}, relative h change {h_change:.3g}, "
+            f"relative qll change {qll_change:.3g})",
             result=report,
         )
     return report

@@ -29,7 +29,9 @@ from taraarch.model import (
     TarParams,
     ThresholdPartition,
     param_vector,
+    replace_params,
     residuals,
+    series_values,
     variance_path,
 )
 from taraarch.montecarlo import (
@@ -44,6 +46,21 @@ from taraarch.simulate import SimConfig, mix_seed, normal_stream, simulate_path
 from conftest import load_plan
 
 WORKERS = min(2, os.cpu_count() or 1)
+
+
+def assert_variance_kkt(report, x, p, q):
+    """The variance equations' KKT conditions at ``report``: the
+    slope-coordinate score vanishes on free slopes and is at most zero on
+    slopes at zero."""
+    ctx = _FitContext(series_values(x), report.spec.partition, p, q)
+    e = ctx.residuals(report.spec.tar.coefficients)
+    xd = _slope_design(e, q)[:, ctx.o :]
+    gamma = _slopes(report.spec.aarch)
+    h = gamma @ xd
+    eq = e[ctx.o :]
+    score = xd @ (0.5 * (eq * eq / h - 1.0) / h)
+    assert np.all(np.abs(score[gamma > 0]) < 1e-4)
+    assert np.all(score[gamma == 0] < 1e-4)
 
 
 def single_regime_spec(phi, alpha0=1.0, a1=0.0, b1=0.0):
@@ -248,6 +265,9 @@ class TestFitAlternating:
                 sim.series, spec.partition, 1, 1, compute_se=False
             )
             assert report.converged
+            # One trace entry per sweep, the last at the returned estimates.
+            assert report.iterations == len(report.trace)
+            assert report.trace[-1] == report.qll
             diffs = np.abs(np.diff(report.trace))
             if diffs.size:
                 assert diffs[-1] <= 1e-6 * (1.0 + abs(report.qll))
@@ -270,7 +290,11 @@ class TestFitAlternating:
     def test_nonconvergence_carries_best_iterate(self):
         spec = reference_spec()
         sim = simulate_path(spec, SimConfig(n=1000, seed=10))
-        with pytest.raises(ConvergenceError) as err:
+        # The message names every stopping rule, not only the qll change.
+        with pytest.raises(ConvergenceError, match=(
+            r"in 2 sweeps \(last sweep: theta change \S+, relative h change \S+, "
+            r"relative qll change \S+\)"
+        )) as err:
             fit_alternating(
                 sim.series, spec.partition, 1, 1, max_outer=2, rel_tol=0.0
             )
@@ -288,16 +312,24 @@ class TestFitAlternating:
             regimes=2, delay=2, thresholds=np.array([3.226762032174132])
         )
         report = fit_alternating(sim.series, part, 2, 1)
-        ctx = _FitContext(sim.series.values, part, 2, 1)
-        e = ctx.residuals(report.spec.tar.coefficients)
-        x = _slope_design(e, 1)[:, ctx.o :]
-        gamma = _slopes(report.spec.aarch)
-        h = gamma @ x
-        eq = e[ctx.o :]
-        score = x @ (0.5 * (eq * eq / h - 1.0) / h)
-        assert np.all(np.abs(score[gamma > 0]) < 1e-4)
-        assert np.all(score[gamma == 0] < 1e-4)
+        assert_variance_kkt(report, sim.series, 2, 1)
         assert report.qll >= 555.31034
+
+    @pytest.mark.parametrize(
+        "part",
+        [
+            ThresholdPartition.single_regime(),
+            ThresholdPartition(regimes=2, delay=2, thresholds=np.array([-0.5])),
+        ],
+        ids=["single_regime", "d2_r-0.5"],
+    )
+    def test_variance_two_cycle_candidates_converge(self, part):
+        # A scoring-only variance iteration 2-cycles on these two candidates
+        # of the reference model at n = 500, seed 21.
+        x = simulate_path(reference_spec(), SimConfig(n=500, seed=21)).series
+        report = fit_alternating(x, part, 1, 1)
+        assert report.converged
+        assert_variance_kkt(report, x, 1, 1)
 
     def test_report_json_round_trip(self):
         spec = reference_spec()
@@ -511,7 +543,93 @@ def test_time_axis_einsum_matches_matmul(subscripts, matmul, shapes):
     assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def mirrored(spec: ModelSpec) -> ModelSpec:
+    """The model of ``-x`` when ``spec`` is the model of ``x``: thresholds
+    reversed and negated, regimes in reverse order, intercepts and betas
+    negated, AR coefficients and alphas unchanged."""
+    coeffs = spec.tar.coefficients[::-1].copy()
+    coeffs[:, 0] *= -1.0
+    part = spec.partition
+    return ModelSpec(
+        p=spec.p,
+        q=spec.q,
+        partition=ThresholdPartition(
+            regimes=part.regimes, delay=part.delay, thresholds=-part.thresholds[::-1]
+        ),
+        tar=TarParams(coeffs),
+        aarch=AarchParams(spec.aarch.alpha0, spec.aarch.alphas, -spec.aarch.betas),
+    )
+
+
+def scaled(spec: ModelSpec, c: float) -> ModelSpec:
+    """The model of ``c * x``: thresholds and intercepts times ``c``, alpha0
+    times ``c**2``, everything else unchanged."""
+    coeffs = spec.tar.coefficients.copy()
+    coeffs[:, 0] *= c
+    part = spec.partition
+    return ModelSpec(
+        p=spec.p,
+        q=spec.q,
+        partition=ThresholdPartition(
+            regimes=part.regimes, delay=part.delay, thresholds=c * part.thresholds
+        ),
+        tar=TarParams(coeffs),
+        aarch=AarchParams(c * c * spec.aarch.alpha0, spec.aarch.alphas, spec.aarch.betas),
+    )
+
+
 class TestEquivariance:
+    # The mirrored and scaled fits solve the same equations as the original
+    # in another order of floating-point operations, and each stops within a
+    # few hundred ulps of the fixed point; the tolerance is fixed from the
+    # dtype, relative to max(1, |value|).
+    TOL = 2.0**10 * np.finfo(float).eps
+
+    @classmethod
+    def assert_close(cls, got, want):
+        got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+        assert np.all(np.abs(got - want) <= cls.TOL * np.maximum(1.0, np.abs(want)))
+
+    @staticmethod
+    def oracle_cases():
+        # Both specs' thresholds sit off the simulated values, so no
+        # observation changes regime under the mirror.
+        return [
+            (reference_spec(), SimConfig(n=4000, seed=1)),
+            (three_regime_p2_spec(3, 2), SimConfig(n=4000, seed=2)),
+        ]
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["reference", "three_regime_q2"])
+    def test_mirror_of_a_fit(self, case):
+        spec, config = self.oracle_cases()[case]
+        x = simulate_path(spec, config).series.values
+        assert not np.isin(spec.partition.thresholds, x).any()
+        fit = fit_alternating(x, spec.partition, spec.p, spec.q)
+        want = mirrored(fit.spec)
+        got = fit_alternating(-x, want.partition, spec.p, spec.q)
+        self.assert_close(param_vector(got.spec), param_vector(want))
+        want_se = param_vector(mirrored(replace_params(fit.spec, fit.std_errors)))
+        self.assert_close(got.std_errors, np.abs(want_se))
+        self.assert_close(got.qll, fit.qll)
+        # The reported estimates carry the fit's likelihood.
+        self.assert_close(gaussian_qll(want, -x), got.qll)
+
+    @pytest.mark.parametrize("c", [0.01, 100.0])
+    @pytest.mark.parametrize("case", [0, 1], ids=["reference", "three_regime_q2"])
+    def test_scale_of_a_fit(self, case, c):
+        spec, config = self.oracle_cases()[case]
+        x = simulate_path(spec, config).series.values
+        fit = fit_alternating(x, spec.partition, spec.p, spec.q)
+        want = scaled(fit.spec, c)
+        got = fit_alternating(c * x, want.partition, spec.p, spec.q)
+        self.assert_close(param_vector(got.spec), param_vector(want))
+        want_se = param_vector(scaled(replace_params(fit.spec, fit.std_errors), c))
+        self.assert_close(got.std_errors, want_se)
+        nq = x.size - max(spec.p, spec.q, spec.partition.delay)
+        self.assert_close(got.qll, fit.qll - nq * np.log(c))
+        # The reported estimates carry the fit's likelihood.
+        self.assert_close(gaussian_qll(want, c * x), got.qll)
+
     def test_shift_of_series_thresholds_and_intercepts(self):
         spec = reference_spec()
         sim = simulate_path(spec, SimConfig(n=800, seed=13))
@@ -709,6 +827,24 @@ class TestSearch:
         cands = np.asarray(grid.threshold_candidates[0])
         assert cands.size == 33
         assert np.all(np.diff(cands) >= 0)
+
+    def test_lynx_replicate_14_fits_every_candidate(self):
+        # The best-scoring candidate here, d = 2 at r ~ 3.2968, is one on
+        # which a scoring-only variance iteration does not converge.
+        plan = load_plan("search_lynx.json")
+        n = plan.sample_sizes[0]
+        sim = simulate_path(
+            plan.true_spec,
+            SimConfig(n=n, seed=mix_seed(plan.base_seed, n, 14), burn_in=plan.burn_in),
+        )
+        spec = plan.true_spec
+        outcome = threshold_delay_search(
+            sim.series, spec.p, spec.q, plan.grid.materialize(sim.series)
+        )
+        rows = outcome.candidates
+        assert all(row["converged"] for row in rows)
+        best = max(rows, key=lambda row: row["penalized"])
+        assert best["selected"]
 
     def test_single_regime_preferred_on_linear_data(self):
         single = ModelSpec(
