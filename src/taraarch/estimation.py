@@ -5,8 +5,9 @@ because the variance recursion depends on absolute residuals, so its
 derivative with respect to the mean parameters has kinks.  Estimation
 therefore alternates two concentrated passes, one of each per sweep:
 
-* the mean pass solves the weighted per-regime least-squares system with
-  the conditional variances as fixed weights (IRLS across sweeps);
+* the mean pass solves the weighted per-regime least-squares systems, one
+  product on the expanded regime design, with the conditional variances as
+  fixed weights (IRLS across sweeps);
 * the variance pass solves the quasi-likelihood's equations in the variance
   parameters with the residuals held fixed.  In the news-impact slopes
   ``gamma = (alpha0, (alphas + betas)**2, (alphas - betas)**2)`` the
@@ -34,7 +35,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 import scipy.optimize
 
 from .model import (
@@ -212,10 +212,13 @@ class _FitContext:
     likelihood term has its full history, matching the convention of
     conditioning on the first ``max(p, q, d)`` observations.
 
-    ``zexp_t``, built once here, is the lag design expanded to the full
-    theta dimension on the residual window, shape ``(ntheta, nr)``: block
-    ``j`` holds the design where regime ``j`` is active and zeros elsewhere,
-    so the conditional means are the single product ``theta @ zexp_t``.
+    Regimes are assigned here only: ``labels_r``, with ``regime_sizes``
+    their counts on the likelihood window.  ``zexp_t``, built once, is the
+    one layout of the regime design: the lag design expanded to the full
+    theta dimension on the residual window, shape ``(ntheta, nr)``.  Block
+    ``j`` holds the design where regime ``j`` is active and exact zeros
+    elsewhere, so the conditional means are the single product ``theta @
+    zexp_t``, and the mean pass reads its likelihood-window columns.
     """
 
     def __init__(self, x: np.ndarray, partition: ThresholdPartition, p: int, q: int):
@@ -235,16 +238,8 @@ class _FitContext:
         self.y_r = x[self.mpd :]
         self.Zr = _lag_design(x, p, self.mpd)
         self.labels_r = regime_indices(partition, x[self.mpd - d : n - d]) - 1
-        self.y_q = self.y_r[self.o :]
-        self.labels_q = self.labels_r[self.o :]
         l = partition.regimes
-        self.regime_rows = [np.flatnonzero(self.labels_q == j) for j in range(l)]
-        # Designs on the likelihood window are stored time-contiguous, one row
-        # per regressor, so that np.einsum's time-axis sums read contiguous
-        # memory.
-        zq_t = self.Zr[self.o :].T
-        self.regime_z = [np.ascontiguousarray(zq_t[:, rows]) for rows in self.regime_rows]
-        self.regime_y = [self.y_q[rows] for rows in self.regime_rows]
+        self.regime_sizes = np.bincount(self.labels_r[self.o :], minlength=l)
         self.ntheta = l * (p + 1)
         self.zexp_t = np.zeros((self.ntheta, self.nr))
         for j, block in enumerate(np.split(self.zexp_t, l)):
@@ -309,22 +304,24 @@ def gaussian_qll(spec: ModelSpec, series, conditioning: int | None = None) -> fl
 
 def _mean_pass(ctx: _FitContext, w: np.ndarray) -> np.ndarray:
     """The ``(regimes, p + 1)`` per-regime least-squares fits of ``y`` on the lag
-    design with weights ``w`` on the likelihood window: one mean pass."""
-    p = ctx.p
-    new = np.empty((ctx.partition.regimes, p + 1))
-    for j, rows in enumerate(ctx.regime_rows):
-        if rows.size == 0:
+    design with weights ``w`` on the likelihood window: one mean pass.  The
+    regimes' normal equations are one product on the blocks of ``zexp_t``,
+    whose off-regime entries add exact zeros."""
+    p, l = ctx.p, ctx.partition.regimes
+    z = ctx.zexp_t[:, ctx.o :].reshape(l, p + 1, ctx.nq)
+    zw = z * w
+    gram = np.einsum("jit,jkt->jik", zw, z)
+    rhs = np.einsum("jit,t->ji", zw, ctx.y_r[ctx.o :])
+    new = np.empty((l, p + 1))
+    for j, size in enumerate(ctx.regime_sizes):
+        if size == 0:
             raise EstimationError(f"regime {j + 1} is empty on the fitting window")
-        if rows.size < p + 1:
+        if size < p + 1:
             raise EstimationError(
-                f"regime {j + 1} has {rows.size} observations; need at least {p + 1}"
+                f"regime {j + 1} has {size} observations; need at least {p + 1}"
             )
-        zj = ctx.regime_z[j]
-        wj = w[rows]
-        gram = np.einsum("it,jt->ij", zj, zj * wj)
-        rhs = np.einsum("it,t->i", zj, ctx.regime_y[j] * wj)
         try:
-            new[j] = np.linalg.solve(gram, rhs)
+            new[j] = np.linalg.solve(gram[j], rhs[j])
         except np.linalg.LinAlgError:
             raise EstimationError(f"singular design matrix in regime {j + 1}") from None
     if not np.all(np.isfinite(new)):
@@ -380,9 +377,7 @@ def _variance_pass(x: np.ndarray, sq: np.ndarray, gamma: np.ndarray, h: np.ndarr
         rhs = np.einsum("it,t->i", xw, sq)
         try:
             chol = np.linalg.cholesky(gram)
-            new, _ = scipy.optimize.nnls(
-                chol.T, scipy.linalg.solve_triangular(chol, rhs, lower=True)
-            )
+            new, _ = scipy.optimize.nnls(chol.T, np.linalg.solve(chol, rhs))
         except np.linalg.LinAlgError:
             raise EstimationError("variance-step design is singular") from None
         except ValueError as exc:  # scipy's check of non-finite input
@@ -767,9 +762,9 @@ def threshold_delay_search(series, p: int, q: int, grid: SearchGrid) -> SearchOu
         partition = ThresholdPartition(
             regimes=len(combo) + 1, delay=d, thresholds=np.asarray(combo)
         )
+        ctx = _context(x, partition, p, q)
         if combo:
-            labels = regime_indices(partition, x[m_common - d : x.size - d]) - 1
-            counts = np.bincount(labels, minlength=partition.regimes)
+            counts = np.bincount(ctx.labels_r[m_common - ctx.mpd :], minlength=partition.regimes)
             if counts.min() < grid.min_regime_fraction * n_common:
                 continue
         k = partition.regimes * (p + 1) + 1 + 2 * q
@@ -784,7 +779,6 @@ def threshold_delay_search(series, p: int, q: int, grid: SearchGrid) -> SearchOu
         }
         rows.append(row)
         try:
-            ctx = _context(x, partition, p, q)
             report = _fit(ctx)
             qll_common = ctx.qll_sum(report.spec.tar, report.spec.aarch, first=m_common)
         except EstimationError as exc:
@@ -796,9 +790,12 @@ def threshold_delay_search(series, p: int, q: int, grid: SearchGrid) -> SearchOu
         if best is None or key < best[0]:
             best = (key, ctx, report, row)
     if best is None:
-        detail = "; ".join(failures[:5])
+        detail = f" ({'; '.join(failures[:5])})" if failures else ""
         raise EstimationError(
-            f"all {len(candidates)} search candidates failed ({detail})"
+            f"none of the {len(candidates)} search candidates was fitted: "
+            f"{len(candidates) - len(rows)} skipped by min_regime_fraction = "
+            f"{grid.min_regime_fraction:g} on the common window, "
+            f"{len(failures)} failed{detail}"
         )
     _, ctx, report, selected = best
     for row in rows:

@@ -18,6 +18,7 @@ from taraarch.estimation import (
     theta_step,
     threshold_delay_search,
     _FitContext,
+    _mean_pass,
     _sandwich_parts,
     _slope_design,
     _slopes,
@@ -154,6 +155,35 @@ class TestThetaStep:
         flat = AarchParams(1.0, np.zeros(1), np.zeros(1))
         with pytest.raises(EstimationError, match="regime 2"):
             theta_step(x, part, flat, TarParams(np.zeros((2, 2))))
+
+    def test_too_few_regime_rows_raises(self):
+        # Two lagged values above the threshold leave regime 2 with two rows,
+        # fewer than the p + 1 = 3 coefficients of its fit.
+        x = normal_stream(4, 200)
+        top = np.sort(x[1:199])[-3:]
+        part = ThresholdPartition(regimes=2, delay=1, thresholds=np.array([top[:2].mean()]))
+        flat = AarchParams(1.0, np.zeros(1), np.zeros(1))
+        with pytest.raises(EstimationError, match=r"regime 2 has 2 observations; need at least 3"):
+            theta_step(x, part, flat, TarParams(np.zeros((2, 3))))
+
+    def test_mean_pass_matches_per_regime_lstsq(self):
+        spec = three_regime_p2_spec(3, 4)
+        x = simulate_path(spec, SimConfig(n=400, seed=34)).series.values
+        ctx = _FitContext(x, spec.partition, spec.p, spec.q)
+        assert ctx.o > 0
+        w = np.random.Generator(np.random.Philox(key=34)).uniform(0.2, 5.0, ctx.nq)
+        got = _mean_pass(ctx, w)
+        labels, zq, yq = ctx.labels_r[ctx.o :], ctx.Zr[ctx.o :], ctx.y_r[ctx.o :]
+        eps = np.finfo(float).eps
+        for j in range(spec.partition.regimes):
+            rows = labels == j
+            sw = np.sqrt(w[rows])
+            a = zq[rows] * sw[:, None]
+            want, *_ = np.linalg.lstsq(a, yq[rows] * sw, rcond=None)
+            # The normal equations' forward error bound, c(m, n) u cond(A)**2,
+            # with c(m, n) = m n for m rows and n columns.
+            tol = a.size * eps * np.linalg.cond(a) ** 2 * np.linalg.norm(want)
+            assert np.linalg.norm(got[j] - want) <= tol
 
     def test_singular_design_raises(self):
         x = np.full(100, 3.0)
@@ -630,6 +660,73 @@ class TestEquivariance:
         # The reported estimates carry the fit's likelihood.
         self.assert_close(gaussian_qll(want, c * x), got.qll)
 
+    # Off the data points, so no observation changes regime under the mirror;
+    # 0.6 leaves regime 2 below min_regime_fraction and is skipped.
+    SEARCH_THRESHOLDS = (-0.45, -0.15, 0.05, 0.35, 0.6)
+
+    @classmethod
+    def search(cls, x, thresholds):
+        grid = SearchGrid(
+            delay_candidates=(1, 2), threshold_candidates=(thresholds,),
+            include_single_regime=True,
+        )
+        outcome = threshold_delay_search(x, 1, 1, grid)
+        rows = {(r["delay"], tuple(r["thresholds"])): r for r in outcome.candidates}
+        return outcome, rows
+
+    @classmethod
+    def assert_rows_map(cls, got_rows, rows, key_map, shifts):
+        """Each candidate row maps to the row of ``key_map(key)``, with the
+        same flags and its qll and common-window qll moved by ``shifts(key)``."""
+        assert sorted(got_rows) == sorted(key_map(key) for key in rows)
+        assert len(rows) < 1 + 2 * len(cls.SEARCH_THRESHOLDS)
+        for key, row in rows.items():
+            got = got_rows[key_map(key)]
+            assert row["converged"] and got["converged"]
+            assert got["selected"] == row["selected"]
+            qll_shift, common_shift = shifts(key)
+            cls.assert_close(got["qll"], row["qll"] + qll_shift)
+            cls.assert_close(got["qll_common"], row["qll_common"] + common_shift)
+
+    def test_mirror_of_a_search(self):
+        x = simulate_path(reference_spec(), SimConfig(n=600, seed=1)).series.values
+        assert not np.isin(self.SEARCH_THRESHOLDS, x).any()
+        outcome, rows = self.search(x, self.SEARCH_THRESHOLDS)
+        mirror_thresholds = tuple(-r for r in reversed(self.SEARCH_THRESHOLDS))
+        got, got_rows = self.search(-x, mirror_thresholds)
+        self.assert_rows_map(
+            got_rows, rows, lambda key: (key[0], tuple(-r for r in key[1])),
+            lambda key: (0.0, 0.0),
+        )
+        fit = outcome.report
+        want = mirrored(fit.spec)
+        assert got.partition.delay == want.partition.delay
+        assert got.partition.thresholds.tolist() == want.partition.thresholds.tolist()
+        self.assert_close(param_vector(got.report.spec), param_vector(want))
+        want_se = param_vector(mirrored(replace_params(fit.spec, fit.std_errors)))
+        self.assert_close(got.report.std_errors, np.abs(want_se))
+        self.assert_close(gaussian_qll(want, -x), got.report.qll)
+
+    @pytest.mark.parametrize("c", [0.01, 100.0])
+    def test_scale_of_a_search(self, c):
+        x = simulate_path(reference_spec(), SimConfig(n=600, seed=1)).series.values
+        outcome, rows = self.search(x, self.SEARCH_THRESHOLDS)
+        got, got_rows = self.search(c * x, tuple(c * r for r in self.SEARCH_THRESHOLDS))
+        # A candidate of delay d sums x.size - d terms, the common window
+        # x.size - 2; each term moves by -log(c).
+        self.assert_rows_map(
+            got_rows, rows, lambda key: (key[0], tuple(c * r for r in key[1])),
+            lambda key: (-(x.size - key[0]) * np.log(c), -(x.size - 2) * np.log(c)),
+        )
+        fit = outcome.report
+        want = scaled(fit.spec, c)
+        assert got.partition.delay == want.partition.delay
+        assert got.partition.thresholds.tolist() == want.partition.thresholds.tolist()
+        self.assert_close(param_vector(got.report.spec), param_vector(want))
+        want_se = param_vector(scaled(replace_params(fit.spec, fit.std_errors), c))
+        self.assert_close(got.report.std_errors, want_se)
+        self.assert_close(gaussian_qll(want, c * x), got.report.qll)
+
     def test_shift_of_series_thresholds_and_intercepts(self):
         spec = reference_spec()
         sim = simulate_path(spec, SimConfig(n=800, seed=13))
@@ -810,6 +907,50 @@ class TestSearch:
         grid = SearchGrid(delay_candidates=(1,), threshold_candidates=((99.0,),))
         with pytest.raises(EstimationError, match="candidates"):
             threshold_delay_search(sim.series, 1, 1, grid)
+
+    def test_all_candidates_skipped_by_occupancy_raises(self):
+        x = normal_stream(3, 400)
+        grid = SearchGrid(delay_candidates=(1, 2), threshold_candidates=((100.0, 200.0),))
+        with pytest.raises(EstimationError, match=(
+            r"^none of the 4 search candidates was fitted: 4 skipped by "
+            r"min_regime_fraction = 0.1 on the common window, 0 failed$"
+        )):
+            threshold_delay_search(x, 1, 1, grid)
+
+    def test_skipped_and_failed_candidates_are_counted_apart(self, monkeypatch):
+        import taraarch.estimation as estimation
+
+        def fit(ctx, *args, **kwargs):
+            raise EstimationError("regime fault")
+
+        monkeypatch.setattr(estimation, "_fit", fit)
+        x = normal_stream(3, 400)
+        grid = SearchGrid(delay_candidates=(1, 2), threshold_candidates=((0.0, 100.0),))
+        with pytest.raises(EstimationError, match=(
+            r"^none of the 4 search candidates was fitted: 2 skipped by "
+            r"min_regime_fraction = 0.1 on the common window, 2 failed "
+            r"\(d=1, thresholds=\[0.0\]: regime fault; d=2, thresholds=\[0.0\]: "
+            r"regime fault\)$"
+        )):
+            threshold_delay_search(x, 1, 1, grid)
+
+    def test_occupancy_is_counted_on_the_common_window(self):
+        # With delays (1, 5) the common window drops the first four terms of
+        # the d = 1 candidates' own likelihood window.  Regime 2 of r = 2 holds
+        # 19 of the 195 common terms, below 10%, plus x[0..3]: 23 of its own 199.
+        x = 0.3 * normal_stream(5, 200)
+        x[:4] = 2.5
+        x[10:200:10] = 2.5
+        grid = SearchGrid(delay_candidates=(1, 5), threshold_candidates=((0.0, 2.0),))
+        m_common, n_common = 5, 195
+        high = x[:-1] > 2.0
+        assert high[m_common - 1 :].sum() < grid.min_regime_fraction * n_common
+        assert high.sum() >= grid.min_regime_fraction * high.size
+        # One more term at the front of the common window would keep it.
+        assert high[m_common - 2 :].sum() >= grid.min_regime_fraction * n_common
+        outcome = threshold_delay_search(x, 1, 1, grid)
+        fitted = [(r["delay"], r["thresholds"]) for r in outcome.candidates]
+        assert (1, [0.0]) in fitted and (1, [2.0]) not in fitted
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

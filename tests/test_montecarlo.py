@@ -341,6 +341,25 @@ class TestFailurePolicy:
         assert not {(line, name) for line, name in named if name in forbidden}
 
 
+def test_no_module_imports_scipy_linalg_or_stats():
+    # scipy.optimize loads scipy.linalg itself, so the package's own imports
+    # are read from its source rather than from sys.modules.
+    package = Path(montecarlo.__file__).parent
+    forbidden = {"scipy.linalg", "scipy.stats"}
+    imported = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = {node.module} | {f"{node.module}.{a.name}" for a in node.names}
+            else:
+                continue
+            imported |= {(path.name, name) for name in names
+                         if any(name == f or name.startswith(f + ".") for f in forbidden)}
+    assert imported == set()
+
+
 class TestSummaries:
     def _row(self, n, r, est, converged=True):
         k = len(est)
