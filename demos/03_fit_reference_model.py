@@ -1,9 +1,9 @@
 """Two-step concentrated QML fit on simulated data.
 
 Each sweep makes one variance pass in slope coordinates with the residuals
-held fixed (non-negative least squares, or a Newton step once every slope is
-free), then one weighted least-squares pass for the mean with the variances
-as weights.  The fit settles in a handful of sweeps.
+held fixed (one non-negative least-squares solve: a scoring step first, then
+projected Newton steps), then one weighted least-squares pass for the mean
+with the variances as weights.  The fit settles in a handful of sweeps.
 """
 
 import numpy as np

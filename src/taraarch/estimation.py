@@ -11,9 +11,9 @@ therefore alternates two concentrated passes, one of each per sweep:
 * the variance pass solves the quasi-likelihood's equations in the variance
   parameters with the residuals held fixed.  In the news-impact slopes
   ``gamma = (alpha0, (alphas + betas)**2, (alphas - betas)**2)`` the
-  variance is linear, ``h = gamma @ X`` (:func:`_slope_design`), so a
-  scoring pass is a weighted fit of ``e**2`` on ``X`` under ``gamma >= 0``
-  (NNLS); while every slope is free, a Newton pass takes its place.
+  variance is linear, ``h = gamma @ X`` (:func:`_slope_design`), so each
+  pass is one NNLS solve of the quasi-likelihood's quadratic model under
+  ``gamma >= 0``: a projected Newton step or a scoring step.
 
 Standard errors come from a sandwich estimate built on the two families of
 estimating functions, with analytic cross blocks of their Jacobian.
@@ -346,44 +346,41 @@ def theta_step(series, partition, aarch, theta_init) -> TarParams:
     return TarParams(coeffs)
 
 
+def _cholesky(x: np.ndarray, w: np.ndarray) -> np.ndarray | None:
+    """The Cholesky factor of ``x diag(w) x'``, or None if it has none."""
+    try:
+        return np.linalg.cholesky(np.einsum("it,jt->ij", x * w, x))
+    except np.linalg.LinAlgError:
+        return None
+
+
 def _variance_pass(x: np.ndarray, sq: np.ndarray, gamma: np.ndarray, h: np.ndarray,
                    newton: bool) -> tuple[np.ndarray, np.ndarray, float]:
     """One variance pass at fixed residuals from ``gamma``, with ``h = gamma @ x``
     and ``sq = e**2``: the new slopes, their ``h`` and its largest relative change.
 
-    With ``newton`` (``gamma`` came out of a pass with every slope free) it is
-    a Newton step on the observed information ``X diag((e**2/h - 1/2)/h**2) X'``,
-    kept if that has a Cholesky factor and every slope stays positive.
-    Otherwise it is a scoring pass, the fit of ``e**2`` on ``X`` with weights
-    ``1/h**2`` under ``gamma >= 0``, which puts slopes on zero and holds KKT
-    there: on the Cholesky factor L of the weighted gram, the NNLS problem
-    ``|L' gamma - L^-1 r|``.
+    The pass maximizes the quasi-likelihood's quadratic model ``g's - s'Ms/2``
+    under ``gamma + s >= 0``, with the score ``g = X (e**2 - h) / (2 h**2)``,
+    as the NNLS problem ``|L' (gamma + s) - L' gamma - L^-1 g|`` on the
+    Cholesky factor L of M.  With ``newton`` M is the observed information
+    ``X diag((e**2/h - 1/2)/h**2) X'`` where that is positive definite (a
+    projected Newton step), else the scoring information ``X diag(1/(2 h**2))
+    X'``, with which the pass is the fit of ``e**2`` on ``X`` with weights
+    ``1/h**2``.  Slopes land on zero with the model's KKT conditions holding.
     """
     hh = h * h
-    new = None
-    if newton:
-        info = np.einsum("it,jt->ij", x * ((sq / h - 0.5) / hh), x)
-        try:
-            np.linalg.cholesky(info)
-        except np.linalg.LinAlgError:
-            pass
-        else:
-            step = gamma + np.linalg.solve(info, np.einsum("it,t->i", x, 0.5 * (sq - h) / hh))
-            if np.all(step > 0.0):
-                new = step
-    if new is None:
-        xw = x / hh
-        gram = np.einsum("it,jt->ij", xw, x)
-        rhs = np.einsum("it,t->i", xw, sq)
-        try:
-            chol = np.linalg.cholesky(gram)
-            new, _ = scipy.optimize.nnls(chol.T, np.linalg.solve(chol, rhs))
-        except np.linalg.LinAlgError:
-            raise EstimationError("variance-step design is singular") from None
-        except ValueError as exc:  # scipy's check of non-finite input
-            raise EstimationError(f"variance step: {exc}") from None
-        if new[0] <= 0.0:
-            raise EstimationError("variance step drove alpha0 to zero")
+    chol = _cholesky(x, (sq / h - 0.5) / hh) if newton else None
+    if chol is None:
+        chol = _cholesky(x, 0.5 / hh)
+    if chol is None:
+        raise EstimationError("variance-step design is singular")
+    score = np.einsum("it,t->i", x, 0.5 * (sq - h) / hh)
+    try:
+        new, _ = scipy.optimize.nnls(chol.T, chol.T @ gamma + np.linalg.solve(chol, score))
+    except ValueError as exc:  # scipy's check of non-finite input
+        raise EstimationError(f"variance step: {exc}") from None
+    if new[0] <= 0.0:
+        raise EstimationError("variance step drove alpha0 to zero")
     h_new = np.einsum("j,jt->t", new, x)
     return new, h_new, float(np.max(np.abs(h_new - h) / h))
 
@@ -391,14 +388,13 @@ def _variance_pass(x: np.ndarray, sq: np.ndarray, gamma: np.ndarray, h: np.ndarr
 def alpha_step(series, partition, tar, aarch_init, fit_lags: bool = True) -> AarchParams:
     """Maximize the quasi-likelihood over the variance parameters.
 
-    The residuals implied by ``tar`` are held fixed.  The fit is non-negative
-    least squares in slope coordinates ``(alpha0, (alphas + betas)**2,
-    (alphas - betas)**2)``: scoring passes with weights ``1/h**2``, and Newton
-    passes while every slope is free, to the quasi-likelihood's KKT point
-    (relative change in ``h`` at most ``VARIANCE_TOL``).  Each lag term is
-    invariant under sign flips and swaps of its loading pair; mapping the
-    slopes back gives estimates in the canonical cone ``alphas >= |betas| >=
-    0``.  Raises :class:`EstimationError` if ``alpha0`` reaches zero and
+    The residuals implied by ``tar`` are held fixed.  The fit runs in slope
+    coordinates ``(alpha0, (alphas + betas)**2, (alphas - betas)**2) >= 0``:
+    a scoring pass, then projected Newton passes, to the quasi-likelihood's
+    KKT point (relative change in ``h`` at most ``VARIANCE_TOL``).  Each lag
+    term is invariant under sign flips and swaps of its loading pair; mapping
+    the slopes back gives estimates in the canonical cone ``alphas >= |betas|
+    >= 0``.  Raises :class:`EstimationError` if ``alpha0`` reaches zero and
     :class:`ConvergenceError` (carrying the last iterate) if the iteration
     does not converge.  With ``fit_lags=False`` only ``alpha0`` is estimated
     and the lag loadings stay at zero.
@@ -410,10 +406,8 @@ def alpha_step(series, partition, tar, aarch_init, fit_lags: bool = True) -> Aar
     if not fit_lags:
         # With the lag loadings pinned at zero the maximizer is closed form.
         return AarchParams(alpha0=float(np.mean(sq)), alphas=np.zeros(q), betas=np.zeros(q))
-    newton = False
-    for _ in range(MAX_VARIANCE_ITER):
-        gamma, h, change = _variance_pass(x, sq, gamma, h, newton)
-        newton = bool(np.all(gamma > 0.0))
+    for i in range(MAX_VARIANCE_ITER):
+        gamma, h, change = _variance_pass(x, sq, gamma, h, newton=i > 0)
         if change <= VARIANCE_TOL:
             return _loadings(gamma, q)
     raise ConvergenceError(
@@ -496,11 +490,10 @@ def _fit(
     x, sq, h = ctx.slope_window(theta, gamma)
     qll = _qll(sq, h)
     trace: list[float] = []
-    newton = converged = False
+    converged = False
     theta_change = h_change = qll_change = np.inf
-    for _ in range(max_outer):
-        gamma, h, h_change = _variance_pass(x, sq, gamma, h, newton)
-        newton = bool(np.all(gamma > 0.0))
+    for i in range(max_outer):
+        gamma, h, h_change = _variance_pass(x, sq, gamma, h, newton=i > 0)
         theta, old = _mean_pass(ctx, 1.0 / h), theta
         theta_change = float(np.max(np.abs(theta - old)))
         x, sq, h = ctx.slope_window(theta, gamma)
@@ -698,10 +691,14 @@ class SearchGrid:
         min_regime_fraction: float = 0.1,
         include_single_regime: bool = False,
     ) -> "SearchGrid":
-        """Build threshold candidates from empirical quantiles of the series."""
+        """Build threshold candidates from empirical quantiles of the series,
+        keeping the lowest of those that split it alike (on tied data)."""
         x = series_values(series)
         probs = np.arange(lo, hi + 1e-12, step)
-        qs = tuple(float(v) for v in np.quantile(x, probs))
+        quantiles = np.quantile(x, probs)
+        _, first = np.unique(np.searchsorted(np.sort(x), quantiles, side="right"),
+                             return_index=True)
+        qs = tuple(float(v) for v in quantiles[first])
         return cls(
             delay_candidates=tuple(delays),
             threshold_candidates=tuple(qs for _ in range(boundaries)),

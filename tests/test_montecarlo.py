@@ -360,6 +360,28 @@ def test_no_module_imports_scipy_linalg_or_stats():
     assert imported == set()
 
 
+def test_scipy_optimize_is_used_only_for_nnls_and_minimize():
+    # Every use spells out ``scipy.optimize.<name>``: no aliased import, no
+    # import of its names and no bare reference that could hide another one.
+    package = Path(montecarlo.__file__).parent
+    used = set()
+    for path in sorted(package.glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        for node in nodes:
+            if isinstance(node, ast.Import):
+                assert all(a.asname is None for a in node.names
+                           if a.name.startswith("scipy.optimize")), path.name
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                names = {f"{node.module}.{a.name}" for a in node.names}
+                assert not {n for n in names if n.startswith("scipy.optimize")}, path.name
+        refs = [node for node in nodes
+                if isinstance(node, ast.Attribute) and ast.unparse(node) == "scipy.optimize"]
+        named = [node for node in nodes if isinstance(node, ast.Attribute) and node.value in refs]
+        assert len(named) == len(refs), path.name
+        used |= {(path.name, node.attr) for node in named}
+    assert used == {("estimation.py", "nnls"), ("baselines.py", "minimize")}
+
+
 class TestSummaries:
     def _row(self, n, r, est, converged=True):
         k = len(est)
