@@ -16,7 +16,9 @@ from __future__ import annotations
 import csv
 import ctypes
 import json
+import multiprocessing
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
@@ -289,19 +291,33 @@ def _loaded_openblas() -> list[tuple[ctypes.CDLL, str]]:
     return libs
 
 
-def _single_threaded_blas() -> None:
-    """Pool initializer: run every loaded OpenBLAS on one thread.
+@contextmanager
+def _single_threaded_blas():
+    """Run every loaded OpenBLAS on one thread inside the block.
 
-    A forked worker inherits the parent's thread count, so several workers
-    would each wake a BLAS thread pool and oversubscribe the cores.
-    Setting ``OPENBLAS_NUM_THREADS`` after fork has no effect, so the
-    library's own setter is called.
+    Each library's thread count is read through its own getter, set to one,
+    and restored on leaving the block, also when it raises.  A worker forked
+    inside the block inherits the count of one and never starts the
+    library's helper threads; a worker that set the count itself after fork
+    would first start them, and they busy-wait.  Setting
+    ``OPENBLAS_NUM_THREADS`` after the library is loaded has no effect, so
+    the library's own setter is called.
     """
+    saved = []
     for lib, suffix in _loaded_openblas():
+        getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        getter.argtypes = []
+        getter.restype = ctypes.c_int
         setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
         setter.argtypes = [ctypes.c_int]
         setter.restype = None
+        saved.append((setter, getter()))
         setter(1)
+    try:
+        yield
+    finally:
+        for setter, count in saved:
+            setter(count)
 
 
 def _row_without_estimates(plan, n, r, seed, converged=False, delay=None,
@@ -448,10 +464,12 @@ def run_experiments(plans, workers: int = 1) -> tuple[ExperimentResult, ...]:
     flagged ``failed`` when any of its cells' non-convergence rate exceeds
     20%.
 
-    With ``workers > 1`` the replicates run in one process pool that hands
-    each worker one task at a time.  Every worker sets each loaded OpenBLAS
-    to one thread when it starts, so the workers do not oversubscribe the
-    cores; this process keeps its own BLAS thread count.
+    The replicates run with every loaded OpenBLAS set to one thread, and
+    this process's thread counts are restored when the call returns or
+    raises.  With ``workers > 1`` they run in one process pool, forked where
+    the platform can fork, that hands each worker one task at a time; the
+    workers inherit the count of one, so they neither oversubscribe the
+    cores nor start BLAS helper threads.
     """
     plans = tuple(plans)
     if not plans:
@@ -465,13 +483,16 @@ def run_experiments(plans, workers: int = 1) -> tuple[ExperimentResult, ...]:
                 raise ValueError(f"plans must share {key}")
     check_stationarity(first.true_spec)
     tasks = [(plans, n, r) for n in first.sample_sizes for r in range(first.replicates)]
-    if workers > 1:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_single_threaded_blas
-        ) as pool:
-            cells = list(pool.map(_replicate_task, tasks))
-    else:
-        cells = [_replicate_task(t) for t in tasks]
+    with _single_threaded_blas():
+        if workers > 1:
+            # forked workers inherit the count of one; OpenBLAS stops its
+            # own helper threads before a fork
+            fork = "fork" in multiprocessing.get_all_start_methods()
+            context = multiprocessing.get_context("fork" if fork else None)
+            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
+                cells = list(pool.map(_replicate_task, tasks))
+        else:
+            cells = [_replicate_task(t) for t in tasks]
     results = []
     for i, plan in enumerate(plans):
         names = plan_param_names(plan)

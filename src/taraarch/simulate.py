@@ -137,7 +137,7 @@ def simulate_path(spec: ModelSpec, config: SimConfig) -> SimulatedPath:
     else:
         init = tuple(init[len(init) - mpd :])
 
-    z = normal_stream(config.seed, config.burn_in + config.n).tolist()
+    z = normal_stream(config.seed, config.burn_in + config.n)
     thresholds = spec.partition.thresholds.tolist()
     coeffs = [tuple(row) for row in spec.tar.coefficients.tolist()]
     loadings = list(enumerate(zip(spec.aarch.alphas.tolist(), spec.aarch.betas.tolist()), 1))
@@ -147,7 +147,7 @@ def simulate_path(spec: ModelSpec, config: SimConfig) -> SimulatedPath:
     # the path behind its presample values, so no lag reaches before a list.
     es = [0.0] * q
     hs = []
-    for zt in z:
+    for zt in z.tolist():
         h = alpha0
         for k, (a, b) in loadings:
             ev = es[-k]
@@ -179,7 +179,7 @@ def simulate_path(spec: ModelSpec, config: SimConfig) -> SimulatedPath:
     b = config.burn_in
     return SimulatedPath(
         series=TimeSeries(x[b:], origin_label="simulated"),
-        innovations=np.array(z[b:]),
+        innovations=z[b:],
         variances=np.array(hs[b:]),
     )
 

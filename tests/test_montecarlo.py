@@ -60,6 +60,26 @@ def blas_threads() -> list[int]:
     return counts
 
 
+def set_blas_threads(counts) -> None:
+    for (lib, suffix), count in zip(_loaded_openblas(), counts):
+        setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        setter.argtypes = [ctypes.c_int]
+        setter.restype = None
+        setter(count)
+
+
+@pytest.fixture
+def blas_at_two_threads():
+    """Every loaded OpenBLAS on two threads for the test, so a count left at
+    one (or a worker's helper threads) shows whatever the environment set."""
+    before = blas_threads()
+    if not before:
+        pytest.skip("no OpenBLAS loaded in this process")
+    set_blas_threads([2] * len(before))
+    yield
+    set_blas_threads(before)
+
+
 _REPLICATE_TASK = montecarlo._replicate_task
 
 
@@ -69,6 +89,18 @@ def task_checking_blas_threads(args):
     if threads != [1] * len(threads):
         raise RuntimeError(f"pool worker runs BLAS on {threads} threads")
     return _REPLICATE_TASK(args)
+
+
+def task_counting_os_threads(args):
+    """Pool task that reports its process's OS thread count, after the
+    replicate's fits, in place of each row's seed."""
+    rows = _REPLICATE_TASK(args)
+    threads = len(os.listdir("/proc/self/task"))
+    return tuple(replace(row, seed=threads) for row in rows)
+
+
+def task_failing(args):
+    raise RuntimeError(f"replicate {args[2]} failed")
 
 
 def small_plan(replicates=6, n=(300,), seed=101, **kwargs):
@@ -162,6 +194,35 @@ class TestRunExperiment:
         monkeypatch.setattr(montecarlo, "_replicate_task", task_checking_blas_threads)
         res = run_experiment(small_plan(replicates=2), workers=2)
         assert [row.converged for row in res.rows] == [True, True]
+        assert blas_threads() == before
+
+    def test_pool_workers_start_no_blas_threads(self, monkeypatch, sym_spec,
+                                                blas_at_two_threads):
+        # A worker that sets OpenBLAS to one thread after fork first starts
+        # the library's helper threads, one per library, and they busy-wait.
+        if not os.path.isdir("/proc/self/task"):
+            pytest.skip("no /proc/self/task to count threads in")
+        monkeypatch.setattr(montecarlo, "_replicate_task", task_counting_os_threads)
+        plans = [ExperimentPlan(true_spec=sym_spec, sample_sizes=(300,), replicates=4,
+                                base_seed=7, estimator=est)
+                 for est in ("concentrated", "full_symmetric")]
+        for res in run_experiments(plans, workers=2):
+            assert [row.seed for row in res.rows] == [1] * 4
+
+    def test_serial_run_is_single_threaded_blas(self, monkeypatch, blas_at_two_threads):
+        before = blas_threads()
+        monkeypatch.setattr(montecarlo, "_replicate_task", task_checking_blas_threads)
+        res = run_experiment(small_plan(replicates=2), workers=1)
+        assert [row.converged for row in res.rows] == [True, True]
+        assert blas_threads() == before
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_blas_threads_restored_after_a_raising_run(self, monkeypatch, workers,
+                                                        blas_at_two_threads):
+        before = blas_threads()
+        monkeypatch.setattr(montecarlo, "_replicate_task", task_failing)
+        with pytest.raises(RuntimeError, match="replicate 0 failed"):
+            run_experiment(small_plan(replicates=2), workers=workers)
         assert blas_threads() == before
 
     def test_single_replicate_smoke(self):

@@ -168,6 +168,12 @@ class TestSimulatePath:
         np.testing.assert_array_equal(a.variances, b.variances)
         np.testing.assert_array_equal(a.innovations, b.innovations)
 
+    def test_innovations_are_the_stream_after_burn_in(self):
+        cfg = SimConfig(n=300, seed=5, burn_in=40)
+        path = simulate_path(reference_spec(), cfg)
+        z = normal_stream(cfg.seed, cfg.burn_in + cfg.n)[cfg.burn_in:]
+        assert path.innovations.tobytes() == z.tobytes()
+
     def test_noise_only_path_has_unit_variance(self):
         path = simulate_path(noise_only_spec(1.0), SimConfig(n=100_000, seed=12))
         assert 0.97 <= path.series.values.var() <= 1.03
