@@ -150,16 +150,19 @@ def _grid_to_dict(grid: SearchGrid) -> dict:
 
 
 def _grid_from_dict(d: dict):
-    """A plan's grid from its document; an unknown key raises ValueError."""
+    """A plan's grid from its document; an unknown type or key raises ValueError."""
+    kind = d.get("type")
+    if kind not in ("quantile", "fixed"):
+        raise ValueError(f"grid type must be 'quantile' or 'fixed', got {kind!r}")
     keys = {k: v for k, v in d.items() if k != "type"}
-    if d["type"] == "quantile":
+    if kind == "quantile":
         cls = GridRecipe
     else:
-        cls, keys["delay_candidates"] = SearchGrid, keys.pop("delays")
+        cls, keys["delay_candidates"] = SearchGrid, keys.pop("delays", ())
     try:
         return cls(**keys)
     except TypeError as exc:  # an unknown or missing key
-        raise ValueError(f"{d['type']} grid: {exc}") from None
+        raise ValueError(f"{kind} grid: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -181,6 +184,8 @@ class ExperimentPlan:
         object.__setattr__(self, "sample_sizes", sizes)
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
+        if self.burn_in < 0:
+            raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
         if self.estimator not in ESTIMATORS:
             raise ValueError(
                 f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}"

@@ -127,6 +127,10 @@ class TestPlan:
             small_plan(n=(1, 300))
         assert small_plan(n=(2,)).sample_sizes == (2,)
 
+    def test_negative_burn_in_is_rejected_by_the_plan(self):
+        with pytest.raises(ValueError, match="burn_in must be >= 0, got -1"):
+            small_plan(burn_in=-1)
+
     def test_json_round_trip(self):
         plan = small_plan(grid=GridRecipe(delays=(1, 2)))
         again = ExperimentPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
@@ -169,6 +173,17 @@ class TestPlan:
     def test_unknown_grid_key_is_rejected(self, grid):
         doc = {**small_plan().to_dict(), "grid": grid}
         with pytest.raises(ValueError, match="setp"):
+            ExperimentPlan.from_dict(doc)
+
+    @pytest.mark.parametrize("grid, match", [
+        ({"type": "bogus", "delays": [1], "threshold_candidates": [[0.0]]},
+         "'quantile' or 'fixed', got 'bogus'"),
+        ({"delays": [1], "threshold_candidates": [[0.0]]}, "'quantile' or 'fixed', got None"),
+        ({"type": "fixed", "threshold_candidates": [[0.0]]}, "delay_candidates"),
+    ])
+    def test_unknown_grid_type_or_missing_delays_is_rejected(self, grid, match):
+        doc = {**small_plan().to_dict(), "grid": grid}
+        with pytest.raises(ValueError, match=match):
             ExperimentPlan.from_dict(doc)
 
 

@@ -65,6 +65,17 @@ def three_regime_spec():
     )
 
 
+def late_delay_spec():
+    """Delay beyond the mean lags: x[t-3] picks the regime of an AR(1) row."""
+    return ModelSpec(
+        p=1,
+        q=2,
+        partition=ThresholdPartition(regimes=2, delay=3, thresholds=np.array([0.1])),
+        tar=TarParams(np.array([[0.2, 0.6], [-0.1, -0.5]])),
+        aarch=AarchParams(0.4, np.array([0.4, 0.2]), np.array([-0.2, 0.1])),
+    )
+
+
 def loop_oracle(spec, config):
     """The step loop with explicit presample branches and a linear regime scan."""
     p, q, d = spec.p, spec.q, spec.partition.delay
@@ -131,13 +142,15 @@ def assert_explosion_matches_oracle(tar, alphas, betas):
 
 
 class TestSimulatePath:
-    @pytest.mark.parametrize(
-        "make_spec", [reference_spec, symmetric_reference_spec, three_regime_spec]
-    )
+    @pytest.mark.parametrize("make_spec", [
+        reference_spec, symmetric_reference_spec, three_regime_spec, noise_only_spec,
+        late_delay_spec,
+    ])
     @pytest.mark.parametrize("config", [
         {"n": 5},
         {"n": 60, "init_values": (0.7, -1.3, 2.0)},
         {"n": 60, "burn_in": 0, "init_values": (3.0,)},
+        {"n": 3000},
     ])
     def test_step_loop_matches_oracle_bitwise(self, make_spec, config):
         spec = make_spec()
