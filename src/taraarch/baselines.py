@@ -16,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 from scipy.special import ndtr
 
 from .estimation import (
@@ -286,6 +285,8 @@ def tar_arch_full_qmle(
     :class:`~taraarch.estimation.EstimationError` if it stops at a non-finite
     point or at ``alpha0 = 0``, or if the Hessian there is singular.
     """
+    import scipy.optimize  # here, so that only this fit pays for loading it
+
     ctx = _context(series, partition, p, q)
     l = partition.regimes
     ntheta = ctx.ntheta

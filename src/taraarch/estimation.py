@@ -12,8 +12,8 @@ therefore alternates two concentrated passes, one of each per sweep:
   parameters with the residuals held fixed.  In the news-impact slopes
   ``gamma = (alpha0, (alphas + betas)**2, (alphas - betas)**2)`` the
   variance is linear, ``h = gamma @ X`` (:func:`_slope_design`), so each
-  pass is one NNLS solve of the quasi-likelihood's quadratic model under
-  ``gamma >= 0``: a projected Newton step or a scoring step.
+  pass is one NNLS solve (Lawson-Hanson, in numpy) of the quasi-likelihood's
+  quadratic model under ``gamma >= 0``: a projected Newton or a scoring step.
 
 Standard errors come from a sandwich estimate built on the two families of
 estimating functions, with analytic cross blocks of their Jacobian.
@@ -35,7 +35,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.optimize
 
 from .model import (
     AarchParams,
@@ -346,12 +345,49 @@ def theta_step(series, partition, aarch, theta_init) -> TarParams:
     return TarParams(coeffs)
 
 
-def _cholesky(x: np.ndarray, w: np.ndarray) -> np.ndarray | None:
-    """The Cholesky factor of ``x diag(w) x'``, or None if it has none."""
+def _information(x: np.ndarray, w: np.ndarray) -> np.ndarray | None:
+    """``x diag(w) x'``, or None if it is not positive definite."""
+    info = np.einsum("it,jt->ij", x * w, x)
     try:
-        return np.linalg.cholesky(np.einsum("it,jt->ij", x * w, x))
+        np.linalg.cholesky(info)
     except np.linalg.LinAlgError:
         return None
+    return info
+
+
+def _nonnegative_step(m: np.ndarray, g: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """``gamma + s`` maximizing ``g's - s'Ms/2`` under ``gamma + s >= 0``: Lawson and
+    Hanson's (1974) active set, each solve a step along the model's gradient ``g - M
+    (y - gamma)``, from the support of ``gamma`` and the zero slopes the gradient
+    lifts; if that is every slope, the free step ``gamma + M^-1 g`` comes first."""
+    if not np.isfinite(g).all():
+        raise EstimationError("variance step: the score is not finite")
+    free = np.maximum(gamma, g) > 0.0
+    if free.all():
+        y = gamma + np.linalg.solve(m, g)
+        if y.min() >= 0.0:
+            return y
+    y, joined = gamma.copy(), None
+    while True:
+        p = np.flatnonzero(free)
+        z = np.zeros_like(y)
+        z[p] = y[p] + np.linalg.solve(m[p[:, None], p], (g - m @ (y - gamma))[p])
+        if z.min() >= 0.0:  # optimal on the free set: join the steepest bound slope
+            y = z
+            bound = np.where(free, -np.inf, g - m @ (y - gamma))
+            joined = int(np.argmax(bound))
+            if bound[joined] <= 0.0:
+                return y
+            free[joined] = True
+        elif joined is not None and z[joined] < 0.0:  # a gradient of rounding size
+            return y
+        else:  # toward z until the first slope reaches zero and leaves the free set
+            out = z < 0.0
+            t = y[out] / (y[out] - z[out])
+            y += t.min() * (z - y)
+            y[np.flatnonzero(out)[np.argmin(t)]] = 0.0
+            free &= y > 0.0
+            joined = None
 
 
 def _variance_pass(x: np.ndarray, sq: np.ndarray, gamma: np.ndarray, h: np.ndarray,
@@ -360,25 +396,21 @@ def _variance_pass(x: np.ndarray, sq: np.ndarray, gamma: np.ndarray, h: np.ndarr
     and ``sq = e**2``: the new slopes, their ``h`` and its largest relative change.
 
     The pass maximizes the quasi-likelihood's quadratic model ``g's - s'Ms/2``
-    under ``gamma + s >= 0``, with the score ``g = X (e**2 - h) / (2 h**2)``,
-    as the NNLS problem ``|L' (gamma + s) - L' gamma - L^-1 g|`` on the
-    Cholesky factor L of M.  With ``newton`` M is the observed information
+    under ``gamma + s >= 0`` (:func:`_nonnegative_step`), with the score ``g =
+    X (e**2 - h) / (2 h**2)``.  With ``newton`` M is the observed information
     ``X diag((e**2/h - 1/2)/h**2) X'`` where that is positive definite (a
     projected Newton step), else the scoring information ``X diag(1/(2 h**2))
     X'``, with which the pass is the fit of ``e**2`` on ``X`` with weights
     ``1/h**2``.  Slopes land on zero with the model's KKT conditions holding.
     """
     hh = h * h
-    chol = _cholesky(x, (sq / h - 0.5) / hh) if newton else None
-    if chol is None:
-        chol = _cholesky(x, 0.5 / hh)
-    if chol is None:
+    info = _information(x, (sq / h - 0.5) / hh) if newton else None
+    if info is None:
+        info = _information(x, 0.5 / hh)
+    if info is None:
         raise EstimationError("variance-step design is singular")
     score = np.einsum("it,t->i", x, 0.5 * (sq - h) / hh)
-    try:
-        new, _ = scipy.optimize.nnls(chol.T, chol.T @ gamma + np.linalg.solve(chol, score))
-    except ValueError as exc:  # scipy's check of non-finite input
-        raise EstimationError(f"variance step: {exc}") from None
+    new = _nonnegative_step(info, score, gamma)
     if new[0] <= 0.0:
         raise EstimationError("variance step drove alpha0 to zero")
     h_new = np.einsum("j,jt->t", new, x)

@@ -325,6 +325,30 @@ def _single_threaded_blas():
             setter(count)
 
 
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
+
+
+def _keep_freed_heap() -> None:
+    """Keep this process's freed memory for its next fit.
+
+    glibc maps a block above its mmap threshold afresh on every allocation and
+    returns the free top of its heap to the system once it exceeds its trim
+    threshold.  Both start at 128 KiB and rise only when a larger mapped block
+    is freed, so they depend on what the process did before, and a fit's
+    temporaries can be faulted back in, page by page, on every fit.  Here
+    blocks up to 32 MiB come from the heap and up to 64 MiB of it stays
+    free.  The setting stays for the life of the process, and forked workers
+    inherit it.  Without glibc's ``mallopt`` this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def _row_without_estimates(plan, n, r, seed, converged=False, delay=None,
                            thresholds=None) -> ReplicateRow:
     """A row with NaN estimates: a failed simulation or fit, or a search that
@@ -474,7 +498,9 @@ def run_experiments(plans, workers: int = 1) -> tuple[ExperimentResult, ...]:
     raises.  With ``workers > 1`` they run in one process pool, forked where
     the platform can fork, that hands each worker one task at a time; the
     workers inherit the count of one, so they neither oversubscribe the
-    cores nor start BLAS helper threads.
+    cores nor start BLAS helper threads.  Before they run, this process keeps
+    its freed memory for reuse (:func:`_keep_freed_heap`), a setting that
+    outlasts the call.
     """
     plans = tuple(plans)
     if not plans:
@@ -488,6 +514,7 @@ def run_experiments(plans, workers: int = 1) -> tuple[ExperimentResult, ...]:
                 raise ValueError(f"plans must share {key}")
     check_stationarity(first.true_spec)
     tasks = [(plans, n, r) for n in first.sample_sizes for r in range(first.replicates)]
+    _keep_freed_heap()
     with _single_threaded_blas():
         if workers > 1:
             # forked workers inherit the count of one; OpenBLAS stops its

@@ -19,6 +19,7 @@ from taraarch.estimation import (
     threshold_delay_search,
     _FitContext,
     _mean_pass,
+    _nonnegative_step,
     _sandwich_parts,
     _slope_design,
     _slopes,
@@ -235,15 +236,16 @@ class TestAlphaStep:
             )
             assert got.alphas[0] >= abs(got.betas[0])
 
-    def test_nonfinite_input_to_nnls_raises_estimation_error(self, monkeypatch):
-        def nnls(a, b):
-            raise ValueError("array must not contain infs or NaNs")
-
-        monkeypatch.setattr(scipy.optimize, "nnls", nnls)
-        true = single_regime_spec([0.0], alpha0=0.1, a1=0.5, b1=0.3)
-        sim = simulate_path(true, SimConfig(n=500, seed=9))
-        with pytest.raises(EstimationError, match="variance step: array must not"):
-            alpha_step(sim.series, true.partition, true.tar, true.aarch)
+    def test_nonfinite_input_to_nnls_raises_estimation_error(self):
+        # An infinite squared residual makes the score infinite, and the
+        # observed information has no Cholesky factor, so both passes score.
+        xd, sq, gamma, h, _ = TestVariancePass.window(3)
+        sq = sq.copy()
+        sq[100] = np.inf
+        for newton in (False, True):
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(EstimationError, match="variance step: the score is not finite"):
+                _variance_pass(xd, sq, gamma, h, newton)
 
     def test_monte_carlo_three_se_coverage(self):
         true = single_regime_spec([0.0], alpha0=0.1, a1=0.5, b1=0.3)
@@ -327,6 +329,81 @@ class TestVariancePass:
                * (np.linalg.norm(score) + np.linalg.norm(info, 2) * np.linalg.norm(step)))
         assert np.all(np.abs(grad[:2]) <= tol)
         assert grad[2] <= tol
+
+
+class TestNonnegativeStep:
+    """The variance pass's solver on random positive definite systems whose
+    optimum is known, against ``scipy.optimize.nnls`` on the Cholesky factor."""
+
+    EPS = np.finfo(float).eps
+
+    @staticmethod
+    def system(k, seed, bound_at_start, bound_at_optimum, weak=False):
+        """``(M, g, gamma, y)`` with gamma zero on ``bound_at_start`` and the
+        optimum y zero on ``bound_at_optimum``, where the model's gradient
+        ``g - M (y - gamma)`` is negative, or zero if ``weak``."""
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((k, k))
+        m = a @ a.T + 0.5 * np.eye(k)
+        want = rng.uniform(0.1, 1.0, k)
+        want[bound_at_optimum] = 0.0
+        gamma = rng.uniform(0.1, 1.0, k)
+        gamma[bound_at_start] = 0.0
+        grad = np.zeros(k)
+        grad[bound_at_optimum] = -rng.uniform(0.1, 1.0, len(bound_at_optimum))
+        return m, m @ (want - gamma) + (0.0 if weak else grad), gamma, want
+
+    @pytest.mark.parametrize("k, start, optimum", [
+        pytest.param(3, [], [], id="q1-interior"),
+        pytest.param(3, [2], [], id="q1-leaves-zero"),
+        pytest.param(3, [2], [2], id="q1-stays-bound"),
+        pytest.param(3, [], [2], id="q1-newly-bound"),
+        pytest.param(3, [], [1, 2], id="q1-both-newly-bound"),
+        pytest.param(3, [1, 2], [2], id="q1-joins"),
+        pytest.param(5, [], [], id="q2-interior"),
+        pytest.param(5, [1, 4], [], id="q2-leave-zero"),
+        pytest.param(5, [1, 4], [1, 4], id="q2-stay-bound"),
+        pytest.param(5, [], [2, 3], id="q2-newly-bound"),
+        pytest.param(5, [4], [1, 4], id="q2-one-stays-one-newly-bound"),
+        pytest.param(5, [1, 2, 3], [2], id="q2-two-join"),
+    ])
+    def test_matches_nnls_at_kkt(self, k, start, optimum):
+        for seed in range(25):
+            m, g, gamma, want = self.system(k, seed, start, optimum)
+            got = _nonnegative_step(m, g, gamma)
+            chol = np.linalg.cholesky(m)
+            oracle, _ = scipy.optimize.nnls(chol.T, chol.T @ gamma + np.linalg.solve(chol, g))
+            # A solve's forward error bound, c u cond(M), on the scale of
+            # gamma, the step and the right-hand side M gamma + g.
+            cond, norm = np.linalg.cond(m), np.linalg.norm
+            tol = k * self.EPS * cond * (norm(gamma) + norm(want) + norm(g) / norm(m, 2))
+            assert norm(got - oracle) <= tol and norm(got - want) <= tol
+            bound = np.isin(np.arange(k), optimum)
+            assert np.all(got[bound] == 0.0) and np.all(got[~bound] > 0.0)
+            grad = g - m @ (got - gamma)
+            gtol = k * self.EPS * cond * (norm(g) + norm(m, 2) * norm(got - gamma))
+            assert np.all(np.abs(grad[~bound]) <= gtol) and np.all(grad[bound] < 0.0)
+
+    def test_weakly_active_bound_settles(self):
+        # Zero gradients on the bound: a slope can join the free set on a
+        # gradient of rounding size and come out non-positive.
+        norm = np.linalg.norm
+        for seed in range(200):
+            m, g, gamma, want = self.system(5, seed, [2], [2, 4], weak=True)
+            got = _nonnegative_step(m, g, gamma)
+            cond = np.linalg.cond(m)
+            tol = 5 * self.EPS * cond * (norm(gamma) + norm(want) + norm(g) / norm(m, 2))
+            assert norm(got - want) <= tol and np.all(got >= 0.0)
+            grad = g - m @ (got - gamma)
+            gtol = 5 * self.EPS * cond * (norm(g) + norm(m, 2) * norm(got - gamma))
+            assert np.all(np.abs(grad) <= gtol)
+
+    def test_negative_intercept_raises(self):
+        xd, _, gamma, h, _ = TestVariancePass.window(3)
+        # Squared residuals fitted exactly by slopes with a negative intercept.
+        sq = np.array([-0.05, 0.36, 0.01]) @ xd
+        with pytest.raises(EstimationError, match="variance step drove alpha0 to zero"):
+            _variance_pass(xd, sq, gamma, h, newton=False)
 
 
 class TestFitAlternating:

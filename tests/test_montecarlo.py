@@ -436,17 +436,22 @@ def test_no_module_imports_scipy_linalg_or_stats():
     assert imported == set()
 
 
-def test_scipy_optimize_is_used_only_for_nnls_and_minimize():
+def test_scipy_optimize_is_used_only_for_minimize():
     # Every use spells out ``scipy.optimize.<name>``: no aliased import, no
     # import of its names and no bare reference that could hide another one.
+    # Its one import and its one use sit inside the full QMLE, so that no
+    # other code path loads it.
     package = Path(montecarlo.__file__).parent
-    used = set()
+    used, imports = set(), []
     for path in sorted(package.glob("*.py")):
         nodes = list(ast.walk(ast.parse(path.read_text())))
+        qmle = {id(node) for func in nodes if isinstance(func, ast.FunctionDef)
+                and func.name == "tar_arch_full_qmle" for node in ast.walk(func)}
         for node in nodes:
             if isinstance(node, ast.Import):
-                assert all(a.asname is None for a in node.names
-                           if a.name.startswith("scipy.optimize")), path.name
+                names = [a for a in node.names if a.name.startswith("scipy.optimize")]
+                assert all(a.asname is None for a in names), path.name
+                imports += [(path.name, id(node) in qmle) for _ in names]
             elif isinstance(node, ast.ImportFrom) and node.module:
                 names = {f"{node.module}.{a.name}" for a in node.names}
                 assert not {n for n in names if n.startswith("scipy.optimize")}, path.name
@@ -454,8 +459,9 @@ def test_scipy_optimize_is_used_only_for_nnls_and_minimize():
                 if isinstance(node, ast.Attribute) and ast.unparse(node) == "scipy.optimize"]
         named = [node for node in nodes if isinstance(node, ast.Attribute) and node.value in refs]
         assert len(named) == len(refs), path.name
-        used |= {(path.name, node.attr) for node in named}
-    assert used == {("estimation.py", "nnls"), ("baselines.py", "minimize")}
+        used |= {(path.name, node.attr, id(node) in qmle) for node in named}
+    assert used == {("baselines.py", "minimize", True)}
+    assert imports == [("baselines.py", True)]
 
 
 class TestSummaries:
@@ -653,6 +659,72 @@ def test_import_loads_no_scipy_stats():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+HEAP_SCRIPT = """
+import resource, numpy as np
+from taraarch.montecarlo import _keep_freed_heap
+_keep_freed_heap()
+np.ones(1 << 19)  # 4 MiB, faulted in once
+f0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    np.ones(1 << 19)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux" or not hasattr(ctypes.CDLL(None), "mallopt"),
+                    reason="needs glibc's mallopt")
+def test_freed_heap_is_kept_for_the_next_fit():
+    """After ``_keep_freed_heap`` a freed 4 MiB block is reused in place, not
+    mapped and faulted in again (1,024 pages per block)."""
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run([sys.executable, "-c", HEAP_SCRIPT], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert int(out.strip().splitlines()[-1]) < 100
+
+
+STARTUP_SCRIPT = """
+import json, sys
+import taraarch, taraarch.cli
+from taraarch.estimation import SearchGrid, fit_alternating, threshold_delay_search
+from taraarch.montecarlo import ExperimentPlan
+from taraarch.simulate import SimConfig, simulate_path
+
+plan_path, small_path, prefix = sys.argv[1:]
+with open(plan_path) as fh:
+    doc = json.load(fh)
+spec = ExperimentPlan.from_dict(doc).true_spec
+x = simulate_path(spec, SimConfig(n=400, seed=1)).series
+fit_alternating(x, spec.partition, spec.p, spec.q)
+grid = SearchGrid.from_series(x, delays=(1, 2), lo=0.3, hi=0.7, step=0.2)
+threshold_delay_search(x, spec.p, spec.q, grid)
+with open(small_path, "w") as fh:
+    json.dump({**doc, "sample_sizes": [300], "replicates": 2}, fh)
+assert taraarch.cli.main(["mc", small_path, "--output", prefix]) == 0
+loaded = ["scipy.optimize" in sys.modules]
+from taraarch.baselines import tar_arch_full_qmle
+tar_arch_full_qmle(x, spec.partition, spec.p, spec.q)
+loaded.append("scipy.optimize" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_concentrated_paths_never_load_scipy_optimize(tmp_path):
+    """Import, a fit, a search and a concentrated ``mc`` run leave
+    ``scipy.optimize`` unloaded; the full QMLE loads it."""
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    plan = Path(src).parent / "plans" / "consistency.json"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    out = subprocess.run(
+        [sys.executable, "-c", STARTUP_SCRIPT, str(plan), str(tmp_path / "plan.json"),
+         str(tmp_path / "mc")],
+        env=env, capture_output=True, text=True, check=True, timeout=300,
+    ).stdout
+    assert json.loads(out.strip().splitlines()[-1]) == [False, True]
 
 
 class TestNormalityDiagnostics:
