@@ -4,10 +4,12 @@ pricing, and the full (non-concentrated) QMLE for the symmetric model.
 The full QMLE is the comparison point for the concentrated two-step
 estimator: with symmetric ARCH errors the variance recursion is smooth in
 every parameter, so the Gaussian quasi-likelihood can be maximized jointly.
-Its scores, gradient and Hessian are analytic, all built from one pass that
-returns the residuals, the variances and the rows of their derivative; the
-presample variance is frozen at the warm start so that this pass stays
-smooth and local in the mean parameters.
+Its gradient, scores and Hessian are analytic.  Each evaluation of the
+objective makes the residuals and the variances, and the gradient from them
+through one product on the regime design; only the inference at the
+optimum builds the rows of the variances' derivative.  The presample
+variance is frozen at the warm start so that the likelihood stays smooth
+and local in the mean parameters.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from .estimation import (
     ConvergenceError,
     EstimationError,
     FitReport,
+    _FitContext,
     _context,
     _initial_values,
     _sandwich,
@@ -258,6 +261,67 @@ def black_scholes_price(
     return float(spot * ndtr(d1) - strike * math.exp(-rate * tau) * ndtr(d2))
 
 
+def _natural(u: np.ndarray, ntheta: int):
+    """``(theta, alpha0, a)`` at the full QMLE's coordinates ``u = (theta,
+    log alpha0, log a)``."""
+    return u[:ntheta], np.exp(np.minimum(u[ntheta], 700.0)), np.exp(
+        np.minimum(u[ntheta + 1 :], 350.0)
+    )
+
+
+def _symmetric_variance(ctx: _FitContext, ph: float, theta, alpha0, alphas):
+    """On the residual window: the residuals, the squared-lag rows ``E_k``
+    (``ph`` before the sample) and the variances ``alpha0 + sum_k a_k^2 E_k``."""
+    e = ctx.residuals(theta)
+    nr = ctx.nr
+    lag_sq = np.full((ctx.q, nr), ph)
+    for k in range(ctx.q):
+        m = min(k + 1, nr)
+        lag_sq[k, m:] = e[: nr - m] ** 2
+    return e, lag_sq, alpha0 + np.einsum("k,kt->t", alphas * alphas, lag_sq)
+
+
+def _variance_weights(ctx: _FitContext, r, hq, alphas):
+    """``w1`` and ``b`` on the residual window, from ``r = e^2/h`` and ``h`` on
+    the likelihood window: ``w1 = (r - 1)/(2h)``, the qll's derivative in
+    ``h_t``, zero before the likelihood window; and ``b_s = 1{s >= o}/h_s - 2
+    sum_k a_k^2 w1_{s+k}``, so that ``-e_s b_s`` is the qll's derivative in
+    ``e_s``, through its own term and through the variance ``k`` steps later."""
+    o, nr = ctx.o, ctx.nr
+    w1 = np.zeros(nr)
+    w1[o:] = 0.5 * (r - 1.0) / hq
+    b = np.zeros(nr)
+    b[o:] = 1.0 / hq
+    for k in range(ctx.q):
+        m = min(k + 1, nr)
+        b[: nr - m] -= 2.0 * alphas[k] ** 2 * w1[m:]
+    return w1, b
+
+
+def _full_qmle_objective(u: np.ndarray, ctx: _FitContext, ph: float):
+    """The full QMLE's objective, the mean negative qll with the presample
+    variance frozen at ``ph``, and its gradient in ``u = (theta, log alpha0,
+    log a)``; ``(1e100, 0)`` where the qll is not finite.
+
+    The theta entries are one product ``zexp_t @ (e b)`` on the regime design
+    (:func:`_variance_weights`); the alpha0 and ``a_k`` entries are ``sum w1``
+    and ``2 a_k sum w1 E_k``, each times its log transform's factor.
+    """
+    theta, alpha0, alphas = _natural(u, ctx.ntheta)
+    e, lag_sq, h = _symmetric_variance(ctx, ph, theta, alpha0, alphas)
+    eq, hq = e[ctx.o :], h[ctx.o :]
+    r = eq * eq / hq
+    f = 0.5 * float(np.sum(np.log(hq) + r)) / ctx.nq
+    if not np.isfinite(f):
+        return 1e100, np.zeros_like(u)
+    w1, b = _variance_weights(ctx, r, hq, alphas)
+    g = np.empty(u.size)
+    g[: ctx.ntheta] = np.einsum("it,t->i", ctx.zexp_t, e * b)
+    g[ctx.ntheta] = alpha0 * w1.sum()
+    g[ctx.ntheta + 1 :] = 2.0 * alphas * alphas * np.einsum("kt,t->k", lag_sq, w1)
+    return f, g / -ctx.nq
+
+
 def tar_arch_full_qmle(
     series,
     partition: ThresholdPartition,
@@ -271,14 +335,17 @@ def tar_arch_full_qmle(
     asymmetric loadings are identically zero), so the likelihood is smooth in
     all parameters and L-BFGS-B applies.  Positivity of ``alpha0`` and of the
     loadings is enforced by log transforms.  A lag before the sample holds
-    the variance ``ph`` of the warm-start residuals, frozen there: a live
+    the variance ``ph`` of the warm-start residuals (the start's ``alpha0``
+    of :func:`~taraarch.estimation._initial_values`), frozen there: a live
     ``var(e)`` would make every variance depend on every residual.
 
-    One pass at ``(theta, alpha0, a)`` yields the residuals, the squared-lag
-    rows, the variances and the rows of ``dh/d(theta, alpha0, a)``; the
-    per-observation scores, the objective's gradient, the OPG information and
-    the Hessian of the mean qll are all analytic in these rows.  ``trace``
-    holds the qll at each iterate as the optimizer itself evaluated it.
+    Each evaluation of :func:`_full_qmle_objective` makes the residuals and
+    the variances, and its gradient from them through one product on the
+    regime design, with no per-observation derivative rows.  Inference
+    builds the rows of ``dh/d(theta, alpha0, a)`` once, at the optimum: the
+    per-observation scores, the OPG information and the Hessian of the mean
+    qll are analytic in them.  ``trace`` holds the qll at each iterate as the
+    optimizer itself evaluated it.
 
     Returns a :class:`FitReport` whose ``betas`` are exactly zero; raises
     :class:`ConvergenceError` carrying the best iterate on failure, and
@@ -294,8 +361,8 @@ def tar_arch_full_qmle(
     zexp = ctx.zexp_t
     kdim = ntheta + 1 + q
 
-    tar0, _ = _initial_values(ctx)
-    ph = float(ctx.residuals(tar0.coefficients).var())
+    tar0, aarch0 = _initial_values(ctx)
+    ph = aarch0.alpha0
 
     if init is not None:
         theta0 = init.tar.coefficients.ravel()
@@ -306,60 +373,21 @@ def tar_arch_full_qmle(
         ak = np.full(q, math.sqrt(0.3 / q))
     u0 = np.concatenate([theta0, [math.log(a0)], np.log(ak)])
 
-    def natural(u):
-        return u[:ntheta], np.exp(np.minimum(u[ntheta], 700.0)), np.exp(
-            np.minimum(u[ntheta + 1 :], 350.0)
-        )
-
-    def variance_rows(theta, alpha0, alphas):
-        """Residuals, squared-lag rows E_k, variances and dh rows, on the
-        residual window; time-contiguous, one row per lag or parameter."""
-        e = ctx.residuals(theta)
-        lag_sq = np.full((q, nr), ph)
-        dh = np.zeros((kdim, nr))
-        for k in range(q):
-            m = min(k + 1, nr)
-            lag_sq[k, m:] = e[: nr - m] ** 2
-            dh[:ntheta, m:] -= 2.0 * alphas[k] ** 2 * e[: nr - m] * zexp[:, : nr - m]
-        h = alpha0 + np.einsum("k,kt->t", alphas * alphas, lag_sq)
-        dh[ntheta] = 1.0
-        dh[ntheta + 1 :] = 2.0 * alphas[:, None] * lag_sq
-        return e, lag_sq, h, dh
-
-    def scores(e, h, dh):
-        """Per-observation scores of qll, one row per parameter; and w1."""
-        eq, hq = e[o:], h[o:]
-        w1 = 0.5 * (eq * eq / hq - 1.0) / hq
-        s = w1 * dh[:, o:]
-        s[:ntheta] += zexp[:, o:] * (eq / hq)
-        return s, w1
-
-    def objective(u):
-        theta, alpha0, alphas = natural(u)
-        e, _, h, dh = variance_rows(theta, alpha0, alphas)
-        eq, hq = e[o:], h[o:]
-        f = 0.5 * float(np.sum(np.log(hq) + eq * eq / hq)) / nq
-        if not np.isfinite(f):
-            return 1e100, np.zeros_like(u)
-        g = -np.einsum("it->i", scores(e, h, dh)[0]) / nq
-        g[ntheta] *= alpha0
-        g[ntheta + 1 :] *= alphas
-        return f, g
-
     trace: list[float] = []
 
     def callback(intermediate_result):
         trace.append(-intermediate_result.fun * nq)
 
     res = scipy.optimize.minimize(
-        objective,
+        _full_qmle_objective,
         u0,
+        args=(ctx, ph),
         jac=True,
         method="L-BFGS-B",
         callback=callback,
         options={"maxiter": MAX_FULL_QMLE_ITER, "ftol": 1e-14, "gtol": 1e-9},
     )
-    theta, alpha0, alphas = natural(res.x)
+    theta, alpha0, alphas = _natural(res.x, ntheta)
     if not (np.all(np.isfinite(res.x)) and alpha0 > 0.0):  # exp may underflow
         raise EstimationError(f"full QMLE stopped at alpha0 = {alpha0} ({res.message})")
     tar = TarParams(theta.reshape(l, p + 1))
@@ -371,33 +399,42 @@ def tar_arch_full_qmle(
         aarch=AarchParams(alpha0=alpha0, alphas=alphas, betas=np.zeros(q)),
     )
 
-    # Inference in natural coordinates: OPG information and the analytic
-    # Hessian of the mean qll,
+    # Inference in natural coordinates: the dh rows, and from them the
+    # per-observation scores w1 dh + (e/h) z, their OPG information, and the
+    # analytic Hessian of the mean qll,
     #   -zz'/h + (e/h^2)(e_phi dh' + dh e_phi') + (1/2 - e^2/h)/h^2 dh dh'
     #   + w1 d2h,
     # with e_phi = -z in the theta rows, d2h/dtheta2 = sum_k 2 a_k^2 z z' and
-    # d2h/dtheta da_k = -4 a_k e z at lag k, and d2h/da_k^2 = 2 E_k.
-    e, lag_sq, h, dh = variance_rows(theta, alpha0, alphas)
-    s, w1 = scores(e, h, dh)
+    # d2h/dtheta da_k = -4 a_k e z at lag k, and d2h/da_k^2 = 2 E_k.  The
+    # theta block's -zz'/h + w1 d2h/dtheta2 is -z diag(b) z'.
+    e, lag_sq, h = _symmetric_variance(ctx, ph, theta, alpha0, alphas)
+    eq, hq, zq = e[o:], h[o:], zexp[:, o:]
+    r = eq * eq / hq
+    w1, b = _variance_weights(ctx, r, hq, alphas)
+    dh = np.zeros((kdim, nr))
+    for k in range(q):
+        m = min(k + 1, nr)
+        dh[:ntheta, m:] -= 2.0 * alphas[k] ** 2 * e[: nr - m] * zexp[:, : nr - m]
+    dh[ntheta] = 1.0
+    dh[ntheta + 1 :] = 2.0 * alphas[:, None] * lag_sq
+    dhq = dh[:, o:]
+    s = w1[o:] * dhq
+    s[:ntheta] += zq * (eq / hq)
     info = np.einsum("it,jt->ij", s, s) / nq
-    eq, hq, zq, dhq = e[o:], h[o:], zexp[:, o:], dh[:, o:]
-    hess = np.einsum("it,jt,t->ij", dhq, dhq, (0.5 - eq * eq / hq) / (hq * hq))
-    cross = np.einsum("it,jt,t->ij", zq, dhq, eq / (hq * hq))
+    hh = hq * hq
+    hess = np.einsum("it,jt->ij", dhq * ((0.5 - r) / hh), dhq)
+    cross = np.einsum("it,jt->ij", zq * (eq / hh), dhq)
     hess[:ntheta] -= cross
     hess[:, :ntheta] -= cross.T
-    hess[:ntheta, :ntheta] -= np.einsum("it,jt,t->ij", zq, zq, 1.0 / hq)
-    gh = np.zeros(nr)
-    gh[o:] = w1
+    hess[:ntheta, :ntheta] -= np.einsum("it,jt->ij", zexp * b, zexp)
     for k in range(q):
         m, a = min(k + 1, nr), ntheta + 1 + k
-        zl, gl = zexp[:, : nr - m], gh[m:]
-        hess[:ntheta, :ntheta] += 2.0 * alphas[k] ** 2 * np.einsum(
-            "it,jt,t->ij", zl, zl, gl
+        col = -4.0 * alphas[k] * np.einsum(
+            "it,t->i", zexp[:, : nr - m], e[: nr - m] * w1[m:]
         )
-        col = -4.0 * alphas[k] * np.einsum("it,t->i", zl, gl * e[: nr - m])
         hess[:ntheta, a] += col
         hess[a, :ntheta] += col
-        hess[a, a] += 2.0 * float(np.einsum("t,t->", gh, lag_sq[k]))
+        hess[a, a] += 2.0 * float(np.einsum("t,t->", lag_sq[k], w1))
     hess /= nq
 
     info, sandwich = _sandwich(info, hess, nq)

@@ -359,19 +359,21 @@ def _nonnegative_step(m: np.ndarray, g: np.ndarray, gamma: np.ndarray) -> np.nda
     """``gamma + s`` maximizing ``g's - s'Ms/2`` under ``gamma + s >= 0``: Lawson and
     Hanson's (1974) active set, each solve a step along the model's gradient ``g - M
     (y - gamma)``, from the support of ``gamma`` and the zero slopes the gradient
-    lifts; if that is every slope, the free step ``gamma + M^-1 g`` comes first."""
+    lifts; if that is every slope, the first solve is the free step ``gamma + M^-1
+    g``, returned if it is feasible."""
     if not np.isfinite(g).all():
         raise EstimationError("variance step: the score is not finite")
     free = np.maximum(gamma, g) > 0.0
-    if free.all():
-        y = gamma + np.linalg.solve(m, g)
-        if y.min() >= 0.0:
-            return y
-    y, joined = gamma.copy(), None
+    y, z, joined = gamma, None, None
+    if free.all():  # the free step, which is then the first round's solve
+        z = gamma + np.linalg.solve(m, g)
+        if z.min() >= 0.0:
+            return z
     while True:
-        p = np.flatnonzero(free)
-        z = np.zeros_like(y)
-        z[p] = y[p] + np.linalg.solve(m[p[:, None], p], (g - m @ (y - gamma))[p])
+        if z is None:
+            p = np.flatnonzero(free)
+            z = np.zeros_like(y)
+            z[p] = y[p] + np.linalg.solve(m[p[:, None], p], (g - m @ (y - gamma))[p])
         if z.min() >= 0.0:  # optimal on the free set: join the steepest bound slope
             y = z
             bound = np.where(free, -np.inf, g - m @ (y - gamma))
@@ -384,10 +386,11 @@ def _nonnegative_step(m: np.ndarray, g: np.ndarray, gamma: np.ndarray) -> np.nda
         else:  # toward z until the first slope reaches zero and leaves the free set
             out = z < 0.0
             t = y[out] / (y[out] - z[out])
-            y += t.min() * (z - y)
+            y = y + t.min() * (z - y)
             y[np.flatnonzero(out)[np.argmin(t)]] = 0.0
             free &= y > 0.0
             joined = None
+        z = None
 
 
 def _variance_pass(x: np.ndarray, sq: np.ndarray, gamma: np.ndarray, h: np.ndarray,

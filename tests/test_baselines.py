@@ -18,8 +18,15 @@ from taraarch.baselines import (
     egarch_shock_response,
     garch_variance,
     tar_arch_full_qmle,
+    _full_qmle_objective,
 )
-from taraarch.estimation import EstimationError, gaussian_qll, theta_step
+from taraarch.estimation import (
+    EstimationError,
+    _context,
+    _initial_values,
+    gaussian_qll,
+    theta_step,
+)
 from taraarch.model import (
     AarchParams,
     ModelSpec,
@@ -79,6 +86,34 @@ def frozen_presample_mean_qll(x, spec):
         return -0.5 * float(np.sum(np.log(hq) + eq * eq / hq)) / nq
 
     return mean_qll
+
+
+def full_qmle_objective(x, spec):
+    """``u -> (f, g)``: the full QMLE's objective on ``x`` in its coordinates
+    ``u = (theta, log alpha0, log a)``, with the fit's frozen presample."""
+    ctx = _context(x, spec.partition, spec.p, spec.q)
+    ph = _initial_values(ctx)[1].alpha0
+    return lambda u: _full_qmle_objective(u, ctx, ph)
+
+
+def symmetric_spec(alphas):
+    """The reference spec's mean with symmetric loadings ``alphas``."""
+    base = symmetric_reference_spec()
+    q = len(alphas)
+    return ModelSpec(
+        p=1, q=q, partition=base.partition, tar=base.tar,
+        aarch=AarchParams(0.1, np.array(alphas), np.zeros(q)),
+    )
+
+
+def points_off_optimum(spec, seed, count):
+    """Optimizer coordinates scattered around the truth."""
+    rng = np.random.default_rng(seed)
+    u = natural_vector(spec)
+    k = spec.tar.coefficients.size
+    u[k:] = np.log(u[k:])
+    scale = np.r_[np.full(k, 0.1), np.full(u.size - k, 0.3)]
+    return [u + scale * rng.standard_normal(u.size) for _ in range(count)]
 
 
 def central_hessian(f, v, step):
@@ -336,6 +371,37 @@ class TestFullQmle:
             dn[i] -= step
             grad[i] = (mean_negative_qll(up) - mean_negative_qll(dn)) / (2 * step)
         assert np.max(np.abs(grad)) < 1e-6
+
+    # At q = 2 the window q > max(p, d) drops an observation and the presample
+    # lags count.
+    @pytest.mark.parametrize("alphas", [[0.5], [0.4, 0.3]])
+    def test_objective_is_the_frozen_presample_mean_qll(self, alphas):
+        spec = symmetric_spec(alphas)
+        x = simulate_path(spec, SimConfig(n=400, seed=50)).series.values
+        objective = full_qmle_objective(x, spec)
+        mean_qll = frozen_presample_mean_qll(x, spec)
+        k = spec.tar.coefficients.size
+        for u in points_off_optimum(spec, 51, 20):
+            v = np.concatenate([u[:k], np.exp(u[k:])])
+            assert objective(u)[0] == pytest.approx(-mean_qll(v), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("alphas", [[0.5], [0.4, 0.3]])
+    def test_objective_gradient_matches_central_differences(self, alphas):
+        spec = symmetric_spec(alphas)
+        x = simulate_path(spec, SimConfig(n=400, seed=52)).series.values
+        objective = full_qmle_objective(x, spec)
+        for u in points_off_optimum(spec, 53, 5):
+            _, grad = objective(u)
+            fd = np.empty(u.size)
+            for i in range(u.size):
+                step = 1e-5 * (1.0 + abs(u[i]))
+                up, dn = u.copy(), u.copy()
+                up[i] += step
+                dn[i] -= step
+                fd[i] = (objective(up)[0] - objective(dn)[0]) / (2 * step)
+            # away from the optimum, and within the differences' own O(step^2)
+            assert np.max(np.abs(grad)) > 1e-2
+            np.testing.assert_allclose(grad, fd, rtol=0.0, atol=1e-8)
 
     @pytest.mark.parametrize("alphas", [[0.5], [0.4, 0.3]])
     def test_sandwich_matches_finite_difference_hessian(self, alphas):

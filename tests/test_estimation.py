@@ -398,6 +398,32 @@ class TestNonnegativeStep:
             gtol = 5 * self.EPS * cond * (norm(g) + norm(m, 2) * norm(got - gamma))
             assert np.all(np.abs(grad) <= gtol)
 
+    def test_infeasible_free_step_is_not_solved_again(self, monkeypatch):
+        # The free step gamma + M^-1 g is the active set's first solve; when
+        # it leaves the feasible set, no later round may repeat that system.
+        real, calls = np.linalg.solve, []
+
+        def solve(a, b):
+            calls.append((np.array(a), np.array(b)))
+            return real(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", solve)
+        infeasible = 0
+        for k, optimum in [(3, [2]), (5, [2, 3])]:
+            for seed in range(25):
+                m, g, gamma, _ = self.system(k, seed, [], optimum)
+                calls.clear()
+                _nonnegative_step(m, g, gamma)
+                first_a, first_b = calls[0]
+                if (gamma + real(first_a, first_b)).min() >= 0.0:
+                    continue
+                infeasible += 1
+                assert len(calls) >= 2
+                for i, (a, b) in enumerate(calls):
+                    assert not any(np.array_equal(a, a2) and np.array_equal(b, b2)
+                                   for a2, b2 in calls[i + 1 :])
+        assert infeasible >= 10
+
     def test_negative_intercept_raises(self):
         xd, _, gamma, h, _ = TestVariancePass.window(3)
         # Squared residuals fitted exactly by slopes with a negative intercept.
