@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr
 
 from .estimation import (
     ConvergenceError,
@@ -255,6 +254,7 @@ def black_scholes_price(
         raise ValueError(f"rate must be finite, got {rate}")
     if strike == 0.0:
         return float(spot)
+    from scipy.special import ndtr
     sig_sqrt = sigma * math.sqrt(tau)
     d1 = (math.log(spot / strike) + (rate + 0.5 * sigma * sigma) * tau) / sig_sqrt
     d2 = d1 - sig_sqrt
@@ -345,7 +345,8 @@ def tar_arch_full_qmle(
     builds the rows of ``dh/d(theta, alpha0, a)`` once, at the optimum: the
     per-observation scores, the OPG information and the Hessian of the mean
     qll are analytic in them.  ``trace`` holds the qll at each iterate as the
-    optimizer itself evaluated it.
+    optimizer itself evaluated it, with the frozen presample; ``qll`` is the
+    fitted model's, with ``var(e)`` of its residuals there.
 
     Returns a :class:`FitReport` whose ``betas`` are exactly zero; raises
     :class:`ConvergenceError` carrying the best iterate on failure, and

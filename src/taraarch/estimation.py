@@ -93,7 +93,10 @@ class FitReport:
     optimizer iterations) and ``trace`` holds the objective after each, and
     ``info_matrix`` is the outer-product-of-scores information estimate whose
     sandwich combination with the estimating-function Jacobian gives
-    ``std_errors``.
+    ``std_errors``.  ``qll`` puts ``var(e)`` of the final residuals in the
+    presample lags.  The full QMLE's ``trace`` holds the objective it
+    maximized, whose presample is frozen at the start, so it ends near
+    ``qll``, not at it.
     """
 
     spec: ModelSpec

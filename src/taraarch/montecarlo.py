@@ -22,7 +22,6 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .baselines import tar_arch_full_qmle
 from .estimation import (
@@ -64,7 +63,7 @@ __all__ = [
 ESTIMATORS = ("concentrated", "full_symmetric")
 NONCONVERGENCE_FAILURE_RATE = 0.20
 AD_CRITICAL_1PCT = 3.857  # fully specified N(0,1) null
-Z_975 = float(ndtri(0.975))
+Z_975 = 1.959963984540054  # float(scipy.special.ndtri(0.975)), bit for bit
 
 
 def reference_spec() -> ModelSpec:
@@ -306,7 +305,9 @@ def _single_threaded_blas():
     library's helper threads; a worker that set the count itself after fork
     would first start them, and they busy-wait.  Setting
     ``OPENBLAS_NUM_THREADS`` after the library is loaded has no effect, so
-    the library's own setter is called.
+    the library's own setter is called.  Only the libraries loaded on entry
+    are pinned: a module that loads another (``scipy.special`` loads scipy's
+    own) must be imported before the block, or that library keeps its count.
     """
     saved = []
     for lib, suffix in _loaded_openblas():
@@ -514,6 +515,9 @@ def run_experiments(plans, workers: int = 1) -> tuple[ExperimentResult, ...]:
                 raise ValueError(f"plans must share {key}")
     check_stationarity(first.true_spec)
     tasks = [(plans, n, r) for n in first.sample_sizes for r in range(first.replicates)]
+    # every replicate loads scipy.special, and with it scipy's own OpenBLAS:
+    # load it here, so that the pinning below covers that library too
+    import scipy.special  # noqa: F401
     _keep_freed_heap()
     with _single_threaded_blas():
         if workers > 1:
@@ -660,6 +664,7 @@ def anderson_darling_statistic(standardized: np.ndarray) -> float:
     n = x.size
     if n < 2:
         raise ValueError("need at least 2 values")
+    from scipy.special import ndtr
     u = np.clip(ndtr(x), 1e-15, 1.0 - 1e-15)
     i = np.arange(1, n + 1)
     return float(-n - np.mean((2 * i - 1) * (np.log(u) + np.log(1.0 - u[::-1]))))

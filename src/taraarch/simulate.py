@@ -16,7 +16,6 @@ from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .model import ModelSpec, TimeSeries, series_values, variance_path
 
@@ -73,6 +72,7 @@ def normal_stream(seed: int, count: int) -> np.ndarray:
     open interval (0, 1) with 53-bit resolution and passed through the
     inverse normal CDF.
     """
+    from scipy.special import ndtri  # here, so that importing the package does not load it
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     bg = np.random.Philox(key=int(seed) & _MASK64)

@@ -386,6 +386,22 @@ class TestFullQmle:
             assert objective(u)[0] == pytest.approx(-mean_qll(v), rel=1e-13, abs=0.0)
 
     @pytest.mark.parametrize("alphas", [[0.5], [0.4, 0.3]])
+    def test_qll_and_trace_keep_their_presample_conventions(self, alphas):
+        # ``qll`` is the fitted model's, with var(e) of its final residuals in
+        # the presample lags; ``trace`` ends at the objective that was
+        # maximized, with the presample frozen at the start.
+        spec = symmetric_spec(alphas)
+        x = simulate_path(spec, SimConfig(n=2000, seed=54)).series.values
+        report = tar_arch_full_qmle(x, spec.partition, spec.p, spec.q)
+        tar, aarch = report.spec.tar, report.spec.aarch
+        ctx = _context(x, spec.partition, spec.p, spec.q)
+        assert report.qll == ctx.qll_sum(tar, aarch)
+        u = np.r_[tar.coefficients.ravel(), np.log(aarch.alpha0), np.log(aarch.alphas)]
+        f, _ = full_qmle_objective(x, spec)(u)
+        assert report.trace[-1] == pytest.approx(-f * ctx.nq, rel=1e-13, abs=0.0)
+        assert report.qll != pytest.approx(report.trace[-1], rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("alphas", [[0.5], [0.4, 0.3]])
     def test_objective_gradient_matches_central_differences(self, alphas):
         spec = symmetric_spec(alphas)
         x = simulate_path(spec, SimConfig(n=400, seed=52)).series.values

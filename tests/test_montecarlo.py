@@ -661,6 +661,93 @@ def test_import_loads_no_scipy_stats():
     assert out.strip() == "[]"
 
 
+def run_fresh(script, *args, **env):
+    """The last line of a fresh interpreter's output, with the package on its path."""
+    src = os.path.dirname(os.path.dirname(montecarlo.__file__))
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    done = subprocess.run([sys.executable, "-c", script, *map(str, args)], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    return done.stdout.strip().splitlines()[-1]
+
+
+NO_SCIPY_SCRIPT = """
+import json, sys
+from pathlib import Path
+import taraarch, taraarch.cli
+from taraarch.montecarlo import ExperimentPlan
+for path in sorted(Path(sys.argv[1]).glob("*.json")):
+    doc = json.loads(path.read_text())
+    for est in ("concentrated", "full_symmetric") if doc["estimator"] == "both" else (None,):
+        ExperimentPlan.from_dict(doc if est is None else {**doc, "estimator": est})
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+
+def test_import_and_committed_plans_load_no_scipy():
+    """The package, its CLI and loading every committed plan import no scipy
+    module: ``scipy.special`` is imported where it is used."""
+    plans = Path(montecarlo.__file__).parents[2] / "plans"
+    assert len(list(plans.glob("*.json"))) >= 3
+    assert json.loads(run_fresh(NO_SCIPY_SCRIPT, plans)) == []
+
+
+def test_z_975_is_the_normal_quantile():
+    from scipy.special import ndtri
+
+    assert montecarlo.Z_975 == float(ndtri(0.975))
+
+
+FRESH_POOL_SCRIPT = """
+import ctypes, json, sys
+import taraarch
+from taraarch import montecarlo
+
+def blas_threads():
+    counts = []
+    for lib, suffix in montecarlo._loaded_openblas():
+        getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+        getter.argtypes = []
+        getter.restype = ctypes.c_int
+        counts.append(getter())
+    return counts
+
+replicate_task = montecarlo._replicate_task
+
+def task_checking_blas_threads(args):
+    rows = replicate_task(args)  # loads scipy.special, if nothing did before
+    threads = blas_threads()
+    if threads != [1] * len(threads):
+        raise RuntimeError(f"pool worker runs BLAS on {threads} threads")
+    return rows
+
+montecarlo._replicate_task = task_checking_blas_threads
+with open(sys.argv[1]) as fh:
+    doc = {**json.load(fh), "sample_sizes": [300], "replicates": 4}
+plans = [montecarlo.ExperimentPlan.from_dict({**doc, "estimator": est})
+         for est in ("concentrated", "full_symmetric")]
+before = blas_threads()
+results = montecarlo.run_experiments(plans, workers=2)
+print(json.dumps({"before": before, "after": blas_threads(),
+                  "converged": [sum(row.converged for row in res.rows) for res in results]}))
+"""
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="on one core OpenBLAS starts on one thread, so no count shows")
+def test_fresh_process_pool_pins_the_blas_it_loads_later():
+    """In a process that has imported only the package, the pool's workers
+    run every OpenBLAS on one thread, scipy's too, although ``scipy.special``
+    is first imported for the replicates; the caller's counts are restored."""
+    plan = Path(montecarlo.__file__).parents[2] / "plans" / "efficiency.json"
+    out = json.loads(run_fresh(FRESH_POOL_SCRIPT, plan, OPENBLAS_NUM_THREADS="2"))
+    if not out["before"]:
+        pytest.skip("no OpenBLAS loaded in the fresh process")
+    assert out["before"] == [2] * len(out["before"])
+    assert out["after"] == [2] * len(out["after"])
+    assert out["converged"] == [4, 4]
+
+
 HEAP_SCRIPT = """
 import resource, numpy as np
 from taraarch.montecarlo import _keep_freed_heap
