@@ -6,7 +6,9 @@ efficiency price on the mean parameters and essentially none on the variance
 parameters.
 """
 
-from taraarch import ExperimentPlan, efficiency_comparison, symmetric_reference_spec
+from taraarch import (
+    ExperimentPlan, efficiency_comparison, run_experiments, symmetric_reference_spec,
+)
 
 sym = symmetric_reference_spec()
 plan_two_step = ExperimentPlan(
@@ -17,7 +19,9 @@ plan_full = ExperimentPlan(
     true_spec=sym, sample_sizes=(2000,), replicates=120,
     base_seed=5150, estimator="full_symmetric",
 )
-report = efficiency_comparison(plan_two_step, plan_full, workers=2, n_bootstrap=200)
+# one simulated path per replicate, fitted by both estimators
+results = run_experiments((plan_two_step, plan_full), workers=2)
+report = efficiency_comparison(plan_two_step, plan_full, results)
 
 print("variance of sqrt(n) * (estimate - truth), 120 replicates at n = 2000\n")
 print(f"{'parameter':>10} {'two-step':>10} {'full':>10} {'ratio':>7}")

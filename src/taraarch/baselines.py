@@ -27,7 +27,6 @@ from .estimation import (
     _context,
     _initial_values,
     _sandwich,
-    _std_errors,
 )
 from .model import (
     AarchParams,
@@ -327,7 +326,6 @@ def tar_arch_full_qmle(
     partition: ThresholdPartition,
     p: int,
     q: int,
-    init: ModelSpec | None = None,
 ) -> FitReport:
     """Jointly maximize the Gaussian quasi-likelihood of the symmetric model.
 
@@ -337,7 +335,9 @@ def tar_arch_full_qmle(
     loadings is enforced by log transforms.  A lag before the sample holds
     the variance ``ph`` of the warm-start residuals (the start's ``alpha0``
     of :func:`~taraarch.estimation._initial_values`), frozen there: a live
-    ``var(e)`` would make every variance depend on every residual.
+    ``var(e)`` would make every variance depend on every residual.  The
+    optimizer starts at that least-squares fit, ``alpha0 = 0.7 ph`` and
+    ``a_k = sqrt(0.3 / q)``.
 
     Each evaluation of :func:`_full_qmle_objective` makes the residuals and
     the variances, and its gradient from them through one product on the
@@ -364,15 +364,9 @@ def tar_arch_full_qmle(
 
     tar0, aarch0 = _initial_values(ctx)
     ph = aarch0.alpha0
-
-    if init is not None:
-        theta0 = init.tar.coefficients.ravel()
-        a0, ak = init.aarch.alpha0, np.maximum(init.aarch.alphas, 1e-6)
-    else:
-        theta0 = tar0.coefficients.ravel()
-        a0 = max(0.7 * ph, 1e-8)
-        ak = np.full(q, math.sqrt(0.3 / q))
-    u0 = np.concatenate([theta0, [math.log(a0)], np.log(ak)])
+    a0 = max(0.7 * ph, 1e-8)
+    ak = np.full(q, math.sqrt(0.3 / q))
+    u0 = np.concatenate([tar0.coefficients.ravel(), [math.log(a0)], np.log(ak)])
 
     trace: list[float] = []
 
@@ -443,7 +437,6 @@ def tar_arch_full_qmle(
     converged = bool(res.success) or float(np.max(np.abs(res.jac))) < 1e-6
     report = FitReport(
         spec=spec,
-        std_errors=np.pad(_std_errors(sandwich), (0, q), constant_values=np.nan),
         info_matrix=np.pad(info, (0, q), constant_values=np.nan),
         sandwich_cov=np.pad(sandwich, (0, q), constant_values=np.nan),
         qll=ctx.qll_sum(tar, spec.aarch),

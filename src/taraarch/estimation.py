@@ -41,7 +41,6 @@ from .model import (
     ModelSpec,
     TarParams,
     ThresholdPartition,
-    param_vector,
     regime_indices,
     series_values,
     _lag_design,
@@ -92,21 +91,26 @@ class FitReport:
     ``iterations`` counts the concentrated fit's sweeps (or the full QMLE's
     optimizer iterations) and ``trace`` holds the objective after each, and
     ``info_matrix`` is the outer-product-of-scores information estimate whose
-    sandwich combination with the estimating-function Jacobian gives
-    ``std_errors``.  ``qll`` puts ``var(e)`` of the final residuals in the
-    presample lags.  The full QMLE's ``trace`` holds the objective it
-    maximized, whose presample is frozen at the start, so it ends near
-    ``qll``, not at it.
+    sandwich combination with the estimating-function Jacobian is
+    ``sandwich_cov``, from which ``std_errors`` is derived.  ``qll`` puts
+    ``var(e)`` of the final residuals in the presample lags.  The full
+    QMLE's ``trace`` holds the objective it maximized, whose presample is
+    frozen at the start, so it ends near ``qll``, not at it.
     """
 
     spec: ModelSpec
-    std_errors: np.ndarray
     info_matrix: np.ndarray
     sandwich_cov: np.ndarray
     qll: float
     iterations: int
     converged: bool
     trace: tuple[float, ...]
+
+    @property
+    def std_errors(self) -> np.ndarray:
+        """Square roots of the sandwich variances, clipped at zero; NaN where
+        the covariance is NaN."""
+        return np.sqrt(np.maximum(np.diag(self.sandwich_cov), 0.0))
 
     def to_dict(self) -> dict:
         return {
@@ -124,23 +128,15 @@ class FitReport:
             },
         }
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitReport":
-        spec = ModelSpec.from_dict(d["params"])
-        if "sandwich_cov" in d:
-            sand = np.asarray(d["sandwich_cov"], dtype=float)
-        else:
-            # Documents written before the covariance was persisted.
-            k = param_vector(spec).size
-            sand = np.full((k, k), np.nan)
         return cls(
-            spec=spec,
-            std_errors=np.asarray(d["std_errors"], dtype=float),
+            spec=ModelSpec.from_dict(d["params"]),
             info_matrix=np.asarray(d["info_matrix"], dtype=float),
-            sandwich_cov=sand,
+            sandwich_cov=np.asarray(d["sandwich_cov"], dtype=float),
             qll=float(d["qll"]),
             iterations=int(d["iterations"]),
             converged=bool(d["converged"]),
@@ -285,23 +281,13 @@ def _context(series, partition: ThresholdPartition, p: int, q: int) -> _FitConte
     return _FitContext(series_values(series), partition, p, q)
 
 
-def gaussian_qll(spec: ModelSpec, series, conditioning: int | None = None) -> float:
+def gaussian_qll(spec: ModelSpec, series) -> float:
     """Gaussian quasi-log-likelihood ``-0.5 * sum(log h_t + e_t^2 / h_t)``.
 
-    The sum runs over ``t = conditioning .. n-1`` (additive constant
-    dropped); ``conditioning`` defaults to ``max(p, q, d)`` and must lie in
-    ``[max(p, q, d), n)``.  Widening it lets fits with different delays be
-    scored over a common set of terms.  A non-finite sum raises
-    :class:`EstimationError`.
+    The sum runs over ``t = max(p, q, d) .. n-1`` (additive constant
+    dropped).  A non-finite sum raises :class:`EstimationError`.
     """
-    ctx = _context(series, spec.partition, spec.p, spec.q)
-    n = ctx.x.size
-    if conditioning is not None and not ctx.m <= conditioning < n:
-        raise ValueError(
-            f"conditioning must be in [max(p, q, d), n) = [{ctx.m}, {n}), "
-            f"got {conditioning}"
-        )
-    return ctx.qll_sum(spec.tar, spec.aarch, first=conditioning)
+    return _context(series, spec.partition, spec.p, spec.q).qll_sum(spec.tar, spec.aarch)
 
 
 def _mean_pass(ctx: _FitContext, w: np.ndarray) -> np.ndarray:
@@ -423,7 +409,7 @@ def _variance_pass(x: np.ndarray, sq: np.ndarray, gamma: np.ndarray, h: np.ndarr
     return new, h_new, float(np.max(np.abs(h_new - h) / h))
 
 
-def alpha_step(series, partition, tar, aarch_init, fit_lags: bool = True) -> AarchParams:
+def alpha_step(series, partition, tar, aarch_init) -> AarchParams:
     """Maximize the quasi-likelihood over the variance parameters.
 
     The residuals implied by ``tar`` are held fixed.  The fit runs in slope
@@ -434,16 +420,12 @@ def alpha_step(series, partition, tar, aarch_init, fit_lags: bool = True) -> Aar
     the slopes back gives estimates in the canonical cone ``alphas >= |betas|
     >= 0``.  Raises :class:`EstimationError` if ``alpha0`` reaches zero and
     :class:`ConvergenceError` (carrying the last iterate) if the iteration
-    does not converge.  With ``fit_lags=False`` only ``alpha0`` is estimated
-    and the lag loadings stay at zero.
+    does not converge.
     """
     q = aarch_init.q
     ctx = _context(series, partition, tar.p, q)
     gamma = _slopes(aarch_init)
     x, sq, h = ctx.slope_window(tar.coefficients, gamma)
-    if not fit_lags:
-        # With the lag loadings pinned at zero the maximizer is closed form.
-        return AarchParams(alpha0=float(np.mean(sq)), alphas=np.zeros(q), betas=np.zeros(q))
     for i in range(MAX_VARIANCE_ITER):
         gamma, h, change = _variance_pass(x, sq, gamma, h, newton=i > 0)
         if change <= VARIANCE_TOL:
@@ -497,40 +479,34 @@ def fit_alternating(
     partition: ThresholdPartition,
     p: int,
     q: int,
-    init: ModelSpec | None = None,
-    max_outer: int = MAX_OUTER,
-    rel_tol: float = OUTER_REL_TOL,
     compute_se: bool = True,
 ) -> FitReport:
     """Two-step concentrated QML fit with a fixed threshold partition.
 
-    Runs sweeps of one variance pass and one mean pass until, in one sweep,
-    the mean coefficients move by less than ``THETA_TOL``, the variances by
-    at most ``VARIANCE_TOL`` and the quasi-log-likelihood by at most
-    ``rel_tol``, both relative.  Raises :class:`ConvergenceError` (carrying
-    the last iterate in ``result``) if ``max_outer`` sweeps do not converge.
+    Starts from the constant-weight least-squares fit and the variance of
+    its residuals, and runs sweeps of one variance pass and one mean pass
+    until, in one sweep, the mean coefficients move by less than
+    ``THETA_TOL``, the variances by at most ``VARIANCE_TOL`` and the
+    quasi-log-likelihood by at most ``OUTER_REL_TOL``, both relative.  Raises
+    :class:`ConvergenceError` (carrying the last iterate in ``result``) if
+    ``MAX_OUTER`` sweeps do not converge.
     """
     ctx = _context(series, partition, p, q)
-    report = _fit(ctx, init, max_outer, rel_tol)
+    report = _fit(ctx)
     return _with_inference(ctx, report) if compute_se else report
 
 
-def _fit(
-    ctx: _FitContext,
-    init: ModelSpec | None = None,
-    max_outer: int = MAX_OUTER,
-    rel_tol: float = OUTER_REL_TOL,
-) -> FitReport:
+def _fit(ctx: _FitContext) -> FitReport:
     """The sweeps on ``ctx``, with NaN inference products.  Each opens with the
     variance pass: a mean pass would only repeat the start's constant-weight fit."""
-    tar, aarch = (init.tar, init.aarch) if init is not None else _initial_values(ctx)
+    tar, aarch = _initial_values(ctx)
     theta, gamma = tar.coefficients, _slopes(aarch)
     x, sq, h = ctx.slope_window(theta, gamma)
     qll = _qll(sq, h)
     trace: list[float] = []
     converged = False
     theta_change = h_change = qll_change = np.inf
-    for i in range(max_outer):
+    for i in range(MAX_OUTER):
         gamma, h, h_change = _variance_pass(x, sq, gamma, h, newton=i > 0)
         theta, old = _mean_pass(ctx, 1.0 / h), theta
         theta_change = float(np.max(np.abs(theta - old)))
@@ -538,7 +514,8 @@ def _fit(
         qll, old = _qll(sq, h), qll
         qll_change = abs(qll - old) / (1.0 + abs(qll))
         trace.append(qll)
-        if theta_change < THETA_TOL and h_change <= VARIANCE_TOL and qll_change <= rel_tol:
+        if (theta_change < THETA_TOL and h_change <= VARIANCE_TOL
+                and qll_change <= OUTER_REL_TOL):
             converged = True
             break
 
@@ -546,7 +523,6 @@ def _fit(
     tar, aarch = TarParams(theta), _loadings(gamma, ctx.q)
     report = FitReport(
         spec=ModelSpec(p=ctx.p, q=ctx.q, partition=ctx.partition, tar=tar, aarch=aarch),
-        std_errors=np.full(k, np.nan),
         info_matrix=np.full((k, k), np.nan),
         sandwich_cov=np.full((k, k), np.nan),
         qll=qll,
@@ -556,7 +532,7 @@ def _fit(
     )
     if not converged:
         raise ConvergenceError(
-            f"alternating fit did not converge in {max_outer} sweeps (last sweep: "
+            f"alternating fit did not converge in {MAX_OUTER} sweeps (last sweep: "
             f"theta change {theta_change:.3g}, relative h change {h_change:.3g}, "
             f"relative qll change {qll_change:.3g})",
             result=report,
@@ -567,9 +543,7 @@ def _fit(
 def _with_inference(ctx: _FitContext, report: FitReport) -> FitReport:
     """``report`` with the sandwich inference at its estimates on ``ctx``."""
     info, sandwich = _estimate_information(ctx, report.spec)
-    return replace(
-        report, std_errors=_std_errors(sandwich), info_matrix=info, sandwich_cov=sandwich
-    )
+    return replace(report, info_matrix=info, sandwich_cov=sandwich)
 
 
 def _sandwich_parts(ctx: _FitContext, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -665,10 +639,6 @@ def _sandwich(info: np.ndarray, hess: np.ndarray, nq: int):
         ) from None
     sandwich = hinv @ info @ hinv.T / nq
     return 0.5 * (info + info.T), 0.5 * (sandwich + sandwich.T)
-
-
-def _std_errors(sandwich: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.maximum(np.diag(sandwich), 0.0))
 
 
 def _estimate_information(ctx: _FitContext, spec: ModelSpec):

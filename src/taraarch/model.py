@@ -242,8 +242,8 @@ class ModelSpec:
             ),
         )
 
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
     @classmethod
     def from_json(cls, text: str) -> "ModelSpec":
@@ -351,7 +351,7 @@ def news_impact(aarch: AarchParams, shock: float, lag: int) -> float:
     return float((a * abs(shock) + b * shock) ** 2)
 
 
-def check_stationarity(spec: ModelSpec, warn: bool = True) -> bool:
+def check_stationarity(spec: ModelSpec) -> bool:
     """Sufficient-side stationarity check; warns (never raises) on violation.
 
     Validates ``sum(alpha_i**2 + beta_i**2) < 1`` for the variance recursion
@@ -366,7 +366,7 @@ def check_stationarity(spec: ModelSpec, warn: bool = True) -> bool:
         else 0.0
     )
     ok = var_margin < 1.0 and mean_margin < 1.0
-    if warn and not ok:
+    if not ok:
         warnings.warn(
             "stationarity check failed: "
             f"sum(alpha^2 + beta^2) = {var_margin:.6g} (needs < 1), "

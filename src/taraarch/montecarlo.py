@@ -64,6 +64,7 @@ ESTIMATORS = ("concentrated", "full_symmetric")
 NONCONVERGENCE_FAILURE_RATE = 0.20
 AD_CRITICAL_1PCT = 3.857  # fully specified N(0,1) null
 Z_975 = 1.959963984540054  # float(scipy.special.ndtri(0.975)), bit for bit
+N_BOOTSTRAP = 500  # resamples behind each bootstrap standard error
 
 
 def reference_spec() -> ModelSpec:
@@ -191,6 +192,8 @@ class ExperimentPlan:
             )
         if self.estimator == "full_symmetric" and not self.true_spec.aarch.is_symmetric:
             raise ValueError("full_symmetric estimator requires a symmetric truth")
+        if self.estimator == "full_symmetric" and self.grid is not None:
+            raise ValueError("full_symmetric estimator takes no grid")
         m = self.true_spec.presample_length
         if sizes[0] <= m:
             raise ValueError(f"sample sizes must exceed max(p, q, d) = {m}, got {sizes[0]}")
@@ -203,6 +206,10 @@ class ExperimentPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentPlan":
+        """A plan from its document; an unknown key raises ValueError."""
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown plan key(s): {', '.join(unknown)}")
         return cls(
             true_spec=ModelSpec.from_dict(d["true_spec"]),
             sample_sizes=tuple(d["sample_sizes"]),
@@ -308,6 +315,12 @@ def _single_threaded_blas():
     the library's own setter is called.  Only the libraries loaded on entry
     are pinned: a module that loads another (``scipy.special`` loads scipy's
     own) must be imported before the block, or that library keeps its count.
+
+    In a forked worker, simulation and the concentrated fit start no helper
+    thread; only ``scipy.optimize._lbfgsb.setulb``, in the full QMLE, does.
+    Unpinned, on the efficiency plan at n = 4000 with 2 workers (2-vCPU VM),
+    each worker ran 2 OS threads and took about 170 ms of CPU per task,
+    against 14-18 ms pinned.
     """
     saved = []
     for lib, suffix in _loaded_openblas():
@@ -362,8 +375,7 @@ def _fit_row(plan, series, n, r, seed) -> ReplicateRow:
     """One plan's row on a simulated series, fitted by its grid or estimator."""
     spec = plan.true_spec
     k = len(plan_param_names(plan))
-    sel_delay = None
-    sel_thresholds = None
+    sel_delay = sel_thresholds = None
     try:
         if plan.grid is not None:
             grid = plan.grid
@@ -604,22 +616,18 @@ def _ratio(va: float, vb: float) -> float:
 def efficiency_comparison(
     plan_a: ExperimentPlan,
     plan_b: ExperimentPlan,
-    workers: int = 1,
-    n_bootstrap: int = 500,
-    results: tuple[ExperimentResult, ExperimentResult] | None = None,
+    results: tuple[ExperimentResult, ExperimentResult],
 ) -> EfficiencyReport:
     """Compare per-coordinate sampling variances of two estimators.
 
-    Both plans must share the same symmetric truth (beta identically zero,
-    so the full symmetric QMLE applies) and the same design.  Variances are
-    of the scaled errors ``sqrt(n) * (estimate - truth)`` over converged
-    replicates, with a bootstrap standard error attached to each.  An
-    estimator with fewer than 2 such replicates in a cell gets a NaN
-    variance and standard error there, and the cell's ratio is NaN.
-
-    Without ``results`` both plans run through :func:`run_experiments`, which
-    simulates each replicate once and fits both estimators on it in one
-    pool; the plans must then also share replicates, base seed and burn-in.
+    ``results`` are the two plans' results, as :func:`run_experiments`
+    returns them for ``(plan_a, plan_b)``.  Both plans must share the same
+    symmetric truth (beta identically zero, so the full symmetric QMLE
+    applies) and the same sample sizes.  Variances are of the scaled errors
+    ``sqrt(n) * (estimate - truth)`` over converged replicates, with a
+    bootstrap standard error from ``N_BOOTSTRAP`` resamples attached to
+    each.  An estimator with fewer than 2 such replicates in a cell gets a
+    NaN variance and standard error there, and the cell's ratio is NaN.
     """
     if plan_a.true_spec.to_dict() != plan_b.true_spec.to_dict():
         raise ValueError("plans must share the same true_spec")
@@ -627,10 +635,7 @@ def efficiency_comparison(
         raise ValueError("efficiency comparison requires a symmetric truth (beta = 0)")
     if plan_a.sample_sizes != plan_b.sample_sizes:
         raise ValueError("plans must share sample_sizes")
-    if results is None:
-        res_a, res_b = run_experiments((plan_a, plan_b), workers=workers)
-    else:
-        res_a, res_b = results
+    res_a, res_b = results
     common = [name for name in res_a.names if name in res_b.names]
     rng = np.random.Generator(
         np.random.Philox(key=mix_seed(plan_a.base_seed, plan_b.base_seed, 0xEFF))
@@ -648,8 +653,8 @@ def efficiency_comparison(
                     name=name,
                     var_a=va,
                     var_b=vb,
-                    se_var_a=_bootstrap_var_se(ea, rng, n_bootstrap),
-                    se_var_b=_bootstrap_var_se(eb, rng, n_bootstrap),
+                    se_var_a=_bootstrap_var_se(ea, rng, N_BOOTSTRAP),
+                    se_var_b=_bootstrap_var_se(eb, rng, N_BOOTSTRAP),
                     ratio=_ratio(va, vb),
                 )
             )

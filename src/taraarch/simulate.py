@@ -88,18 +88,12 @@ class SimConfig:
     n: int
     seed: int
     burn_in: int = DEFAULT_BURN_IN
-    init_values: tuple[float, ...] | None = None
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.burn_in < 0:
             raise ValueError(f"burn_in must be >= 0, got {self.burn_in}")
-        if self.init_values is not None:
-            vals = tuple(float(v) for v in self.init_values)
-            if not all(math.isfinite(v) for v in vals):
-                raise ValueError("init_values contain non-finite entries")
-            object.__setattr__(self, "init_values", vals)
 
 
 class SimulatedPath(NamedTuple):
@@ -111,11 +105,11 @@ class SimulatedPath(NamedTuple):
 def simulate_path(spec: ModelSpec, config: SimConfig) -> SimulatedPath:
     """Drive the variance and mean recursions forward with seeded normal shocks.
 
-    Presample observations default to zero (or ``config.init_values``),
-    presample shocks are zero, and the first ``burn_in`` generated points are
-    discarded.  Returns the path together with the innovations ``z`` and the
-    conditional variances ``h`` aligned with it, so that
-    ``x[t] - conditional_mean(t) == z[t] * sqrt(h[t])`` at every index.
+    Presample observations and shocks are zero, and the first ``burn_in``
+    generated points are discarded.  Returns the path together with the
+    innovations ``z`` and the conditional variances ``h`` aligned with it,
+    so that ``x[t] - conditional_mean(t) == z[t] * sqrt(h[t])`` at every
+    index.
 
     The shocks ``eps[t] = z[t] * sqrt(h[t])`` never read the path, so the
     variance recursion runs first over all of ``z``, and the mean recursion
@@ -134,11 +128,6 @@ def simulate_path(spec: ModelSpec, config: SimConfig) -> SimulatedPath:
     """
     p, q, d = spec.p, spec.q, spec.partition.delay
     mpd = spec.mean_lag_length
-    init = config.init_values if config.init_values is not None else ()
-    if len(init) < mpd:
-        init = (0.0,) * (mpd - len(init)) + tuple(init)
-    else:
-        init = tuple(init[len(init) - mpd :])
 
     z = normal_stream(config.seed, config.burn_in + config.n)
     thresholds = spec.partition.thresholds.tolist()
@@ -167,7 +156,7 @@ def simulate_path(spec: ModelSpec, config: SimConfig) -> SimulatedPath:
         ev = zt * sqrt(h)
         push(ev)
 
-    xs = list(init)
+    xs = [0.0] * mpd
     push = xs.append
     x1 = xs[-1]
     more_lags = range(2, p + 1)

@@ -134,8 +134,9 @@ def test_c05_asymptotic_normality(consistency_result):
         + np.array2string(np.round(coverage, 3), separator=", ")
         + f"; skew clause {'PASS' if skew_ok else 'FAIL'}: "
         + np.array2string(np.round(skews, 3), separator=", ")
-        + " (the loading coordinates inherit sqrt-map skew from the"
-        " near-normal news-impact slopes; see notes in the repository README)",
+        + " (r = 454, the only row at n = 8000 with a news-impact slope on its"
+        " bound, sets their sign: without it they are +0.395 and -0.311, the"
+        " skew of the square-root map; see notes in the repository README)",
     )
 
 

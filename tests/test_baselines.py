@@ -327,7 +327,7 @@ class TestFullQmle:
     def test_ascent_from_truth(self):
         spec = symmetric_reference_spec()
         sim = simulate_path(spec, SimConfig(n=3000, seed=44))
-        report = tar_arch_full_qmle(sim.series, spec.partition, spec.p, spec.q, init=spec)
+        report = tar_arch_full_qmle(sim.series, spec.partition, spec.p, spec.q)
         assert report.qll >= gaussian_qll(spec, sim.series) - 1e-9
 
     def test_trace_monotone(self):

@@ -245,6 +245,16 @@ class TestMc:
                      "min_regime_fraction must be in (0, 0.5), got 0.7", id="lynx_fraction"),
         pytest.param("consistency.json", lambda d: d.update(sample_sizes=[0, 300]),
                      "sample sizes must exceed max(p, q, d) = 1, got 0", id="consistency_n0"),
+        pytest.param("consistency.json", lambda d: d.update(burnin=0),
+                     "unknown plan key(s): burnin", id="consistency_misspelled_key"),
+        # the search fits only the concentrated estimator, alone or in "both"
+        pytest.param("efficiency.json",
+                     lambda d: d.update(grid={"type": "quantile", "delays": [1]}),
+                     "full_symmetric estimator takes no grid", id="both_with_grid"),
+        pytest.param("efficiency.json",
+                     lambda d: d.update(estimator="full_symmetric",
+                                        grid={"type": "quantile", "delays": [1]}),
+                     "full_symmetric estimator takes no grid", id="full_with_grid"),
     ])
     def test_plan_error_exits_1_not_as_nonconvergence(self, tmp_path, capsys, name, edit,
                                                       message, workers):

@@ -1,9 +1,11 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 import scipy.optimize
 
+from taraarch import estimation
 from taraarch.estimation import (
     ConvergenceError,
     EstimationError,
@@ -18,6 +20,7 @@ from taraarch.estimation import (
     theta_step,
     threshold_delay_search,
     _FitContext,
+    _initial_values,
     _mean_pass,
     _nonnegative_step,
     _sandwich_parts,
@@ -98,13 +101,18 @@ class TestGaussianQll:
         assert max(values, key=values.get) == best
 
     def test_conditioning_widens_window(self):
+        # the search scores every candidate from a common, later observation
         spec = reference_spec()
-        sim = simulate_path(spec, SimConfig(n=300, seed=1))
-        full = gaussian_qll(spec, sim.series)
-        shorter = gaussian_qll(spec, sim.series, conditioning=10)
+        x = simulate_path(spec, SimConfig(n=300, seed=1)).series.values
+        ctx = _FitContext(x, spec.partition, spec.p, spec.q)
+        full = gaussian_qll(spec, x)
+        assert ctx.qll_sum(spec.tar, spec.aarch) == full
+        shorter = ctx.qll_sum(spec.tar, spec.aarch, first=10)
+        e = residuals(spec, x)  # from observation max(p, d) = 1
+        h = variance_path(spec.aarch, e, presample_h=float(e.var()))
+        want = -0.5 * np.sum(np.log(h[9:]) + e[9:] ** 2 / h[9:])
+        assert shorter == pytest.approx(want, rel=1e-12)
         assert shorter != full
-        with pytest.raises(ValueError, match="conditioning"):
-            gaussian_qll(spec, sim.series, conditioning=0)
 
     def test_overflowing_residuals_raise_estimation_error(self):
         spec = reference_spec()
@@ -113,14 +121,6 @@ class TestGaussianQll:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(EstimationError, match="non-finite"):
                 gaussian_qll(huge, x)
-
-    @pytest.mark.parametrize("conditioning", [100, 500])
-    def test_conditioning_must_leave_a_term(self, conditioning):
-        spec = reference_spec()
-        x = simulate_path(spec, SimConfig(n=100, seed=1)).series
-        assert np.isfinite(gaussian_qll(spec, x, conditioning=99))
-        with pytest.raises(ValueError, match="conditioning"):
-            gaussian_qll(spec, x, conditioning=conditioning)
 
 
 class TestThetaStep:
@@ -144,7 +144,7 @@ class TestThetaStep:
         from taraarch.baselines import canned_model_spec
 
         spec = canned_model_spec("lynx", alpha0=1e-28)
-        sim = simulate_path(spec, SimConfig(n=400, seed=2, init_values=(2.0, 3.0)))
+        sim = simulate_path(spec, SimConfig(n=400, seed=2))
         flat = AarchParams(1.0, np.zeros(1), np.zeros(1))
         got = theta_step(sim.series, spec.partition, flat, TarParams(np.zeros((2, 3))))
         np.testing.assert_allclose(
@@ -206,14 +206,6 @@ class TestThetaStep:
 
 
 class TestAlphaStep:
-    def test_pinned_loadings_closed_form(self):
-        # residual sequence (1, 1, 1) comes from zeros-mean series (x0, 1, 1, 1)
-        spec = single_regime_spec([0.0])
-        x = np.array([0.0, 1.0, 1.0, 1.0])
-        got = alpha_step(x, spec.partition, spec.tar, spec.aarch, fit_lags=False)
-        assert got.alpha0 == pytest.approx(1.0, abs=1e-15)
-        np.testing.assert_array_equal(got.alphas, np.zeros(1))
-
     def test_score_vanishes_at_optimum(self):
         true = single_regime_spec([0.0], alpha0=0.1, a1=0.5, b1=0.3)
         sim = simulate_path(true, SimConfig(n=4000, seed=9))
@@ -434,6 +426,8 @@ class TestNonnegativeStep:
 
 class TestFitAlternating:
     def test_degenerate_composition_matches_ols_plus_variance(self):
+        # the fit's start: the flat-weight mean step, which is OLS, and the
+        # variance of its residuals with zero loadings
         rng = np.random.Generator(np.random.Philox(key=8))
         x = np.empty(600)
         x[0] = 0.0
@@ -443,7 +437,9 @@ class TestFitAlternating:
         part = ThresholdPartition.single_regime()
         flat = AarchParams(1.0, np.zeros(1), np.zeros(1))
         tar = theta_step(x, part, flat, TarParams(np.zeros((1, 2))))
-        aarch = alpha_step(x, part, tar, flat, fit_lags=False)
+        start_tar, aarch = _initial_values(_FitContext(x, part, 1, 1))
+        np.testing.assert_array_equal(start_tar.coefficients, tar.coefficients)
+        np.testing.assert_array_equal(aarch.alphas, np.zeros(1))
         design = np.column_stack([np.ones(599), x[:-1]])
         ols, *_ = np.linalg.lstsq(design, x[1:], rcond=None)
         np.testing.assert_allclose(tar.coefficients[0], ols, atol=1e-10, rtol=0)
@@ -473,7 +469,7 @@ class TestFitAlternating:
     def test_ascent_from_truth(self):
         spec = reference_spec()
         sim = simulate_path(spec, SimConfig(n=2000, seed=6))
-        report = fit_alternating(sim.series, spec.partition, 1, 1, init=spec)
+        report = fit_alternating(sim.series, spec.partition, 1, 1)
         assert report.qll >= gaussian_qll(spec, sim.series) - 1e-9
 
     @pytest.mark.parametrize("n", [2000, 12000])
@@ -484,7 +480,8 @@ class TestFitAlternating:
         eq = concentrated_equation_residuals(report.spec, sim.series)
         assert np.max(np.abs(eq)) < 1e-8
 
-    def test_nonconvergence_carries_best_iterate(self):
+    def test_nonconvergence_carries_best_iterate(self, monkeypatch):
+        monkeypatch.setattr(estimation, "MAX_OUTER", 2)
         spec = reference_spec()
         sim = simulate_path(spec, SimConfig(n=1000, seed=10))
         # The message names every stopping rule, not only the qll change.
@@ -492,9 +489,7 @@ class TestFitAlternating:
             r"in 2 sweeps \(last sweep: theta change \S+, relative h change \S+, "
             r"relative qll change \S+\)"
         )) as err:
-            fit_alternating(
-                sim.series, spec.partition, 1, 1, max_outer=2, rel_tol=0.0
-            )
+            fit_alternating(sim.series, spec.partition, 1, 1)
         assert isinstance(err.value.result, FitReport)
         assert not err.value.result.converged
 
@@ -549,15 +544,22 @@ class TestFitAlternating:
             "iterations", "converged", "trace", "partition",
         }
 
-    def test_report_without_sandwich_loads_as_nan(self):
+    def test_std_errors_are_derived_from_the_sandwich(self):
         spec = reference_spec()
         sim = simulate_path(spec, SimConfig(n=1200, seed=11))
-        doc = fit_alternating(sim.series, spec.partition, 1, 1).to_dict()
-        del doc["sandwich_cov"]
-        again = FitReport.from_dict(doc)
-        k = param_vector(spec).size
-        assert again.sandwich_cov.shape == (k, k)
-        assert np.all(np.isnan(again.sandwich_cov))
+        report = fit_alternating(sim.series, spec.partition, 1, 1)
+        assert "std_errors" not in {f.name for f in dataclasses.fields(FitReport)}
+        np.testing.assert_array_equal(
+            report.std_errors, np.sqrt(np.diag(report.sandwich_cov))
+        )
+        # a document's std_errors are written for readers, not read back
+        doc = report.to_dict()
+        doc["std_errors"] = [0.0] * len(doc["std_errors"])
+        np.testing.assert_array_equal(
+            FitReport.from_dict(doc).std_errors, report.std_errors
+        )
+        bare = fit_alternating(sim.series, spec.partition, 1, 1, compute_se=False)
+        assert np.isnan(bare.std_errors).all()
 
 
 def two_lag_spec():

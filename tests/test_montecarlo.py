@@ -127,6 +127,23 @@ class TestPlan:
             small_plan(n=(1, 300))
         assert small_plan(n=(2,)).sample_sizes == (2,)
 
+    def test_full_symmetric_plan_with_a_grid_is_rejected(self, sym_spec):
+        # the search fits only the concentrated estimator
+        for grid in (GridRecipe(delays=(1,)),
+                     SearchGrid(delay_candidates=(1,), threshold_candidates=((0.0,),))):
+            with pytest.raises(ValueError, match="full_symmetric estimator takes no grid"):
+                ExperimentPlan(true_spec=sym_spec, sample_sizes=(400,), replicates=1,
+                               base_seed=1, estimator="full_symmetric", grid=grid)
+            ExperimentPlan(true_spec=sym_spec, sample_sizes=(400,), replicates=1,
+                           base_seed=1, grid=grid)
+
+    def test_unknown_plan_key_is_rejected(self):
+        doc = small_plan().to_dict()
+        del doc["burn_in"]
+        doc["burnin"] = 0  # not to run with the default burn_in of 500
+        with pytest.raises(ValueError, match="unknown plan key\\(s\\): burnin"):
+            ExperimentPlan.from_dict(doc)
+
     def test_negative_burn_in_is_rejected_by_the_plan(self):
         with pytest.raises(ValueError, match="burn_in must be >= 0, got -1"):
             small_plan(burn_in=-1)
@@ -530,7 +547,7 @@ class TestEfficiency:
             true_spec=sym_spec, sample_sizes=(400,), replicates=20, base_seed=55
         )
         res = run_experiment(plan, workers=WORKERS)
-        report = efficiency_comparison(plan, plan, results=(res, res), n_bootstrap=50)
+        report = efficiency_comparison(plan, plan, results=(res, res))
         for row in report.rows:
             assert row.ratio == pytest.approx(1.0, abs=0)
 
@@ -541,10 +558,11 @@ class TestEfficiency:
         plan_bad = ExperimentPlan(
             true_spec=reference_spec(), sample_sizes=(400,), replicates=5, base_seed=1
         )
+        # the plans are checked before their results are read
         with pytest.raises(ValueError, match="true_spec"):
-            efficiency_comparison(plan_a, plan_bad)
+            efficiency_comparison(plan_a, plan_bad, results=(None, None))
         with pytest.raises(ValueError, match="symmetric"):
-            efficiency_comparison(plan_bad, plan_bad)
+            efficiency_comparison(plan_bad, plan_bad, results=(None, None))
 
     @pytest.mark.parametrize("n", [2, 3, 23, 24, 199, 500, 501])
     def test_bootstrap_se_matches_resampling_loop(self, n):
@@ -590,8 +608,7 @@ class TestEfficiency:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            report = efficiency_comparison(plan_a, plan_b, results=(res_a, res_b),
-                                           n_bootstrap=30)
+            report = efficiency_comparison(plan_a, plan_b, results=(res_a, res_b))
         bad = [row for row in report.rows if row.n == 300]
         assert len(bad) == len(names)
         for row in bad:
@@ -601,8 +618,7 @@ class TestEfficiency:
         (plan_a6, res_a6), (plan_b6, res_b6) = (
             result((600,), estimator, {}) for estimator in ("concentrated", "full_symmetric")
         )
-        alone = efficiency_comparison(plan_a6, plan_b6, results=(res_a6, res_b6),
-                                      n_bootstrap=30)
+        alone = efficiency_comparison(plan_a6, plan_b6, results=(res_a6, res_b6))
         assert [row for row in report.rows if row.n == 600] == list(alone.rows)
         assert all(np.isfinite(row.ratio) for row in alone.rows)
 
@@ -887,7 +903,7 @@ class TestNormalityDiagnostics:
         assert got.slope_skewness[n] == {
             "c+_1": float(skew((a + b) ** 2)), "c-_1": float(skew((a - b) ** 2))
         }
-        report = efficiency_comparison(plan, plan, results=(mixed, clean), n_bootstrap=20)
+        report = efficiency_comparison(plan, plan, results=(mixed, clean))
         assert all(row.ratio == 1.0 for row in report.rows)
 
     def test_cell_below_two_comparable_rows_reports_nan(self):

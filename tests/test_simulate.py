@@ -79,12 +79,6 @@ def late_delay_spec():
 def loop_oracle(spec, config):
     """The step loop with explicit presample branches and a linear regime scan."""
     p, q, d = spec.p, spec.q, spec.partition.delay
-    mpd = spec.mean_lag_length
-    init = config.init_values if config.init_values is not None else ()
-    if len(init) < mpd:
-        init = (0.0,) * (mpd - len(init)) + tuple(init)
-    else:
-        init = tuple(init[len(init) - mpd :])
     total = config.burn_in + config.n
     z = normal_stream(config.seed, total).tolist()
     thresholds = spec.partition.thresholds.tolist()
@@ -102,7 +96,7 @@ def loop_oracle(spec, config):
             term = alphas[k - 1] * abs(ev) + betas[k - 1] * ev
             h += term * term
         idx = t - d
-        xd = xs[idx] if idx >= 0 else init[mpd + idx]
+        xd = xs[idx] if idx >= 0 else 0.0
         j = 0
         while j < len(thresholds) and xd > thresholds[j]:
             j += 1
@@ -110,7 +104,7 @@ def loop_oracle(spec, config):
         mean = row[0]
         for k in range(1, p + 1):
             idx = t - k
-            mean += row[k] * (xs[idx] if idx >= 0 else init[mpd + idx])
+            mean += row[k] * (xs[idx] if idx >= 0 else 0.0)
         eps = z[t] * math.sqrt(h)
         x = mean + eps
         if not math.isfinite(x) or abs(x) > 1e12:
@@ -148,8 +142,8 @@ class TestSimulatePath:
     ])
     @pytest.mark.parametrize("config", [
         {"n": 5},
-        {"n": 60, "init_values": (0.7, -1.3, 2.0)},
-        {"n": 60, "burn_in": 0, "init_values": (3.0,)},
+        {"n": 60},
+        {"n": 60, "burn_in": 0},
         {"n": 3000},
     ])
     def test_step_loop_matches_oracle_bitwise(self, make_spec, config):
@@ -233,12 +227,6 @@ class TestSimulatePath:
             simulate_path(boom, SimConfig(n=1000, seed=1))
         assert err.value.index >= 0
 
-    def test_init_values_are_used(self):
-        spec = reference_spec()
-        a = simulate_path(spec, SimConfig(n=50, seed=9, burn_in=0, init_values=(5.0,)))
-        b = simulate_path(spec, SimConfig(n=50, seed=9, burn_in=0))
-        assert a.series.values[0] != b.series.values[0]
-
     def test_csv_export_shape(self):
         path = simulate_path(noise_only_spec(), SimConfig(n=4, seed=2))
         buf = io.StringIO()
@@ -294,7 +282,3 @@ class TestSimConfig:
             SimConfig(n=0, seed=1)
         with pytest.raises(ValueError):
             SimConfig(n=10, seed=1, burn_in=-1)
-
-    def test_rejects_nonfinite_init(self):
-        with pytest.raises(ValueError):
-            SimConfig(n=10, seed=1, init_values=(np.inf,))
