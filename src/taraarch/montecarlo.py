@@ -17,8 +17,8 @@ import csv
 import ctypes
 import json
 import multiprocessing
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, is_dataclass, replace
 
 import numpy as np
@@ -109,6 +109,13 @@ def _fields(record) -> dict:
     return {f.name: _encode(getattr(record, f.name)) for f in fields(record)}
 
 
+def _whole(key: str, value) -> int:
+    """``value`` as an int; a bool, a string or a fraction raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class GridRecipe:
     """Per-replicate quantile grid: thresholds are recomputed from each
@@ -123,14 +130,11 @@ class GridRecipe:
     include_single_regime: bool = False
 
     def __post_init__(self):
-        def coerce(name, kind):
-            object.__setattr__(self, name, kind(getattr(self, name)))
-
-        object.__setattr__(self, "delays", tuple(int(d) for d in self.delays))
-        coerce("boundaries", int)
+        object.__setattr__(self, "delays", tuple(_whole("delays", d) for d in self.delays))
+        object.__setattr__(self, "boundaries", _whole("boundaries", self.boundaries))
         for name in ("lo", "hi", "step", "min_regime_fraction"):
-            coerce(name, float)
-        coerce("include_single_regime", bool)
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "include_single_regime", bool(self.include_single_regime))
 
     def materialize(self, series) -> SearchGrid:
         return SearchGrid.from_series(series, **asdict(self))
@@ -178,10 +182,12 @@ class ExperimentPlan:
     burn_in: int = DEFAULT_BURN_IN
 
     def __post_init__(self):
-        sizes = tuple(int(n) for n in self.sample_sizes)
+        sizes = tuple(_whole("sample_sizes", n) for n in self.sample_sizes)
         if not sizes or any(b <= a for a, b in zip(sizes[:-1], sizes[1:])):
             raise ValueError("sample_sizes must be non-empty and strictly increasing")
         object.__setattr__(self, "sample_sizes", sizes)
+        for name in ("replicates", "base_seed", "burn_in"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.burn_in < 0:
@@ -212,12 +218,12 @@ class ExperimentPlan:
             raise ValueError(f"unknown plan key(s): {', '.join(unknown)}")
         return cls(
             true_spec=ModelSpec.from_dict(d["true_spec"]),
-            sample_sizes=tuple(d["sample_sizes"]),
-            replicates=int(d["replicates"]),
-            base_seed=int(d["base_seed"]),
+            sample_sizes=d["sample_sizes"],
+            replicates=d["replicates"],
+            base_seed=d["base_seed"],
             estimator=d.get("estimator", "concentrated"),
             grid=None if d.get("grid") is None else _grid_from_dict(d["grid"]),
-            burn_in=int(d.get("burn_in", DEFAULT_BURN_IN)),
+            burn_in=d.get("burn_in", DEFAULT_BURN_IN),
         )
 
 
@@ -302,41 +308,28 @@ def _loaded_openblas() -> list[tuple[ctypes.CDLL, str]]:
     return libs
 
 
-@contextmanager
-def _single_threaded_blas():
-    """Run every loaded OpenBLAS on one thread inside the block.
+def _single_threaded_blas() -> None:
+    """Run every loaded OpenBLAS on one thread from now on.
 
-    Each library's thread count is read through its own getter, set to one,
-    and restored on leaving the block, also when it raises.  A worker forked
-    inside the block inherits the count of one and never starts the
+    A worker forked afterwards inherits the count of one and never starts the
     library's helper threads; a worker that set the count itself after fork
     would first start them, and they busy-wait.  Setting
     ``OPENBLAS_NUM_THREADS`` after the library is loaded has no effect, so
-    the library's own setter is called.  Only the libraries loaded on entry
-    are pinned: a module that loads another (``scipy.special`` loads scipy's
-    own) must be imported before the block, or that library keeps its count.
+    the library's own setter is called.  Only the libraries loaded now are
+    pinned: a module that loads another (``scipy.special`` loads scipy's own)
+    must be imported first, or that library keeps its count.
 
-    In a forked worker, simulation and the concentrated fit start no helper
-    thread; only ``scipy.optimize._lbfgsb.setulb``, in the full QMLE, does.
-    Unpinned, on the efficiency plan at n = 4000 with 2 workers (2-vCPU VM),
-    each worker ran 2 OS threads and took about 170 ms of CPU per task,
-    against 14-18 ms pinned.
+    In a forked worker only ``scipy.optimize._lbfgsb.setulb``, in the full
+    QMLE, starts a helper thread.  Unpinned, on the efficiency plan at
+    n = 4000 with 2 workers (2-vCPU VM), each worker ran 2 OS threads and
+    took about 170 ms of CPU per task, against 14-18 ms pinned.  The counts
+    stay at one, since the package runs no BLAS work that gains from more
+    threads: restoring them after a 2-worker call restarted the helpers
+    here, and the caller's 3 OS threads burnt 246-256 ms of CPU over an idle
+    0.3 s, against 1 thread and 0.1 ms when left pinned.
     """
-    saved = []
     for lib, suffix in _loaded_openblas():
-        getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-        getter.argtypes = []
-        getter.restype = ctypes.c_int
-        setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
-        setter.argtypes = [ctypes.c_int]
-        setter.restype = None
-        saved.append((setter, getter()))
-        setter(1)
-    try:
-        yield
-    finally:
-        for setter, count in saved:
-            setter(count)
+        getattr(lib, f"scipy_openblas_set_num_threads{suffix}")(1)  # void f(int)
 
 
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
@@ -457,8 +450,7 @@ def _summarize(plan, names, truth, rows):
             coverage = np.full(k, np.nan)
         mats = [row.scaled_cov for row in cell_rows if row.scaled_cov is not None]
         mean_scaled = np.mean(mats, axis=0) if mats else None
-        delay_mode = None
-        threshold_medians = None
+        delay_mode = threshold_medians = None
         sel = [row for row in conv if row.selected_delay is not None]
         if sel:
             delays = np.array([row.selected_delay for row in sel])
@@ -506,15 +498,17 @@ def run_experiments(plans, workers: int = 1) -> tuple[ExperimentResult, ...]:
     flagged ``failed`` when any of its cells' non-convergence rate exceeds
     20%.
 
-    The replicates run with every loaded OpenBLAS set to one thread, and
-    this process's thread counts are restored when the call returns or
-    raises.  With ``workers > 1`` they run in one process pool, forked where
-    the platform can fork, that hands each worker one task at a time; the
-    workers inherit the count of one, so they neither oversubscribe the
-    cores nor start BLAS helper threads.  Before they run, this process keeps
-    its freed memory for reuse (:func:`_keep_freed_heap`), a setting that
-    outlasts the call.
+    ``workers`` below 1 raises ``ValueError``; above 1, the replicates run in
+    one process pool, forked where the platform can fork, of at most one
+    worker per replicate, each handed one task at a time.  First this
+    process imports the scipy modules the replicates load, keeps its freed
+    memory for reuse (:func:`_keep_freed_heap`) and sets every loaded
+    OpenBLAS to one thread (:func:`_single_threaded_blas`).  These settings
+    outlast the call; forked workers inherit them and the modules, so they
+    neither oversubscribe the cores nor start BLAS helper threads.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     plans = tuple(plans)
     if not plans:
         raise ValueError("need at least one plan")
@@ -527,20 +521,23 @@ def run_experiments(plans, workers: int = 1) -> tuple[ExperimentResult, ...]:
                 raise ValueError(f"plans must share {key}")
     check_stationarity(first.true_spec)
     tasks = [(plans, n, r) for n in first.sample_sizes for r in range(first.replicates)]
-    # every replicate loads scipy.special, and with it scipy's own OpenBLAS:
-    # load it here, so that the pinning below covers that library too
+    # load scipy.special (scipy's own OpenBLAS) and the full QMLE's
+    # scipy.optimize before pinning and forking, so that both cover them
     import scipy.special  # noqa: F401
+    if any(plan.estimator == "full_symmetric" for plan in plans):
+        import scipy.optimize  # noqa: F401
     _keep_freed_heap()
-    with _single_threaded_blas():
-        if workers > 1:
-            # forked workers inherit the count of one; OpenBLAS stops its
-            # own helper threads before a fork
-            fork = "fork" in multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context("fork" if fork else None)
-            with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-                cells = list(pool.map(_replicate_task, tasks))
-        else:
-            cells = [_replicate_task(t) for t in tasks]
+    _single_threaded_blas()
+    if workers > 1:
+        # OpenBLAS stops its own helper threads before a fork, and a forking
+        # pool starts all its workers at the first task
+        fork = "fork" in multiprocessing.get_all_start_methods()
+        context = multiprocessing.get_context("fork" if fork else None)
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks)),
+                                 mp_context=context) as pool:
+            cells = list(pool.map(_replicate_task, tasks))
+    else:
+        cells = [_replicate_task(t) for t in tasks]
     results = []
     for i, plan in enumerate(plans):
         names = plan_param_names(plan)
@@ -621,9 +618,10 @@ def efficiency_comparison(
     """Compare per-coordinate sampling variances of two estimators.
 
     ``results`` are the two plans' results, as :func:`run_experiments`
-    returns them for ``(plan_a, plan_b)``.  Both plans must share the same
-    symmetric truth (beta identically zero, so the full symmetric QMLE
-    applies) and the same sample sizes.  Variances are of the scaled errors
+    returns them for ``(plan_a, plan_b)``; a result of another plan raises
+    ``ValueError``.  Both plans must share the same symmetric truth (beta
+    identically zero, so the full symmetric QMLE applies) and the same
+    sample sizes.  Variances are of the scaled errors
     ``sqrt(n) * (estimate - truth)`` over converged replicates, with a
     bootstrap standard error from ``N_BOOTSTRAP`` resamples attached to
     each.  An estimator with fewer than 2 such replicates in a cell gets a
@@ -636,6 +634,8 @@ def efficiency_comparison(
     if plan_a.sample_sizes != plan_b.sample_sizes:
         raise ValueError("plans must share sample_sizes")
     res_a, res_b = results
+    if res_a.plan.to_dict() != plan_a.to_dict() or res_b.plan.to_dict() != plan_b.to_dict():
+        raise ValueError("results must be those of (plan_a, plan_b), in that order")
     common = [name for name in res_a.names if name in res_b.names]
     rng = np.random.Generator(
         np.random.Philox(key=mix_seed(plan_a.base_seed, plan_b.base_seed, 0xEFF))
@@ -846,8 +846,7 @@ def load_results(csv_path, json_path) -> ExperimentResult:
             conv = bool(int(rec["converged"]))
             est = np.array([float(rec[name]) for name in names])
             ses = np.array([float(rec[f"se_{name}"]) for name in names])
-            sel_delay = None
-            sel_ths = None
+            sel_delay = sel_ths = None
             if "selected_delay" in rec and rec["selected_delay"] not in (None, ""):
                 sel_delay = int(rec["selected_delay"])
                 sel_ths = tuple(float(rec[c]) for c in threshold_cols if rec[c] != "")

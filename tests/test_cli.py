@@ -247,6 +247,9 @@ class TestMc:
                      "sample sizes must exceed max(p, q, d) = 1, got 0", id="consistency_n0"),
         pytest.param("consistency.json", lambda d: d.update(burnin=0),
                      "unknown plan key(s): burnin", id="consistency_misspelled_key"),
+        pytest.param("consistency.json", lambda d: d.update(sample_sizes=[4000.9, 8000]),
+                     "sample_sizes must be a whole number, got 4000.9",
+                     id="consistency_fractional_n"),
         # the search fits only the concentrated estimator, alone or in "both"
         pytest.param("efficiency.json",
                      lambda d: d.update(grid={"type": "quantile", "delays": [1]}),
@@ -268,6 +271,13 @@ class TestMc:
         err = capsys.readouterr().err
         assert f"error: {message}\n" in err
         assert "non-convergence" not in err
+        assert not list(tmp_path.glob("mc_*"))
+
+    def test_zero_workers_exits_1_before_writing(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(self.plan_doc(replicates=1)))
+        assert run_cli("mc", str(plan), "--workers", "0", "--output", str(tmp_path / "mc")) == 1
+        assert "error: workers must be >= 1, got 0\n" in capsys.readouterr().err
         assert not list(tmp_path.glob("mc_*"))
 
     def test_failed_experiment_exits_4(self, tmp_path, monkeypatch):

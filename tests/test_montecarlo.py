@@ -137,6 +137,28 @@ class TestPlan:
             ExperimentPlan(true_spec=sym_spec, sample_sizes=(400,), replicates=1,
                            base_seed=1, grid=grid)
 
+    @pytest.mark.parametrize("key, value, name", [
+        ("replicates", 2.7, "replicates"),
+        ("burn_in", 0.9, "burn_in"),
+        ("base_seed", 1.5, "base_seed"),
+        ("sample_sizes", [4000.9, 8000], "sample_sizes"),
+        ("replicates", True, "replicates"),
+        ("replicates", "3", "replicates"),
+        ("grid", {"type": "quantile", "delays": [1.5]}, "delays"),
+        ("grid", {"type": "quantile", "delays": [True]}, "delays"),
+        ("grid", {"type": "quantile", "delays": [1], "boundaries": 1.2}, "boundaries"),
+    ])
+    def test_fractional_bool_or_string_number_is_rejected(self, key, value, name):
+        doc = {**small_plan().to_dict(), key: value}
+        with pytest.raises(ValueError, match=f"{name} must be a whole number, got"):
+            ExperimentPlan.from_dict(doc)
+
+    def test_whole_floats_load_as_ints(self):
+        doc = {**small_plan().to_dict(), "replicates": 6.0, "sample_sizes": [300.0],
+               "grid": {"type": "quantile", "delays": [1.0, 2], "boundaries": 1.0}}
+        plan = small_plan(grid=GridRecipe(delays=(1, 2)))
+        assert json.dumps(ExperimentPlan.from_dict(doc).to_dict()) == json.dumps(plan.to_dict())
+
     def test_unknown_plan_key_is_rejected(self):
         doc = small_plan().to_dict()
         del doc["burn_in"]
@@ -219,14 +241,11 @@ class TestRunExperiment:
         results_to_csv(parallel, buf_b)
         assert buf_a.getvalue() == buf_b.getvalue()
 
-    def test_pool_workers_run_single_threaded_blas(self, monkeypatch):
-        before = blas_threads()
-        if not before:
-            pytest.skip("no OpenBLAS loaded in this process")
+    def test_pool_workers_run_single_threaded_blas(self, monkeypatch, blas_at_two_threads):
         monkeypatch.setattr(montecarlo, "_replicate_task", task_checking_blas_threads)
         res = run_experiment(small_plan(replicates=2), workers=2)
         assert [row.converged for row in res.rows] == [True, True]
-        assert blas_threads() == before
+        assert set(blas_threads()) == {1}  # the caller stays pinned
 
     def test_pool_workers_start_no_blas_threads(self, monkeypatch, sym_spec,
                                                 blas_at_two_threads):
@@ -242,20 +261,48 @@ class TestRunExperiment:
             assert [row.seed for row in res.rows] == [1] * 4
 
     def test_serial_run_is_single_threaded_blas(self, monkeypatch, blas_at_two_threads):
-        before = blas_threads()
         monkeypatch.setattr(montecarlo, "_replicate_task", task_checking_blas_threads)
         res = run_experiment(small_plan(replicates=2), workers=1)
         assert [row.converged for row in res.rows] == [True, True]
-        assert blas_threads() == before
+        assert set(blas_threads()) == {1}
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_blas_threads_restored_after_a_raising_run(self, monkeypatch, workers,
-                                                        blas_at_two_threads):
-        before = blas_threads()
+    def test_blas_threads_stay_pinned_after_a_raising_run(self, monkeypatch, workers,
+                                                          blas_at_two_threads):
         monkeypatch.setattr(montecarlo, "_replicate_task", task_failing)
         with pytest.raises(RuntimeError, match="replicate 0 failed"):
             run_experiment(small_plan(replicates=2), workers=workers)
-        assert blas_threads() == before
+        assert set(blas_threads()) == {1}
+
+    @pytest.mark.parametrize("workers, replicates, size", [(64, 2, 2), (2, 3, 2)])
+    def test_pool_has_at_most_one_worker_per_replicate(self, monkeypatch, workers,
+                                                        replicates, size):
+        # a forking pool starts all its workers at the first task, so the
+        # size is read from a stand-in that runs the tasks in this process
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, mp_context=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", InProcessPool)
+        res = run_experiment(small_plan(replicates=replicates), workers=workers)
+        assert sizes == [size]
+        assert [row.r for row in res.rows] == list(range(replicates))
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_fewer_than_one_worker_is_rejected(self, workers):
+        with pytest.raises(ValueError, match=f"workers must be >= 1, got {workers}"):
+            run_experiment(small_plan(replicates=1), workers=workers)
 
     def test_single_replicate_smoke(self):
         res = run_experiment(small_plan(replicates=1))
@@ -456,19 +503,21 @@ def test_no_module_imports_scipy_linalg_or_stats():
 def test_scipy_optimize_is_used_only_for_minimize():
     # Every use spells out ``scipy.optimize.<name>``: no aliased import, no
     # import of its names and no bare reference that could hide another one.
-    # Its one import and its one use sit inside the full QMLE, so that no
-    # other code path loads it.
+    # Its one use sits inside the full QMLE, which imports it, and
+    # ``run_experiments`` imports it before forking workers for the full
+    # QMLE; no other code path loads it.
     package = Path(montecarlo.__file__).parent
     used, imports = set(), []
     for path in sorted(package.glob("*.py")):
-        nodes = list(ast.walk(ast.parse(path.read_text())))
-        qmle = {id(node) for func in nodes if isinstance(func, ast.FunctionDef)
-                and func.name == "tar_arch_full_qmle" for node in ast.walk(func)}
+        tree = ast.parse(path.read_text())
+        nodes = list(ast.walk(tree))
+        owner = {id(node): func.name for func in tree.body if isinstance(func, ast.FunctionDef)
+                 for node in ast.walk(func)}
         for node in nodes:
             if isinstance(node, ast.Import):
                 names = [a for a in node.names if a.name.startswith("scipy.optimize")]
                 assert all(a.asname is None for a in names), path.name
-                imports += [(path.name, id(node) in qmle) for _ in names]
+                imports += [(path.name, owner.get(id(node))) for _ in names]
             elif isinstance(node, ast.ImportFrom) and node.module:
                 names = {f"{node.module}.{a.name}" for a in node.names}
                 assert not {n for n in names if n.startswith("scipy.optimize")}, path.name
@@ -476,9 +525,10 @@ def test_scipy_optimize_is_used_only_for_minimize():
                 if isinstance(node, ast.Attribute) and ast.unparse(node) == "scipy.optimize"]
         named = [node for node in nodes if isinstance(node, ast.Attribute) and node.value in refs]
         assert len(named) == len(refs), path.name
-        used |= {(path.name, node.attr, id(node) in qmle) for node in named}
-    assert used == {("baselines.py", "minimize", True)}
-    assert imports == [("baselines.py", True)]
+        used |= {(path.name, node.attr, owner.get(id(node))) for node in named}
+    assert used == {("baselines.py", "minimize", "tar_arch_full_qmle")}
+    assert imports == [("baselines.py", "tar_arch_full_qmle"),
+                       ("montecarlo.py", "run_experiments")]
 
 
 class TestSummaries:
@@ -563,6 +613,16 @@ class TestEfficiency:
             efficiency_comparison(plan_a, plan_bad, results=(None, None))
         with pytest.raises(ValueError, match="symmetric"):
             efficiency_comparison(plan_bad, plan_bad, results=(None, None))
+
+    def test_results_must_belong_to_their_plans(self, sym_spec):
+        plans = [ExperimentPlan(true_spec=sym_spec, sample_sizes=(300,), replicates=3,
+                                base_seed=5, estimator=est)
+                 for est in ("concentrated", "full_symmetric")]
+        res_a, res_b = run_experiments(plans)
+        efficiency_comparison(*plans, results=(res_a, res_b))
+        # swapped, each estimator's variances would carry the other's label
+        with pytest.raises(ValueError, match="results must be those of"):
+            efficiency_comparison(*plans, results=(res_b, res_a))
 
     @pytest.mark.parametrize("n", [2, 3, 23, 24, 199, 500, 501])
     def test_bootstrap_se_matches_resampling_loop(self, n):
@@ -715,7 +775,7 @@ def test_z_975_is_the_normal_quantile():
 
 
 FRESH_POOL_SCRIPT = """
-import ctypes, json, sys
+import ctypes, json, os, sys, time
 import taraarch
 from taraarch import montecarlo
 
@@ -744,7 +804,13 @@ plans = [montecarlo.ExperimentPlan.from_dict({**doc, "estimator": est})
          for est in ("concentrated", "full_symmetric")]
 before = blas_threads()
 results = montecarlo.run_experiments(plans, workers=2)
+for _ in range(50):  # the pool's joined threads can take a moment to exit
+    if not before or len(os.listdir("/proc/self/task")) == 1:
+        break
+    time.sleep(0.1)
 print(json.dumps({"before": before, "after": blas_threads(),
+                  "os_threads": len(os.listdir("/proc/self/task")) if before else None,
+                  "scipy_optimize": "scipy.optimize" in sys.modules,
                   "converged": [sum(row.converged for row in res.rows) for res in results]}))
 """
 
@@ -754,13 +820,17 @@ print(json.dumps({"before": before, "after": blas_threads(),
 def test_fresh_process_pool_pins_the_blas_it_loads_later():
     """In a process that has imported only the package, the pool's workers
     run every OpenBLAS on one thread, scipy's too, although ``scipy.special``
-    is first imported for the replicates; the caller's counts are restored."""
+    is first imported for the replicates.  The caller stays pinned, so it
+    starts no BLAS helper threads again after the fork, and it has loaded
+    ``scipy.optimize`` for the full QMLE before forking."""
     plan = Path(montecarlo.__file__).parents[2] / "plans" / "efficiency.json"
     out = json.loads(run_fresh(FRESH_POOL_SCRIPT, plan, OPENBLAS_NUM_THREADS="2"))
     if not out["before"]:
         pytest.skip("no OpenBLAS loaded in the fresh process")
     assert out["before"] == [2] * len(out["before"])
-    assert out["after"] == [2] * len(out["after"])
+    assert out["after"] == [1] * len(out["after"])
+    assert out["os_threads"] == 1
+    assert out["scipy_optimize"]
     assert out["converged"] == [4, 4]
 
 
@@ -1024,3 +1094,25 @@ class TestAsymptoticInvariants:
         doc = summary_to_dict(multi_n_result)
         assert set(doc) == {"plan", "failed", "param_names", "truth", "cells"}
         assert set(doc["cells"]) == {"1000", "4000", "16000"}
+
+
+@pytest.mark.parametrize("n, bound_rows, skews", [
+    (8000, {454}, (0.395, -0.311)),
+    (4000, {112, 120, 126, 209, 296, 311, 355, 484}, (0.405, -0.449)),
+])
+def test_c05_skew_account_on_the_consistency_fixture(consistency_result, n, bound_rows,
+                                                      skews):
+    """The account c05 prints: the rows with a news-impact slope on zero
+    (alpha_1 = +-beta_1 exactly) are these, and without them the loadings'
+    studentized skews are those of the square-root map."""
+    res = consistency_result
+    a, b = res.names.index("alpha_1"), res.names.index("beta_1")
+    rows = [row for row in res.rows if row.n == n and row.converged]
+    on_bound = {row.r for row in rows
+                if row.estimates[a] in (row.estimates[b], -row.estimates[b])}
+    assert on_bound == bound_rows
+    interior = [row for row in rows if row.r not in on_bound]
+    est = np.array([row.estimates for row in interior])
+    ses = np.array([row.std_errors for row in interior])
+    z = (est - res.truth) / ses
+    np.testing.assert_allclose(skew(z[:, [a, b]], axis=0), skews, atol=5e-4)
