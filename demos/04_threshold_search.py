@@ -5,13 +5,14 @@ window (so different delays compete on the same likelihood terms) with a
 BIC-style penalty that only matters when regime counts differ.
 """
 
-from taraarch import SimConfig, SearchGrid, simulate_path, threshold_delay_search
+from taraarch import GridRecipe, SimConfig, simulate_path, threshold_delay_search
 from taraarch.baselines import canned_model_spec
 
 lynx = canned_model_spec("lynx")
 sim = simulate_path(lynx, SimConfig(n=600, seed=31))
 
-grid = SearchGrid.from_series(sim.series, delays=(1, 2, 3))
+# thresholds at the 10%, 12.5%, ..., 90% quantiles of the series (the defaults)
+grid = GridRecipe(delays=(1, 2, 3))
 outcome = threshold_delay_search(sim.series, p=2, q=1, grid=grid)
 
 print("true delay: 2, true threshold: 3.25")

@@ -37,6 +37,7 @@ from .estimation import (
     ConvergenceError,
     EstimationError,
     FitReport,
+    GridRecipe,
     SearchGrid,
     alpha_score,
     alpha_step,
@@ -63,7 +64,6 @@ from .baselines import (
 from .montecarlo import (
     ExperimentPlan,
     ExperimentResult,
-    GridRecipe,
     efficiency_comparison,
     normality_diagnostics,
     reference_spec,

@@ -139,10 +139,8 @@ def _cmd_fit(args) -> int:
         )
     try:
         if searching:
-            delays = tuple(int(v) for v in args.delays.split(","))
-            grid = estimation.SearchGrid.from_series(
-                x,
-                delays=delays,
+            grid = estimation.GridRecipe(
+                delays=tuple(int(v) for v in args.delays.split(",")),
                 min_regime_fraction=args.min_regime_frac,
                 include_single_regime=args.allow_single_regime,
             )

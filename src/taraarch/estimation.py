@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -44,6 +44,9 @@ from .model import (
     regime_indices,
     series_values,
     _lag_design,
+    _real,
+    _whole,
+    _wholes,
 )
 
 __all__ = [
@@ -51,6 +54,7 @@ __all__ = [
     "ConvergenceError",
     "FitReport",
     "SearchGrid",
+    "GridRecipe",
     "SearchOutcome",
     "gaussian_qll",
     "theta_step",
@@ -656,6 +660,24 @@ def estimate_information(series, spec: ModelSpec):
     return _estimate_information(ctx, spec)
 
 
+def _check_grid(grid, delays: str, boundaries: int) -> None:
+    """Check and coerce the fields both grids share: the field named
+    ``delays``, ``min_regime_fraction`` and ``include_single_regime``."""
+    values = _wholes("delays", getattr(grid, delays))
+    if not values or min(values) < 1:
+        raise ValueError(f"delays must be non-empty positive integers, got {list(values)}")
+    fraction = _real("min_regime_fraction", grid.min_regime_fraction)
+    if not 0.0 < fraction < 0.5:
+        raise ValueError(f"min_regime_fraction must be in (0, 0.5), got {fraction}")
+    single = grid.include_single_regime
+    if not isinstance(single, bool):
+        raise ValueError(f"include_single_regime must be true or false, got {single!r}")
+    if not boundaries and not single:
+        raise ValueError("grid has 0 boundaries and include_single_regime is false")
+    object.__setattr__(grid, delays, values)
+    object.__setattr__(grid, "min_regime_fraction", fraction)
+
+
 @dataclass(frozen=True)
 class SearchGrid:
     """Candidate delays and per-boundary threshold values for model search.
@@ -672,47 +694,73 @@ class SearchGrid:
     include_single_regime: bool = False
 
     def __post_init__(self):
-        delays = tuple(int(d) for d in self.delay_candidates)
-        if not delays or any(d < 1 for d in delays):
-            raise ValueError("delay_candidates must be non-empty positive integers")
-        object.__setattr__(self, "delay_candidates", delays)
         cands = tuple(tuple(float(t) for t in row) for row in self.threshold_candidates)
         object.__setattr__(self, "threshold_candidates", cands)
-        object.__setattr__(self, "min_regime_fraction", float(self.min_regime_fraction))
-        object.__setattr__(self, "include_single_regime", bool(self.include_single_regime))
-        if not 0.0 < self.min_regime_fraction < 0.5:
-            raise ValueError(
-                f"min_regime_fraction must be in (0, 0.5), got {self.min_regime_fraction}"
-            )
-        if not cands and not self.include_single_regime:
-            raise ValueError("grid has no threshold candidates and excludes l=1")
+        _check_grid(self, "delay_candidates", len(cands))
 
-    @classmethod
-    def from_series(
-        cls,
-        series,
-        delays,
-        boundaries: int = 1,
-        lo: float = 0.10,
-        hi: float = 0.90,
-        step: float = 0.025,
-        min_regime_fraction: float = 0.1,
-        include_single_regime: bool = False,
-    ) -> "SearchGrid":
-        """Build threshold candidates from empirical quantiles of the series,
-        keeping the lowest of those that split it alike (on tied data)."""
+    def materialize(self, series) -> "SearchGrid":
+        return self
+
+    def to_dict(self) -> dict:
+        return {"type": "fixed", "delays": list(self.delay_candidates),
+                "threshold_candidates": [list(row) for row in self.threshold_candidates],
+                "min_regime_fraction": self.min_regime_fraction,
+                "include_single_regime": self.include_single_regime}
+
+
+@dataclass(frozen=True)
+class GridRecipe:
+    """A quantile grid (Chan 1993): each series' threshold candidates are its
+    quantiles at ``lo, lo + step, ..., hi``; delays and occupancy bound are fixed."""
+
+    delays: tuple[int, ...]
+    boundaries: int = 1
+    lo: float = 0.10
+    hi: float = 0.90
+    step: float = 0.025
+    min_regime_fraction: float = 0.1
+    include_single_regime: bool = False
+
+    def __post_init__(self):
+        boundaries = _whole("boundaries", self.boundaries)
+        lo, hi, step = (_real(name, getattr(self, name)) for name in ("lo", "hi", "step"))
+        if boundaries < 0:
+            raise ValueError(f"boundaries must be >= 0, got {boundaries}")
+        if not 0.0 <= lo <= hi <= 1.0:
+            raise ValueError(f"lo and hi must satisfy 0 <= lo <= hi <= 1, got {lo} and {hi}")
+        if not step > 0.0:
+            raise ValueError(f"step must be > 0, got {step}")
+        for name, value in (("boundaries", boundaries), ("lo", lo), ("hi", hi), ("step", step)):
+            object.__setattr__(self, name, value)
+        _check_grid(self, "delays", boundaries)
+
+    def materialize(self, series) -> SearchGrid:
+        """The series' grid: of the quantiles that split it alike, only the lowest."""
         x = series_values(series)
-        probs = np.arange(lo, hi + 1e-12, step)
-        quantiles = np.quantile(x, probs)
+        quantiles = np.quantile(x, np.minimum(np.arange(self.lo, self.hi + 1e-12, self.step), 1))
         _, first = np.unique(np.searchsorted(np.sort(x), quantiles, side="right"),
                              return_index=True)
         qs = tuple(float(v) for v in quantiles[first])
-        return cls(
-            delay_candidates=tuple(delays),
-            threshold_candidates=tuple(qs for _ in range(boundaries)),
-            min_regime_fraction=min_regime_fraction,
-            include_single_regime=include_single_regime,
-        )
+        return SearchGrid(self.delays, tuple(qs for _ in range(self.boundaries)),
+                          self.min_regime_fraction, self.include_single_regime)
+
+    def to_dict(self) -> dict:
+        return {"type": "quantile", **asdict(self), "delays": list(self.delays)}
+
+
+def _grid_from_dict(d) -> SearchGrid | GridRecipe:
+    """A plan's grid from its document; an unknown type or key raises ValueError."""
+    if not isinstance(d, dict):
+        raise ValueError(f"grid must be an object, got {d!r}")
+    kind = d.get("type")
+    if kind not in ("quantile", "fixed"):
+        raise ValueError(f"grid type must be 'quantile' or 'fixed', got {kind!r}")
+    keys = {("delay_candidates" if kind == "fixed" and k == "delays" else k): v
+            for k, v in d.items() if k != "type"}
+    try:
+        return (GridRecipe if kind == "quantile" else SearchGrid)(**keys)
+    except TypeError as exc:  # an unknown or missing key
+        raise ValueError(f"{kind} grid: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -725,12 +773,9 @@ class SearchOutcome:
     candidates: list[dict]
 
 
-def _penalized(qll_common: float, k: int, n_common: int) -> float:
-    return qll_common - 0.5 * k * np.log(n_common)
-
-
-def threshold_delay_search(series, p: int, q: int, grid: SearchGrid) -> SearchOutcome:
-    """Profile the alternating fit over delay and threshold candidates.
+def threshold_delay_search(series, p: int, q: int, grid: SearchGrid | GridRecipe) -> SearchOutcome:
+    """Profile the alternating fit over the delay and threshold candidates of
+    ``grid``: a :class:`SearchGrid`, or a :class:`GridRecipe` of ``series``.
 
     Every candidate is fitted once with the alternating estimator and scored
     by its quasi-log-likelihood over a common conditioning window (so
@@ -742,6 +787,7 @@ def threshold_delay_search(series, p: int, q: int, grid: SearchGrid) -> SearchOu
     candidate table.
     """
     x = series_values(series)
+    grid = grid.materialize(x)
     m_common = max(p, q, max(grid.delay_candidates))
     n_common = x.size - m_common
     if n_common < 1:
@@ -789,7 +835,7 @@ def threshold_delay_search(series, p: int, q: int, grid: SearchGrid) -> SearchOu
         except EstimationError as exc:
             failures.append(f"d={d}, thresholds={list(combo)}: {exc}")
             continue
-        score = _penalized(qll_common, k, n_common)
+        score = qll_common - 0.5 * k * np.log(n_common)
         row.update(qll=report.qll, qll_common=qll_common, penalized=score, converged=True)
         key = (-score, d, combo[0] if combo else -np.inf)
         if best is None or key < best[0]:

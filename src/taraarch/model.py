@@ -14,7 +14,9 @@ of its inputs; nothing here mutates shared state.
 from __future__ import annotations
 
 import json
+import numbers
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +52,27 @@ def _as_float_array(values, name: str, min_len: int = 0) -> np.ndarray:
     arr = arr.copy()
     arr.setflags(write=False)
     return arr
+
+
+def _real(key: str, value) -> float:
+    """``value`` as a float; a bool, a string or a non-number raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _whole(key: str, value) -> int:
+    """``value`` as an int; a bool, a string or a fraction raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
+        raise ValueError(f"{key} must be a whole number, got {value!r}")
+    return int(value)
+
+
+def _wholes(key: str, values) -> tuple[int, ...]:
+    """``values`` as a tuple of ints; a string or a scalar raises ValueError."""
+    if isinstance(values, str) or not isinstance(values, Iterable):
+        raise ValueError(f"{key} must be a list of whole numbers, got {values!r}")
+    return tuple(_whole(key, v) for v in values)
 
 
 def series_values(series) -> np.ndarray:
@@ -228,11 +251,11 @@ class ModelSpec:
     def from_dict(cls, d: dict) -> "ModelSpec":
         thresholds = np.asarray(d["thresholds"], dtype=float)
         partition = ThresholdPartition(
-            regimes=thresholds.size + 1, delay=int(d["delay"]), thresholds=thresholds
+            regimes=thresholds.size + 1, delay=_whole("delay", d["delay"]), thresholds=thresholds
         )
         return cls(
-            p=int(d["p"]),
-            q=int(d["q"]),
+            p=_whole("p", d["p"]),
+            q=_whole("q", d["q"]),
             partition=partition,
             tar=TarParams(np.asarray(d["tar"], dtype=float)),
             aarch=AarchParams(

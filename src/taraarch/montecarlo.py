@@ -17,16 +17,17 @@ import csv
 import ctypes
 import json
 import multiprocessing
-import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
 from .baselines import tar_arch_full_qmle
 from .estimation import (
     EstimationError,
+    GridRecipe,
     SearchGrid,
+    _grid_from_dict,
     fit_alternating,
     threshold_delay_search,
 )
@@ -38,6 +39,8 @@ from .model import (
     check_stationarity,
     param_names,
     param_vector,
+    _whole,
+    _wholes,
 )
 from .simulate import DEFAULT_BURN_IN, SimConfig, SimulationError, mix_seed, simulate_path
 
@@ -80,14 +83,8 @@ def reference_spec() -> ModelSpec:
 
 def symmetric_reference_spec() -> ModelSpec:
     """The reference mean structure with symmetric (beta = 0) ARCH errors."""
-    base = reference_spec()
-    return ModelSpec(
-        p=base.p,
-        q=base.q,
-        partition=base.partition,
-        tar=base.tar,
-        aarch=AarchParams(alpha0=0.1, alphas=np.array([0.5]), betas=np.array([0.0])),
-    )
+    return replace(reference_spec(),
+                   aarch=AarchParams(alpha0=0.1, alphas=np.array([0.5]), betas=np.array([0.0])))
 
 
 def _encode(value):
@@ -109,66 +106,6 @@ def _fields(record) -> dict:
     return {f.name: _encode(getattr(record, f.name)) for f in fields(record)}
 
 
-def _whole(key: str, value) -> int:
-    """``value`` as an int; a bool, a string or a fraction raises ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or value % 1:
-        raise ValueError(f"{key} must be a whole number, got {value!r}")
-    return int(value)
-
-
-@dataclass(frozen=True)
-class GridRecipe:
-    """Per-replicate quantile grid: thresholds are recomputed from each
-    simulated series, while delays and occupancy bounds stay fixed."""
-
-    delays: tuple[int, ...]
-    boundaries: int = 1
-    lo: float = 0.10
-    hi: float = 0.90
-    step: float = 0.025
-    min_regime_fraction: float = 0.1
-    include_single_regime: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "delays", tuple(_whole("delays", d) for d in self.delays))
-        object.__setattr__(self, "boundaries", _whole("boundaries", self.boundaries))
-        for name in ("lo", "hi", "step", "min_regime_fraction"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        object.__setattr__(self, "include_single_regime", bool(self.include_single_regime))
-
-    def materialize(self, series) -> SearchGrid:
-        return SearchGrid.from_series(series, **asdict(self))
-
-    def to_dict(self) -> dict:
-        return {"type": "quantile", **_fields(self)}
-
-
-def _grid_to_dict(grid: SearchGrid) -> dict:
-    return {
-        "type": "fixed",
-        "delays": list(grid.delay_candidates),
-        "threshold_candidates": [list(row) for row in grid.threshold_candidates],
-        "min_regime_fraction": grid.min_regime_fraction,
-        "include_single_regime": grid.include_single_regime,
-    }
-
-
-def _grid_from_dict(d: dict):
-    """A plan's grid from its document; an unknown type or key raises ValueError."""
-    kind = d.get("type")
-    if kind not in ("quantile", "fixed"):
-        raise ValueError(f"grid type must be 'quantile' or 'fixed', got {kind!r}")
-    keys = {k: v for k, v in d.items() if k != "type"}
-    if kind == "quantile":
-        cls = GridRecipe
-    else:
-        cls, keys["delay_candidates"] = SearchGrid, keys.pop("delays", ())
-    try:
-        return cls(**keys)
-    except TypeError as exc:  # an unknown or missing key
-        raise ValueError(f"{kind} grid: {exc}") from None
-
-
 @dataclass(frozen=True)
 class ExperimentPlan:
     """A fully specified Monte Carlo experiment."""
@@ -182,7 +119,7 @@ class ExperimentPlan:
     burn_in: int = DEFAULT_BURN_IN
 
     def __post_init__(self):
-        sizes = tuple(_whole("sample_sizes", n) for n in self.sample_sizes)
+        sizes = _wholes("sample_sizes", self.sample_sizes)
         if not sizes or any(b <= a for a, b in zip(sizes[:-1], sizes[1:])):
             raise ValueError("sample_sizes must be non-empty and strictly increasing")
         object.__setattr__(self, "sample_sizes", sizes)
@@ -205,10 +142,7 @@ class ExperimentPlan:
             raise ValueError(f"sample sizes must exceed max(p, q, d) = {m}, got {sizes[0]}")
 
     def to_dict(self) -> dict:
-        doc = _fields(self)
-        if isinstance(self.grid, SearchGrid):
-            doc["grid"] = _grid_to_dict(self.grid)
-        return doc
+        return _fields(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentPlan":
@@ -216,6 +150,8 @@ class ExperimentPlan:
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown plan key(s): {', '.join(unknown)}")
+        if not isinstance(d["true_spec"], dict):
+            raise ValueError(f"true_spec must be an object, got {d['true_spec']!r}")
         return cls(
             true_spec=ModelSpec.from_dict(d["true_spec"]),
             sample_sizes=d["sample_sizes"],
@@ -371,10 +307,7 @@ def _fit_row(plan, series, n, r, seed) -> ReplicateRow:
     sel_delay = sel_thresholds = None
     try:
         if plan.grid is not None:
-            grid = plan.grid
-            if isinstance(grid, GridRecipe):
-                grid = grid.materialize(series)
-            outcome = threshold_delay_search(series, spec.p, spec.q, grid)
+            outcome = threshold_delay_search(series, spec.p, spec.q, plan.grid)
             report = outcome.report
             sel_delay = outcome.partition.delay
             sel_thresholds = tuple(float(t) for t in outcome.partition.thresholds)

@@ -5,6 +5,7 @@ import pytest
 
 from taraarch import (
     ExperimentPlan,
+    SearchGrid,
     SimConfig,
     alpha_step,
     check_stationarity,
@@ -52,3 +53,8 @@ def test_removed_option_raises_type_error(keyword, call):
 def test_efficiency_comparison_needs_results():
     with pytest.raises(TypeError, match="missing 1 required positional argument: 'results'"):
         efficiency_comparison(PLAN, PLAN)
+
+
+def test_removed_search_grid_from_series():
+    # a quantile grid is a GridRecipe, which threshold_delay_search accepts
+    assert not hasattr(SearchGrid, "from_series")

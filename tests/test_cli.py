@@ -66,6 +66,13 @@ class TestTransform:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("key, value", [("p", 1.5), ("delay", 1.9), ("q", True)])
+    def test_non_whole_order_or_delay_exits_1(self, tmp_path, capsys, key, value):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**reference_spec().to_dict(), key: value}))
+        assert run_cli("simulate", "--spec", str(path), "--n", "50") == 1
+        assert f"error: {key} must be a whole number, got {value!r}\n" in capsys.readouterr().err
+
     def test_byte_identical_runs(self, tmp_path, spec_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ("simulate", "--spec", str(spec_file), "--n", "200", "--seed", "42")
@@ -243,6 +250,18 @@ class TestMc:
     @pytest.mark.parametrize("name, edit, message", [
         pytest.param("search_lynx.json", lambda d: d["grid"].update(min_regime_fraction=0.7),
                      "min_regime_fraction must be in (0, 0.5), got 0.7", id="lynx_fraction"),
+        pytest.param("search_lynx.json", lambda d: d["grid"].update(step=0),
+                     "step must be > 0, got 0.0", id="lynx_step0"),
+        pytest.param("search_lynx.json", lambda d: d["grid"].update(lo=0.95),
+                     "lo and hi must satisfy 0 <= lo <= hi <= 1, got 0.95 and 0.9",
+                     id="lynx_lo_above_hi"),
+        pytest.param("consistency.json", lambda d: d.update(sample_sizes=300),
+                     "sample_sizes must be a list of whole numbers, got 300",
+                     id="consistency_scalar_n"),
+        pytest.param("consistency.json", lambda d: d.update(grid="x"),
+                     "grid must be an object, got 'x'", id="consistency_string_grid"),
+        pytest.param("consistency.json", lambda d: d.update(true_spec=[]),
+                     "true_spec must be an object, got []", id="consistency_list_truth"),
         pytest.param("consistency.json", lambda d: d.update(sample_sizes=[0, 300]),
                      "sample sizes must exceed max(p, q, d) = 1, got 0", id="consistency_n0"),
         pytest.param("consistency.json", lambda d: d.update(burnin=0),

@@ -10,6 +10,7 @@ from taraarch.estimation import (
     ConvergenceError,
     EstimationError,
     FitReport,
+    GridRecipe,
     SearchGrid,
     alpha_score,
     alpha_step,
@@ -42,7 +43,6 @@ from taraarch.model import (
 )
 from taraarch.montecarlo import (
     ExperimentPlan,
-    GridRecipe,
     reference_spec,
     run_experiment,
     symmetric_reference_spec,
@@ -1132,11 +1132,17 @@ class TestSearch:
 
     def test_quantile_grid_bounds_regime_occupancy(self):
         x = normal_stream(77, 3000)
-        grid = SearchGrid.from_series(x, delays=(1, 2))
+        grid = GridRecipe(delays=(1, 2)).materialize(x)
         assert len(grid.threshold_candidates) == 1
         cands = np.asarray(grid.threshold_candidates[0])
         assert cands.size == 33
         assert np.all(np.diff(cands) >= 0)
+
+    def test_quantile_grid_may_end_at_the_maximum(self):
+        # 0.1 + 3 * 0.3 rounds to 1.0000000000000002, past np.quantile's range
+        x = normal_stream(77, 300)
+        grid = GridRecipe(delays=(1,), lo=0.1, hi=1.0, step=0.3).materialize(x)
+        assert grid.threshold_candidates[0][-1] == x.max()
 
     def test_tied_data_fits_each_partition_once(self, monkeypatch):
         import taraarch.estimation as estimation
@@ -1147,7 +1153,7 @@ class TestSearch:
         quantiles = np.quantile(x, np.arange(0.1, 0.9 + 1e-12, 0.025))
         splits = {tuple(x <= r) for r in quantiles}
         assert (quantiles.size, np.unique(quantiles).size, len(splits)) == (33, 9, 7)
-        grid = SearchGrid.from_series(x, delays=(1,))
+        grid = GridRecipe(delays=(1,)).materialize(x)
         cands = np.asarray(grid.threshold_candidates[0])
         assert np.all(np.diff(cands) > 0)
         assert {tuple(x <= r) for r in cands} == splits and cands.size == len(splits)

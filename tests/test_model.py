@@ -317,6 +317,20 @@ class TestSerialization:
             "p", "q", "delay", "thresholds", "tar", "alpha0", "alphas", "betas",
         }
 
+    @pytest.mark.parametrize("key, value", [
+        ("p", 2.7), ("q", 1.5), ("delay", 2.9), ("q", True), ("p", "1"), ("delay", None),
+    ])
+    def test_order_or_delay_that_is_not_whole_is_rejected(self, key, value):
+        doc = {**reference_spec().to_dict(), key: value}
+        with pytest.raises(ValueError, match=f"{key} must be a whole number, got"):
+            ModelSpec.from_dict(doc)
+
+    def test_whole_float_order_and_delay_load_as_ints(self):
+        doc = {**reference_spec().to_dict(), "p": 1.0, "q": 1.0, "delay": 1.0}
+        spec = ModelSpec.from_dict(doc)
+        assert (type(spec.p), type(spec.q), type(spec.partition.delay)) == (int, int, int)
+        assert spec.to_dict() == reference_spec().to_dict()
+
     def test_param_vector_round_trip(self):
         spec = reference_spec()
         vec = param_vector(spec)

@@ -46,7 +46,10 @@ from taraarch.estimation import ConvergenceError, EstimationError, SearchGrid
 from taraarch.model import param_names, param_vector
 from taraarch.simulate import SimulationError, mix_seed, normal_stream
 
+from conftest import PLANS
+
 WORKERS = min(2, os.cpu_count() or 1)
+FIXED_GRID = {"type": "fixed", "delays": [1, 2, 3], "threshold_candidates": [[3.25]]}
 
 
 def blas_threads() -> list[int]:
@@ -147,11 +150,57 @@ class TestPlan:
         ("grid", {"type": "quantile", "delays": [1.5]}, "delays"),
         ("grid", {"type": "quantile", "delays": [True]}, "delays"),
         ("grid", {"type": "quantile", "delays": [1], "boundaries": 1.2}, "boundaries"),
+        ("grid", {**FIXED_GRID, "delays": [1.5]}, "delays"),
+        ("grid", {**FIXED_GRID, "delays": [True]}, "delays"),
+        ("grid", {**FIXED_GRID, "delays": ["2"]}, "delays"),
     ])
     def test_fractional_bool_or_string_number_is_rejected(self, key, value, name):
         doc = {**small_plan().to_dict(), key: value}
         with pytest.raises(ValueError, match=f"{name} must be a whole number, got"):
             ExperimentPlan.from_dict(doc)
+
+    @pytest.mark.parametrize("grid, key", [
+        ({"step": 0}, "step"),
+        ({"step": -0.1}, "step"),
+        ({"lo": 0.95}, "lo"),
+        ({"min_regime_fraction": 0.7}, "min_regime_fraction"),
+        ({"boundaries": 0}, "boundaries"),
+        ({"delays": [0]}, "delays"),
+        ({"hi": 1.5}, "hi"),
+        ({"include_single_regime": "false"}, "include_single_regime"),
+        ({**FIXED_GRID, "include_single_regime": "false"}, "include_single_regime"),
+        ({**FIXED_GRID, "delays": [1.5]}, "delays"),
+        ({**FIXED_GRID, "delays": [True]}, "delays"),
+    ])
+    def test_bad_grid_value_is_rejected_when_the_plan_loads(self, grid, key):
+        doc = json.loads((PLANS / "search_lynx.json").read_text())
+        doc["grid"] = grid if "type" in grid else {**doc["grid"], **grid}
+        with pytest.raises(ValueError, match=key):
+            ExperimentPlan.from_dict(doc)
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("sample_sizes", 300, "sample_sizes must be a list of whole numbers, got 300"),
+        ("sample_sizes", "300", "sample_sizes must be a list of whole numbers, got '300'"),
+        ("grid", "x", "grid must be an object, got 'x'"),
+        ("grid", [], r"grid must be an object, got \[\]"),
+        ("true_spec", 5, "true_spec must be an object, got 5"),
+        ("true_spec", [], r"true_spec must be an object, got \[\]"),
+    ])
+    def test_malformed_document_is_rejected(self, key, value, message):
+        doc = {**small_plan().to_dict(), key: value}
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan.from_dict(doc)
+
+    @pytest.mark.parametrize("name", sorted(path.name for path in PLANS.glob("*.json")))
+    def test_committed_plan_writes_back_its_file(self, name):
+        text = (PLANS / name).read_text()
+        doc = json.loads(text)
+        if doc["estimator"] == "both":
+            for estimator in montecarlo.ESTIMATORS:
+                one = {**doc, "estimator": estimator}
+                assert ExperimentPlan.from_dict(one).to_dict() == one
+        else:
+            assert json.dumps(ExperimentPlan.from_dict(doc).to_dict(), indent=2) + "\n" == text
 
     def test_whole_floats_load_as_ints(self):
         doc = {**small_plan().to_dict(), "replicates": 6.0, "sample_sizes": [300.0],
@@ -862,7 +911,7 @@ def test_freed_heap_is_kept_for_the_next_fit():
 STARTUP_SCRIPT = """
 import json, sys
 import taraarch, taraarch.cli
-from taraarch.estimation import SearchGrid, fit_alternating, threshold_delay_search
+from taraarch.estimation import GridRecipe, fit_alternating, threshold_delay_search
 from taraarch.montecarlo import ExperimentPlan
 from taraarch.simulate import SimConfig, simulate_path
 
@@ -872,8 +921,7 @@ with open(plan_path) as fh:
 spec = ExperimentPlan.from_dict(doc).true_spec
 x = simulate_path(spec, SimConfig(n=400, seed=1)).series
 fit_alternating(x, spec.partition, spec.p, spec.q)
-grid = SearchGrid.from_series(x, delays=(1, 2), lo=0.3, hi=0.7, step=0.2)
-threshold_delay_search(x, spec.p, spec.q, grid)
+threshold_delay_search(x, spec.p, spec.q, GridRecipe(delays=(1, 2), lo=0.3, hi=0.7, step=0.2))
 with open(small_path, "w") as fh:
     json.dump({**doc, "sample_sizes": [300], "replicates": 2}, fh)
 assert taraarch.cli.main(["mc", small_path, "--output", prefix]) == 0
