@@ -24,7 +24,6 @@ from .estimation import (
     EstimationError,
     FitReport,
     _FitContext,
-    _context,
     _initial_values,
     _sandwich,
 )
@@ -355,7 +354,7 @@ def tar_arch_full_qmle(
     """
     import scipy.optimize  # here, so that only this fit pays for loading it
 
-    ctx = _context(series, partition, p, q)
+    ctx = _FitContext(series, partition, p, q)
     l = partition.regimes
     ntheta = ctx.ntheta
     o, nq, nr = ctx.o, ctx.nq, ctx.nr

@@ -174,7 +174,7 @@ def _cmd_mc(args) -> int:
     with open(args.plan) as fh:
         doc = json.load(fh)
     prefix = args.output if args.output else "mc"
-    if doc.get("estimator") == "both":
+    if isinstance(doc, dict) and doc.get("estimator") == "both":
         plan_a = montecarlo.ExperimentPlan.from_dict({**doc, "estimator": "concentrated"})
         plan_b = montecarlo.ExperimentPlan.from_dict({**doc, "estimator": "full_symmetric"})
         res_a, res_b = montecarlo.run_experiments((plan_a, plan_b), workers=args.workers)

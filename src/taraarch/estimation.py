@@ -207,7 +207,7 @@ def _loading_jacobian(aarch: AarchParams) -> np.ndarray:
 
 
 class _FitContext:
-    """Precomputed design pieces shared by all steps of a fit.
+    """Precomputed design pieces shared by all steps of a fit of ``series``.
 
     The residual window runs from ``max(p, d)``; the likelihood window drops
     a further ``max(p, q, d) - max(p, d)`` observations so that every
@@ -221,9 +221,16 @@ class _FitContext:
     ``j`` holds the design where regime ``j`` is active and exact zeros
     elsewhere, so the conditional means are the single product ``theta @
     zexp_t``, and the mean pass reads its likelihood-window columns.
+    :meth:`window` is the one builder of the window every step reads: the
+    residuals, their slope design and the variances at ``(theta, gamma)``.
     """
 
-    def __init__(self, x: np.ndarray, partition: ThresholdPartition, p: int, q: int):
+    def __init__(self, series, partition: ThresholdPartition, p: int, q: int):
+        if p < 0:
+            raise ValueError(f"p must be >= 0, got {p}")
+        if q < 1:
+            raise ValueError(f"q must be >= 1, got {q}")
+        x = series_values(series)
         n = x.size
         d = partition.delay
         self.p, self.q, self.partition = p, q, partition
@@ -236,7 +243,6 @@ class _FitContext:
         self.o = self.m - self.mpd
         self.nr = n - self.mpd
         self.nq = n - self.m
-        self.x = x
         self.y_r = x[self.mpd :]
         self.Zr = _lag_design(x, p, self.mpd)
         self.labels_r = regime_indices(partition, x[self.mpd - d : n - d]) - 1
@@ -253,22 +259,24 @@ class _FitContext:
         array of :class:`TarParams`."""
         return self.y_r - np.einsum("j,jt->t", np.ravel(theta), self.zexp_t)
 
-    def variance(self, aarch: AarchParams, e: np.ndarray) -> np.ndarray:
-        return np.einsum("j,jt->t", _slopes(aarch), _slope_design(e, self.q))
+    def window(self, theta: np.ndarray, gamma: np.ndarray):
+        """On the residual window, the residuals ``e`` of ``theta``, their slope
+        design ``x`` (:func:`_slope_design`) and the variances ``gamma @ x``."""
+        e = self.residuals(theta)
+        x = _slope_design(e, self.q)
+        return e, x, np.einsum("j,jt->t", gamma, x)
 
     def slope_window(self, theta: np.ndarray, gamma: np.ndarray):
-        """On the likelihood window, the slope design ``x`` and the squared
-        residuals of ``theta``, and the variances ``gamma @ x``."""
-        e = self.residuals(theta)
+        """:meth:`window` on the likelihood window: the slope design ``x``, the
+        squared residuals and the variances."""
+        e, x, h = self.window(theta, gamma)
         eq = e[self.o :]
-        x = _slope_design(e, self.q)[:, self.o :]
-        return x, eq * eq, np.einsum("j,jt->t", gamma, x)
+        return x[:, self.o :], eq * eq, h[self.o :]
 
     def qll_sum(self, tar: TarParams, aarch: AarchParams, first: int | None = None) -> float:
         """Quasi-log-likelihood summed from observation ``first`` (default
         ``max(p, q, d)``) to the end of the series."""
-        e = self.residuals(tar.coefficients)
-        h = self.variance(aarch, e)
+        e, _, h = self.window(tar.coefficients, _slopes(aarch))
         start = self.o if first is None else first - self.mpd
         eq = e[start:]
         return _qll(eq * eq, h[start:])
@@ -281,17 +289,13 @@ def _qll(sq: np.ndarray, h: np.ndarray) -> float:
     return val
 
 
-def _context(series, partition: ThresholdPartition, p: int, q: int) -> _FitContext:
-    return _FitContext(series_values(series), partition, p, q)
-
-
 def gaussian_qll(spec: ModelSpec, series) -> float:
     """Gaussian quasi-log-likelihood ``-0.5 * sum(log h_t + e_t^2 / h_t)``.
 
     The sum runs over ``t = max(p, q, d) .. n-1`` (additive constant
     dropped).  A non-finite sum raises :class:`EstimationError`.
     """
-    return _context(series, spec.partition, spec.p, spec.q).qll_sum(spec.tar, spec.aarch)
+    return _FitContext(series, spec.partition, spec.p, spec.q).qll_sum(spec.tar, spec.aarch)
 
 
 def _mean_pass(ctx: _FitContext, w: np.ndarray) -> np.ndarray:
@@ -328,10 +332,10 @@ def theta_step(series, partition, aarch, theta_init) -> TarParams:
     refreshed from the updated residuals between passes, until the maximum
     coefficient change falls below ``THETA_TOL``.
     """
-    ctx = _context(series, partition, theta_init.p, aarch.q)
-    coeffs = theta_init.coefficients
+    ctx = _FitContext(series, partition, theta_init.p, aarch.q)
+    coeffs, gamma = theta_init.coefficients, _slopes(aarch)
     for _ in range(MAX_THETA_ITER):
-        h = ctx.variance(aarch, ctx.residuals(coeffs))
+        _, _, h = ctx.window(coeffs, gamma)
         coeffs, old = _mean_pass(ctx, 1.0 / h[ctx.o :]), coeffs
         if float(np.max(np.abs(coeffs - old))) < THETA_TOL:
             break
@@ -427,7 +431,7 @@ def alpha_step(series, partition, tar, aarch_init) -> AarchParams:
     does not converge.
     """
     q = aarch_init.q
-    ctx = _context(series, partition, tar.p, q)
+    ctx = _FitContext(series, partition, tar.p, q)
     gamma = _slopes(aarch_init)
     x, sq, h = ctx.slope_window(tar.coefficients, gamma)
     for i in range(MAX_VARIANCE_ITER):
@@ -449,7 +453,7 @@ def alpha_score(spec: ModelSpec, series) -> np.ndarray:
     the slope-coordinate score ``sum_t X_t (e_t**2 / h_t - 1) / (2 h_t)``
     taken through ``d gamma / d(alpha0, alphas, betas)``.
     """
-    ctx = _context(series, spec.partition, spec.p, spec.q)
+    ctx = _FitContext(series, spec.partition, spec.p, spec.q)
     x, sq, h = ctx.slope_window(spec.tar.coefficients, _slopes(spec.aarch))
     score = np.einsum("it,t->i", x, 0.5 * (sq / h - 1.0) / h)
     return score @ _loading_jacobian(spec.aarch)
@@ -462,9 +466,8 @@ def concentrated_equation_residuals(spec: ModelSpec, series) -> np.ndarray:
     over intercept and lag regressors for every regime; all entries vanish at
     the mean step's fixed point.
     """
-    ctx = _context(series, spec.partition, spec.p, spec.q)
-    e = ctx.residuals(spec.tar.coefficients)
-    h = ctx.variance(spec.aarch, e)
+    ctx = _FitContext(series, spec.partition, spec.p, spec.q)
+    e, _, h = ctx.window(spec.tar.coefficients, _slopes(spec.aarch))
     ratio = e[ctx.o :] / h[ctx.o :]
     return np.einsum("it,t->i", ctx.zexp_t[:, ctx.o :], ratio) / ctx.nq
 
@@ -495,7 +498,7 @@ def fit_alternating(
     :class:`ConvergenceError` (carrying the last iterate in ``result``) if
     ``MAX_OUTER`` sweeps do not converge.
     """
-    ctx = _context(series, partition, p, q)
+    ctx = _FitContext(series, partition, p, q)
     report = _fit(ctx)
     return _with_inference(ctx, report) if compute_se else report
 
@@ -546,7 +549,7 @@ def _fit(ctx: _FitContext) -> FitReport:
 
 def _with_inference(ctx: _FitContext, report: FitReport) -> FitReport:
     """``report`` with the sandwich inference at its estimates on ``ctx``."""
-    info, sandwich = _estimate_information(ctx, report.spec)
+    info, sandwich = _sandwich(*_sandwich_parts(ctx, report.spec), ctx.nq)
     return replace(report, info_matrix=info, sandwich_cov=sandwich)
 
 
@@ -557,10 +560,8 @@ def _sandwich_parts(ctx: _FitContext, spec: ModelSpec) -> tuple[np.ndarray, np.n
     coordinates ``(theta, alpha0, alphas, betas)``.
     """
     q, o, nq, nr = spec.q, ctx.o, ctx.nq, ctx.nr
-    e = ctx.residuals(spec.tar.coefficients)
-    x = _slope_design(e, q)
     gamma = _slopes(spec.aarch)
-    h = np.einsum("j,jt->t", gamma, x)
+    e, x, h = ctx.window(spec.tar.coefficients, gamma)
     eq, hq, xq = e[o:], h[o:], x[:, o:]
     zr = ctx.zexp_t
     zq = zr[:, o:]
@@ -645,10 +646,6 @@ def _sandwich(info: np.ndarray, hess: np.ndarray, nq: int):
     return 0.5 * (info + info.T), 0.5 * (sandwich + sandwich.T)
 
 
-def _estimate_information(ctx: _FitContext, spec: ModelSpec):
-    return _sandwich(*_sandwich_parts(ctx, spec), ctx.nq)
-
-
 def estimate_information(series, spec: ModelSpec):
     """Information and sandwich covariance at a fitted optimum.
 
@@ -656,8 +653,8 @@ def estimate_information(series, spec: ModelSpec):
     estimate (symmetric PSD) and the sandwich covariance of the parameter
     estimates, ``Hinv @ info @ Hinv.T / n_window``.
     """
-    ctx = _context(series, spec.partition, spec.p, spec.q)
-    return _estimate_information(ctx, spec)
+    ctx = _FitContext(series, spec.partition, spec.p, spec.q)
+    return _sandwich(*_sandwich_parts(ctx, spec), ctx.nq)
 
 
 def _check_grid(grid, delays: str, boundaries: int) -> None:
@@ -813,7 +810,7 @@ def threshold_delay_search(series, p: int, q: int, grid: SearchGrid | GridRecipe
         partition = ThresholdPartition(
             regimes=len(combo) + 1, delay=d, thresholds=np.asarray(combo)
         )
-        ctx = _context(x, partition, p, q)
+        ctx = _FitContext(x, partition, p, q)
         if combo:
             counts = np.bincount(ctx.labels_r[m_common - ctx.mpd :], minlength=partition.regimes)
             if counts.min() < grid.min_regime_fraction * n_common:

@@ -68,6 +68,15 @@ def _whole(key: str, value) -> int:
     return int(value)
 
 
+def _reals(key: str, values, ndim: int = 1) -> np.ndarray:
+    """``values``, lists of numbers ``ndim`` deep, as a float array; else ValueError."""
+    arr = np.asarray(values, dtype=object)
+    if arr.ndim != ndim:
+        shape = "a list of equal-length lists" if ndim > 1 else "a list"
+        raise ValueError(f"{key} must be {shape} of numbers, got {values!r}")
+    return np.array([_real(key, v) for v in arr.flat], dtype=float).reshape(arr.shape)
+
+
 def _wholes(key: str, values) -> tuple[int, ...]:
     """``values`` as a tuple of ints; a string or a scalar raises ValueError."""
     if isinstance(values, str) or not isinstance(values, Iterable):
@@ -249,7 +258,10 @@ class ModelSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
-        thresholds = np.asarray(d["thresholds"], dtype=float)
+        """A spec from its document; a malformed one raises ValueError naming the field."""
+        if not isinstance(d, dict):
+            raise ValueError(f"model spec must be an object, got {d!r}")
+        thresholds = _reals("thresholds", d["thresholds"])
         partition = ThresholdPartition(
             regimes=thresholds.size + 1, delay=_whole("delay", d["delay"]), thresholds=thresholds
         )
@@ -257,11 +269,11 @@ class ModelSpec:
             p=_whole("p", d["p"]),
             q=_whole("q", d["q"]),
             partition=partition,
-            tar=TarParams(np.asarray(d["tar"], dtype=float)),
+            tar=TarParams(_reals("tar", d["tar"], ndim=2)),
             aarch=AarchParams(
-                alpha0=float(d["alpha0"]),
-                alphas=np.asarray(d["alphas"], dtype=float),
-                betas=np.asarray(d["betas"], dtype=float),
+                alpha0=_real("alpha0", d["alpha0"]),
+                alphas=_reals("alphas", d["alphas"]),
+                betas=_reals("betas", d["betas"]),
             ),
         )
 

@@ -146,7 +146,9 @@ class ExperimentPlan:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentPlan":
-        """A plan from its document; an unknown key raises ValueError."""
+        """A plan from its document; a non-object document or an unknown key raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"plan must be an object, got {d!r}")
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown plan key(s): {', '.join(unknown)}")
@@ -169,13 +171,6 @@ def plan_param_names(plan: ExperimentPlan) -> list[str]:
     if plan.estimator == "full_symmetric":
         names = [n for n in names if not n.startswith("beta_")]
     return names
-
-
-def plan_truth(plan: ExperimentPlan) -> np.ndarray:
-    truth = param_vector(plan.true_spec)
-    if plan.estimator == "full_symmetric":
-        truth = truth[: truth.size - plan.true_spec.q]
-    return truth
 
 
 @dataclass(frozen=True)
@@ -474,7 +469,7 @@ def run_experiments(plans, workers: int = 1) -> tuple[ExperimentResult, ...]:
     results = []
     for i, plan in enumerate(plans):
         names = plan_param_names(plan)
-        truth = plan_truth(plan)
+        truth = param_vector(plan.true_spec)[: len(names)]
         rows = tuple(cell[i] for cell in cells)
         summaries, failed = _summarize(plan, names, truth, rows)
         results.append(ExperimentResult(
@@ -519,12 +514,6 @@ class EfficiencyReport:
 
     def to_dict(self) -> dict:
         return _fields(self)
-
-
-def _scaled_errors(result: ExperimentResult, n: int, name: str) -> np.ndarray:
-    idx = result.names.index(name)
-    est, _ = _cell(result.rows, n, len(result.names))
-    return np.sqrt(n) * (est[:, idx] - result.truth[idx])
 
 
 def _bootstrap_var_se(errors: np.ndarray, rng: np.random.Generator, b: int) -> float:
@@ -575,9 +564,11 @@ def efficiency_comparison(
     )
     rows = []
     for n in plan_a.sample_sizes:
+        errors_a, errors_b = (np.sqrt(n) * (_cell(res.rows, n, len(res.names))[0] - res.truth)
+                              for res in results)
         for name in common:
-            ea = _scaled_errors(res_a, n, name)
-            eb = _scaled_errors(res_b, n, name)
+            ea = errors_a[:, res_a.names.index(name)]
+            eb = errors_b[:, res_b.names.index(name)]
             va = float(ea.var(ddof=1)) if ea.size > 1 else np.nan
             vb = float(eb.var(ddof=1)) if eb.size > 1 else np.nan
             rows.append(

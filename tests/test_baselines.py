@@ -22,7 +22,7 @@ from taraarch.baselines import (
 )
 from taraarch.estimation import (
     EstimationError,
-    _context,
+    _FitContext,
     _initial_values,
     gaussian_qll,
     theta_step,
@@ -91,7 +91,7 @@ def frozen_presample_mean_qll(x, spec):
 def full_qmle_objective(x, spec):
     """``u -> (f, g)``: the full QMLE's objective on ``x`` in its coordinates
     ``u = (theta, log alpha0, log a)``, with the fit's frozen presample."""
-    ctx = _context(x, spec.partition, spec.p, spec.q)
+    ctx = _FitContext(x, spec.partition, spec.p, spec.q)
     ph = _initial_values(ctx)[1].alpha0
     return lambda u: _full_qmle_objective(u, ctx, ph)
 
@@ -394,7 +394,7 @@ class TestFullQmle:
         x = simulate_path(spec, SimConfig(n=2000, seed=54)).series.values
         report = tar_arch_full_qmle(x, spec.partition, spec.p, spec.q)
         tar, aarch = report.spec.tar, report.spec.aarch
-        ctx = _context(x, spec.partition, spec.p, spec.q)
+        ctx = _FitContext(x, spec.partition, spec.p, spec.q)
         assert report.qll == ctx.qll_sum(tar, aarch)
         u = np.r_[tar.coefficients.ravel(), np.log(aarch.alpha0), np.log(aarch.alphas)]
         f, _ = full_qmle_objective(x, spec)(u)

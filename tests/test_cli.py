@@ -73,6 +73,18 @@ class TestSimulate:
         assert run_cli("simulate", "--spec", str(path), "--n", "50") == 1
         assert f"error: {key} must be a whole number, got {value!r}\n" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, message", [
+        (5, "model spec must be an object, got 5"),
+        ([], "model spec must be an object, got []"),
+        ({**reference_spec().to_dict(), "tar": {}},
+         "tar must be a list of equal-length lists of numbers, got {}"),
+    ])
+    def test_malformed_spec_exits_1(self, tmp_path, capsys, doc, message):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        assert run_cli("simulate", "--spec", str(path), "--n", "50") == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+
     def test_byte_identical_runs(self, tmp_path, spec_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ("simulate", "--spec", str(spec_file), "--n", "200", "--seed", "42")
@@ -143,6 +155,20 @@ class TestFit:
                        "--delay", "1", "--thresholds", "0.0")
         assert code == 2
         assert "usage error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("partition", [("--delay", "1", "--thresholds", "0"), ("--search",)])
+    @pytest.mark.parametrize("p, q, message", [
+        ("-1", "1", "p must be >= 0, got -1"),
+        ("1", "0", "q must be >= 1, got 0"),
+    ])
+    def test_negative_ar_or_zero_arch_order_exits_1(self, data_file, tmp_path, capsys,
+                                                    partition, p, q, message):
+        out = tmp_path / "report.json"
+        code = run_cli("fit", str(data_file), "--p", p, "--q", q, *partition,
+                       "--output", str(out))
+        assert code == 1
+        assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_partition_is_usage_error(self, data_file):
         assert run_cli("fit", str(data_file), "--p", "1", "--q", "1") == 2
@@ -246,6 +272,14 @@ class TestMc:
         assert run_cli("mc", str(plan), "--output", str(tmp_path / "mc")) == 1
         assert "setp" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [[], 5, "x"])
+    def test_plan_that_is_not_an_object_exits_1(self, tmp_path, capsys, doc):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(doc))
+        assert run_cli("mc", str(plan), "--output", str(tmp_path / "mc")) == 1
+        assert f"error: plan must be an object, got {doc!r}\n" in capsys.readouterr().err
+        assert not list(tmp_path.glob("mc_*"))
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("name, edit, message", [
         pytest.param("search_lynx.json", lambda d: d["grid"].update(min_regime_fraction=0.7),
@@ -262,6 +296,10 @@ class TestMc:
                      "grid must be an object, got 'x'", id="consistency_string_grid"),
         pytest.param("consistency.json", lambda d: d.update(true_spec=[]),
                      "true_spec must be an object, got []", id="consistency_list_truth"),
+        pytest.param("consistency.json", lambda d: d["true_spec"].update(alphas={}),
+                     "alphas must be a list of numbers, got {}", id="consistency_dict_alphas"),
+        pytest.param("consistency.json", lambda d: d["true_spec"].update(alpha0=[1]),
+                     "alpha0 must be a number, got [1]", id="consistency_list_alpha0"),
         pytest.param("consistency.json", lambda d: d.update(sample_sizes=[0, 300]),
                      "sample sizes must exceed max(p, q, d) = 1, got 0", id="consistency_n0"),
         pytest.param("consistency.json", lambda d: d.update(burnin=0),

@@ -622,6 +622,19 @@ def three_regime_p2_spec(delay, q):
 class TestFitContext:
     """The expanded design and the residual product against ``model.residuals``."""
 
+    @pytest.mark.parametrize("p, q, message", [
+        (-1, 1, "p must be >= 0, got -1"),
+        (1, 0, "q must be >= 1, got 0"),
+    ])
+    def test_negative_ar_or_zero_arch_order_is_rejected(self, p, q, message):
+        # every fit builds its context first, the search's candidates too
+        x = normal_stream(6, 300)
+        partition = ThresholdPartition(2, 1, np.array([0.0]))
+        with pytest.raises(ValueError, match=message):
+            fit_alternating(x, partition, p, q)
+        with pytest.raises(ValueError, match=message):
+            threshold_delay_search(x, p, q, GridRecipe(delays=(1,)))
+
     def test_residuals_bitwise_equal_to_oracle_at_reference(self):
         spec = reference_spec()
         x = simulate_path(spec, SimConfig(n=16000, seed=31)).series.values

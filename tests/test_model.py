@@ -325,6 +325,27 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"{key} must be a whole number, got"):
             ModelSpec.from_dict(doc)
 
+    @pytest.mark.parametrize("doc, message", [
+        (5, "model spec must be an object, got 5"),
+        ([], "model spec must be an object, got []"),
+        ("x", "model spec must be an object, got 'x'"),
+        ({"tar": {}}, "tar must be a list of equal-length lists of numbers, got {}"),
+        ({"tar": [[0.2, 0.5], [-0.3]]},
+         "tar must be a list of equal-length lists of numbers, got [[0.2, 0.5], [-0.3]]"),
+        ({"alphas": {}}, "alphas must be a list of numbers, got {}"),
+        ({"betas": ["0.2"]}, "betas must be a number, got '0.2'"),
+        ({"alphas": [True]}, "alphas must be a number, got True"),
+        ({"thresholds": 0.0}, "thresholds must be a list of numbers, got 0.0"),
+        ({"alpha0": [1]}, "alpha0 must be a number, got [1]"),
+        ({"alpha0": "0.1"}, "alpha0 must be a number, got '0.1'"),
+    ])
+    def test_malformed_document_is_rejected_naming_the_field(self, doc, message):
+        if isinstance(doc, dict):
+            doc = {**reference_spec().to_dict(), **doc}
+        with pytest.raises(ValueError) as excinfo:
+            ModelSpec.from_dict(doc)
+        assert str(excinfo.value) == message
+
     def test_whole_float_order_and_delay_load_as_ints(self):
         doc = {**reference_spec().to_dict(), "p": 1.0, "q": 1.0, "delay": 1.0}
         spec = ModelSpec.from_dict(doc)

@@ -1164,3 +1164,40 @@ def test_c05_skew_account_on_the_consistency_fixture(consistency_result, n, boun
     ses = np.array([row.std_errors for row in interior])
     z = (est - res.truth) / ses
     np.testing.assert_allclose(skew(z[:, [a, b]], axis=0), skews, atol=5e-4)
+
+
+def test_c05_interior_skew_is_the_square_root_maps(consistency_result):
+    """At n = 8000, without its bound row r = 454, the loadings' studentized
+    skews lie within Monte Carlo error, sqrt(6/499), of the square-root map's.
+
+    Normal slopes ``c+-`` with the interior fits' mean and covariance, mapped
+    to ``alpha = (sqrt(c+) + sqrt(c-))/2`` and ``beta = (sqrt(c+) -
+    sqrt(c-))/2`` and studentized by the delta method from that covariance,
+    predict skews of +0.409 and -0.354 against the observed +0.395 and -0.311.
+    Only n = 8000 is tested: at n = 4000, where 1.6% of the normal draws fall
+    below zero against 0.2% here, the alpha gap is 0.149, so the normal model
+    of the slopes is too coarse there to test within this error.
+    """
+    res = consistency_result
+    a, b = res.names.index("alpha_1"), res.names.index("beta_1")
+    interior = [row for row in res.rows if row.n == 8000 and row.converged and row.r != 454]
+    assert len(interior) == 499
+    est = np.array([row.estimates for row in interior])
+    ses = np.array([row.std_errors for row in interior])
+    observed = skew((est - res.truth)[:, [a, b]] / ses[:, [a, b]], axis=0)
+
+    al, be = est[:, a], est[:, b]
+    slopes = np.column_stack([(al + be) ** 2, (al - be) ** 2])
+    cov = np.cov(slopes, rowvar=False)
+    draws = np.random.default_rng(12345).multivariate_normal(slopes.mean(axis=0), cov,
+                                                               size=400_000)
+    draws = draws[(draws >= 0.0).all(axis=1)]
+    rp, rm = np.sqrt(draws[:, 0]), np.sqrt(draws[:, 1])
+    predicted = []
+    for sign, loading, truth in ((1.0, 0.5 * (rp + rm), res.truth[a]),
+                                 (-1.0, 0.5 * (rp - rm), res.truth[b])):
+        # d loading / d(c+, c-) = (1 / (4 sqrt(c+)), +-1 / (4 sqrt(c-)))
+        jac = np.column_stack([0.25 / rp, sign * 0.25 / rm])
+        se = np.sqrt(np.einsum("ti,ij,tj->t", jac, cov, jac))
+        predicted.append(skew((loading - truth) / se))
+    assert np.all(np.abs(np.array(predicted) - observed) < np.sqrt(6 / 499))
