@@ -10,18 +10,13 @@ from taraarch import (
     ExperimentPlan, efficiency_comparison, run_experiments, symmetric_reference_spec,
 )
 
-sym = symmetric_reference_spec()
-plan_two_step = ExperimentPlan(
-    true_spec=sym, sample_sizes=(2000,), replicates=120,
-    base_seed=5150, estimator="concentrated",
-)
-plan_full = ExperimentPlan(
-    true_spec=sym, sample_sizes=(2000,), replicates=120,
-    base_seed=5150, estimator="full_symmetric",
+plan = ExperimentPlan(
+    true_spec=symmetric_reference_spec(), sample_sizes=(2000,), replicates=120,
+    base_seed=5150, estimator="both",
 )
 # one simulated path per replicate, fitted by both estimators
-results = run_experiments((plan_two_step, plan_full), workers=2)
-report = efficiency_comparison(plan_two_step, plan_full, results)
+two_step, full = run_experiments(plan, workers=2)
+report = efficiency_comparison(two_step.plan, full.plan, (two_step, full))
 
 print("variance of sqrt(n) * (estimate - truth), 120 replicates at n = 2000\n")
 print(f"{'parameter':>10} {'two-step':>10} {'full':>10} {'ratio':>7}")

@@ -172,15 +172,12 @@ def _cmd_fit(args) -> int:
 
 def _cmd_mc(args) -> int:
     with open(args.plan) as fh:
-        doc = json.load(fh)
+        plan = montecarlo.ExperimentPlan.from_dict(json.load(fh))
     prefix = args.output if args.output else "mc"
-    if isinstance(doc, dict) and doc.get("estimator") == "both":
-        plan_a = montecarlo.ExperimentPlan.from_dict({**doc, "estimator": "concentrated"})
-        plan_b = montecarlo.ExperimentPlan.from_dict({**doc, "estimator": "full_symmetric"})
-        res_a, res_b = montecarlo.run_experiments((plan_a, plan_b), workers=args.workers)
-        report = montecarlo.efficiency_comparison(
-            plan_a, plan_b, results=(res_a, res_b)
-        )
+    results = montecarlo.run_experiments(plan, workers=args.workers)
+    if plan.estimator == "both":
+        res_a, res_b = results
+        report = montecarlo.efficiency_comparison(res_a.plan, res_b.plan, results)
         montecarlo.save_results(res_a, f"{prefix}_concentrated.csv", f"{prefix}_concentrated.json")
         montecarlo.save_results(res_b, f"{prefix}_full.csv", f"{prefix}_full.json")
         summary = {
@@ -188,20 +185,17 @@ def _cmd_mc(args) -> int:
             "concentrated": montecarlo.summary_to_dict(res_a),
             "full_symmetric": montecarlo.summary_to_dict(res_b),
         }
-        failed = res_a.failed or res_b.failed
     else:
-        plan = montecarlo.ExperimentPlan.from_dict(doc)
-        result = montecarlo.run_experiment(plan, workers=args.workers)
+        (result,) = results
         summary = montecarlo.summary_to_dict(result)
         if plan.replicates >= 100:
             summary["normality"] = montecarlo.normality_diagnostics(result).to_dict()
         with open(f"{prefix}_results.csv", "w", newline="") as fh:
             montecarlo.results_to_csv(result, fh)
-        failed = result.failed
     with open(f"{prefix}_summary.json", "w") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
-    if failed:
+    if any(res.failed for res in results):
         sys.stderr.write("error: experiment failed (non-convergence rate > 20%)\n")
         return EXIT_FAILED_EXPERIMENT
     return EXIT_OK

@@ -68,6 +68,19 @@ def _whole(key: str, value) -> int:
     return int(value)
 
 
+def _document(kind: str, d, required, optional=()) -> None:
+    """Check that ``d`` is an object with every ``required`` key and no key
+    beyond ``optional``; else raise ValueError naming the keys."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{kind} must be an object, got {d!r}")
+    unknown = sorted(set(d) - set(required) - set(optional))
+    if unknown:
+        raise ValueError(f"unknown {kind} key(s): {', '.join(unknown)}")
+    missing = [key for key in required if key not in d]
+    if missing:
+        raise ValueError(f"{kind} is missing key(s): {', '.join(missing)}")
+
+
 def _reals(key: str, values, ndim: int = 1) -> np.ndarray:
     """``values``, lists of numbers ``ndim`` deep, as a float array; else ValueError."""
     arr = np.asarray(values, dtype=object)
@@ -259,8 +272,8 @@ class ModelSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelSpec":
         """A spec from its document; a malformed one raises ValueError naming the field."""
-        if not isinstance(d, dict):
-            raise ValueError(f"model spec must be an object, got {d!r}")
+        _document("model spec", d,
+                  ("p", "q", "delay", "thresholds", "tar", "alpha0", "alphas", "betas"))
         thresholds = _reals("thresholds", d["thresholds"])
         partition = ThresholdPartition(
             regimes=thresholds.size + 1, delay=_whole("delay", d["delay"]), thresholds=thresholds

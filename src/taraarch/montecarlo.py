@@ -17,8 +17,9 @@ import csv
 import ctypes
 import json
 import multiprocessing
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .model import (
     check_stationarity,
     param_names,
     param_vector,
+    _document,
     _whole,
     _wholes,
 )
@@ -63,7 +65,7 @@ __all__ = [
     "load_results",
 ]
 
-ESTIMATORS = ("concentrated", "full_symmetric")
+ESTIMATORS = ("concentrated", "full_symmetric", "both")
 NONCONVERGENCE_FAILURE_RATE = 0.20
 AD_CRITICAL_1PCT = 3.857  # fully specified N(0,1) null
 Z_975 = 1.959963984540054  # float(scipy.special.ndtri(0.975)), bit for bit
@@ -133,25 +135,30 @@ class ExperimentPlan:
             raise ValueError(
                 f"estimator must be one of {ESTIMATORS}, got {self.estimator!r}"
             )
-        if self.estimator == "full_symmetric" and not self.true_spec.aarch.is_symmetric:
+        if self.estimator != "concentrated" and not self.true_spec.aarch.is_symmetric:
             raise ValueError("full_symmetric estimator requires a symmetric truth")
-        if self.estimator == "full_symmetric" and self.grid is not None:
+        if self.estimator != "concentrated" and self.grid is not None:
             raise ValueError("full_symmetric estimator takes no grid")
         m = self.true_spec.presample_length
         if sizes[0] <= m:
             raise ValueError(f"sample sizes must exceed max(p, q, d) = {m}, got {sizes[0]}")
+
+    def per_estimator(self) -> tuple["ExperimentPlan", ...]:
+        """The one-estimator plans this plan runs: itself, or for ``"both"``
+        its concentrated and its full_symmetric plan, in that order."""
+        if self.estimator != "both":
+            return (self,)
+        return tuple(replace(self, estimator=est) for est in ("concentrated", "full_symmetric"))
 
     def to_dict(self) -> dict:
         return _fields(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentPlan":
-        """A plan from its document; a non-object document or an unknown key raises ValueError."""
-        if not isinstance(d, dict):
-            raise ValueError(f"plan must be an object, got {d!r}")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown plan key(s): {', '.join(unknown)}")
+        """A plan from its document; a non-object document, or a missing or
+        unknown key, raises ValueError."""
+        _document("plan", d, [f.name for f in fields(cls) if f.default is MISSING],
+                  [f.name for f in fields(cls) if f.default is not MISSING])
         if not isinstance(d["true_spec"], dict):
             raise ValueError(f"true_spec must be an object, got {d['true_spec']!r}")
         return cls(
@@ -409,22 +416,16 @@ def _summarize(plan, names, truth, rows):
     return summaries, failed
 
 
-# The plan fields that fix every cell's simulated path.
-_PATH_INPUTS = ("true_spec", "sample_sizes", "replicates", "base_seed", "burn_in")
+def run_experiments(plan: ExperimentPlan, workers: int = 1) -> tuple[ExperimentResult, ...]:
+    """Simulate every (sample size, replicate) cell once and fit it by each
+    of :meth:`ExperimentPlan.per_estimator`, one result per estimator.
 
-
-def run_experiments(plans, workers: int = 1) -> tuple[ExperimentResult, ...]:
-    """Simulate every (sample size, replicate) cell once and fit it by each plan.
-
-    The plans must share the inputs that fix the simulated path (truth,
-    sample sizes, replicates, base seed and burn-in), otherwise ``ValueError``;
-    their estimators and grids may differ.  Replicate ``r`` at size ``n``
-    always uses the seed ``mix_seed(base_seed, n, r)``, so the results do not
-    depend on ``workers``.  A replicate whose simulation raises
-    :class:`SimulationError` or whose fit raises :class:`EstimationError`
-    counts as non-converged; any other exception propagates.  A result is
-    flagged ``failed`` when any of its cells' non-convergence rate exceeds
-    20%.
+    Replicate ``r`` at size ``n`` always uses the seed ``mix_seed(base_seed,
+    n, r)``, so the results do not depend on ``workers``.  A replicate whose
+    simulation raises :class:`SimulationError` or whose fit raises
+    :class:`EstimationError` counts as non-converged; any other exception
+    propagates.  A result is flagged ``failed`` when any of its cells'
+    non-convergence rate exceeds 20%.
 
     ``workers`` below 1 raises ``ValueError``; above 1, the replicates run in
     one process pool, forked where the platform can fork, of at most one
@@ -437,22 +438,13 @@ def run_experiments(plans, workers: int = 1) -> tuple[ExperimentResult, ...]:
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    plans = tuple(plans)
-    if not plans:
-        raise ValueError("need at least one plan")
-    first = plans[0]
-    shared = first.to_dict()
-    for plan in plans[1:]:
-        doc = plan.to_dict()
-        for key in _PATH_INPUTS:
-            if doc[key] != shared[key]:
-                raise ValueError(f"plans must share {key}")
-    check_stationarity(first.true_spec)
-    tasks = [(plans, n, r) for n in first.sample_sizes for r in range(first.replicates)]
+    plans = plan.per_estimator()
+    check_stationarity(plan.true_spec)
+    tasks = [(plans, n, r) for n in plan.sample_sizes for r in range(plan.replicates)]
     # load scipy.special (scipy's own OpenBLAS) and the full QMLE's
     # scipy.optimize before pinning and forking, so that both cover them
     import scipy.special  # noqa: F401
-    if any(plan.estimator == "full_symmetric" for plan in plans):
+    if plan.estimator != "concentrated":
         import scipy.optimize  # noqa: F401
     _keep_freed_heap()
     _single_threaded_blas()
@@ -467,13 +459,13 @@ def run_experiments(plans, workers: int = 1) -> tuple[ExperimentResult, ...]:
     else:
         cells = [_replicate_task(t) for t in tasks]
     results = []
-    for i, plan in enumerate(plans):
-        names = plan_param_names(plan)
-        truth = param_vector(plan.true_spec)[: len(names)]
+    for i, one in enumerate(plans):
+        names = plan_param_names(one)
+        truth = param_vector(one.true_spec)[: len(names)]
         rows = tuple(cell[i] for cell in cells)
-        summaries, failed = _summarize(plan, names, truth, rows)
+        summaries, failed = _summarize(one, names, truth, rows)
         results.append(ExperimentResult(
-            plan=plan,
+            plan=one,
             names=tuple(names),
             truth=truth,
             rows=rows,
@@ -484,12 +476,12 @@ def run_experiments(plans, workers: int = 1) -> tuple[ExperimentResult, ...]:
 
 
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
-    """Simulate and fit every (sample size, replicate) cell of one plan.
-
-    The one-plan case of :func:`run_experiments`, which documents the seeds,
-    the pool and the failure flag.
-    """
-    (result,) = run_experiments((plan,), workers=workers)
+    """The one result of a one-estimator plan (see :func:`run_experiments`); a
+    ``"both"`` plan raises ``ValueError`` before any path is simulated."""
+    if plan.estimator == "both":
+        raise ValueError('run_experiment fits one estimator; run a "both" plan with '
+                         "run_experiments")
+    (result,) = run_experiments(plan, workers=workers)
     return result
 
 
@@ -539,11 +531,11 @@ def efficiency_comparison(
 ) -> EfficiencyReport:
     """Compare per-coordinate sampling variances of two estimators.
 
-    ``results`` are the two plans' results, as :func:`run_experiments`
-    returns them for ``(plan_a, plan_b)``; a result of another plan raises
-    ``ValueError``.  Both plans must share the same symmetric truth (beta
-    identically zero, so the full symmetric QMLE applies) and the same
-    sample sizes.  Variances are of the scaled errors
+    ``results`` are the two plans' results, in that order, such as the
+    results :func:`run_experiments` returns for a ``"both"`` plan; a result
+    of another plan raises ``ValueError``.  Both plans must share the same
+    symmetric truth (beta identically zero, so the full symmetric QMLE
+    applies) and the same sample sizes.  Variances are of the scaled errors
     ``sqrt(n) * (estimate - truth)`` over converged replicates, with a
     bootstrap standard error from ``N_BOOTSTRAP`` resamples attached to
     each.  An estimator with fewer than 2 such replicates in a cell gets a
@@ -708,8 +700,11 @@ def _fmt(x: float) -> str:
 
 def results_to_csv(result: ExperimentResult, fh) -> None:
     """One raw row per replicate: identifiers, convergence, estimates, SEs."""
-    has_search = result.plan.grid is not None
-    boundaries = result.plan.true_spec.partition.regimes - 1
+    grid = result.plan.grid
+    has_search = grid is not None
+    if has_search:  # as many threshold columns as the grid has boundaries
+        boundaries = (grid.boundaries if isinstance(grid, GridRecipe)
+                      else len(grid.threshold_candidates))
     header = ["n", "r", "seed", "converged"]
     header += list(result.names)
     header += [f"se_{name}" for name in result.names]
@@ -751,9 +746,11 @@ def save_results(result: ExperimentResult, csv_path, json_path) -> None:
 def load_results(csv_path, json_path) -> ExperimentResult:
     """Reload persisted results, recomputing summaries from the raw rows.
 
-    Raises ``ValueError`` if the stored summary statistics disagree with the
-    recomputed ones beyond 1e-12, which would indicate the two files do not
-    belong together.
+    Raises ``ValueError`` if the rows are not the plan's (n, r) cells, each
+    once, if a row has more fields than the header, or if a stored summary
+    statistic disagrees with the recomputed one: the counts and the
+    selection statistics exactly, the others beyond 1e-12.  Either would
+    indicate that the two files do not belong together.
     """
     with open(json_path) as fh:
         doc = json.load(fh)
@@ -767,6 +764,8 @@ def load_results(csv_path, json_path) -> ExperimentResult:
             c for c in reader.fieldnames or () if c.startswith("selected_threshold_")
         ]
         for rec in reader:
+            if None in rec:
+                raise ValueError(f"results row {reader.line_num} has more fields than its header")
             conv = bool(int(rec["converged"]))
             est = np.array([float(rec[name]) for name in names])
             ses = np.array([float(rec[f"se_{name}"]) for name in names])
@@ -787,10 +786,23 @@ def load_results(csv_path, json_path) -> ExperimentResult:
                 )
             )
     rows = tuple(rows)
+    found = Counter((row.n, row.r) for row in rows)
+    cells = Counter((n, r) for n in plan.sample_sizes for r in range(plan.replicates))
+    for label, off in (("is not a cell of the plan, or repeats one", found - cells),
+                       ("is missing", cells - found)):
+        if off:
+            n, r = min(off)
+            raise ValueError(f"results row n={n}, r={r} {label}")
     summaries, failed = _summarize(plan, list(names), truth, rows)
     for n in plan.sample_sizes:
         stored = doc["cells"][str(n)]
         fresh = summaries[n]
+        for key in ("n_total", "n_converged", "nonconverged_rate", "delay_mode",
+                    "threshold_medians"):
+            if stored[key] != _encode(getattr(fresh, key)):
+                raise ValueError(
+                    f"stored summary field {key!r} at n={n} disagrees with raw rows"
+                )
         for key in ("bias", "rmse", "coverage"):
             a = np.asarray(stored[key], dtype=float)
             b = getattr(fresh, key)

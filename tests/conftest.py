@@ -27,7 +27,7 @@ def ref_spec():
 
 @pytest.fixture(scope="session")
 def sym_spec():
-    return load_plan("efficiency.json", estimator="concentrated").true_spec
+    return load_plan("efficiency.json").true_spec
 
 
 @pytest.fixture(scope="session")
@@ -40,10 +40,8 @@ def consistency_result():
 def efficiency_pair():
     """Concentrated and full QMLE fits of the committed efficiency plan, on one
     simulated path per replicate."""
-    plan_a = load_plan("efficiency.json", estimator="concentrated")
-    plan_b = load_plan("efficiency.json", estimator="full_symmetric")
-    res_a, res_b = run_experiments((plan_a, plan_b), workers=WORKERS)
-    return plan_a, plan_b, res_a, res_b
+    res_a, res_b = run_experiments(load_plan("efficiency.json"), workers=WORKERS)
+    return res_a.plan, res_b.plan, res_a, res_b
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -78,12 +79,17 @@ class TestSimulate:
         ([], "model spec must be an object, got []"),
         ({**reference_spec().to_dict(), "tar": {}},
          "tar must be a list of equal-length lists of numbers, got {}"),
+        ({k: v for k, v in reference_spec().to_dict().items() if k != "alphas"},
+         "model spec is missing key(s): alphas"),
+        ({**reference_spec().to_dict(), "gamma": 1}, "unknown model spec key(s): gamma"),
     ])
     def test_malformed_spec_exits_1(self, tmp_path, capsys, doc, message):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
-        assert run_cli("simulate", "--spec", str(path), "--n", "50") == 1
+        out = tmp_path / "path.csv"
+        assert run_cli("simulate", "--spec", str(path), "--n", "50", "--output", str(out)) == 1
         assert f"error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_identical_runs(self, tmp_path, spec_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -238,6 +244,20 @@ class TestMc:
         assert blobs[0] == blobs[1]
         assert all(len(blob.splitlines()) == 5 for blob in blobs[0])
 
+    @pytest.mark.filterwarnings("ignore:stationarity check failed:UserWarning")
+    @pytest.mark.parametrize("name", sorted(path.name for path in PLANS.glob("*.json")))
+    def test_committed_plan_writes_its_file_layout(self, tmp_path, name):
+        # the files bench/workloads.output_files reads, per estimator
+        doc = json.loads((PLANS / name).read_text())
+        doc.update(sample_sizes=doc["sample_sizes"][:1], replicates=2)
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps(doc))
+        assert run_cli("mc", str(plan), "--workers", "1", "--output", str(tmp_path / "mc")) == 0
+        layout = (["concentrated.csv", "concentrated.json", "full.csv", "full.json"]
+                  if doc["estimator"] == "both" else ["results.csv"])
+        assert sorted(path.name for path in tmp_path.glob("mc_*")) == sorted(
+            f"mc_{suffix}" for suffix in layout + ["summary.json"])
+
     def test_nonstationary_plan_warns(self, tmp_path, capsys):
         doc = self.plan_doc(replicates=1)
         doc["true_spec"]["alphas"] = [0.9]
@@ -304,6 +324,12 @@ class TestMc:
                      "sample sizes must exceed max(p, q, d) = 1, got 0", id="consistency_n0"),
         pytest.param("consistency.json", lambda d: d.update(burnin=0),
                      "unknown plan key(s): burnin", id="consistency_misspelled_key"),
+        pytest.param("consistency.json", lambda d: d.pop("replicates"),
+                     "plan is missing key(s): replicates", id="consistency_no_replicates"),
+        pytest.param("consistency.json", lambda d: d["true_spec"].pop("alphas"),
+                     "model spec is missing key(s): alphas", id="consistency_no_alphas"),
+        pytest.param("consistency.json", lambda d: d["true_spec"].update(gamma=1),
+                     "unknown model spec key(s): gamma", id="consistency_spec_gamma"),
         pytest.param("consistency.json", lambda d: d.update(sample_sizes=[4000.9, 8000]),
                      "sample_sizes must be a whole number, got 4000.9",
                      id="consistency_fractional_n"),
@@ -340,16 +366,12 @@ class TestMc:
     def test_failed_experiment_exits_4(self, tmp_path, monkeypatch):
         import taraarch.cli as cli_mod
 
-        real = cli_mod.montecarlo.run_experiment
+        real = cli_mod.montecarlo.run_experiments
 
         def fail_all(plan, workers=1):
-            res = real(plan, workers=workers)
-            return type(res)(
-                plan=res.plan, names=res.names, truth=res.truth,
-                rows=res.rows, summaries=res.summaries, failed=True,
-            )
+            return tuple(replace(res, failed=True) for res in real(plan, workers=workers))
 
-        monkeypatch.setattr(cli_mod.montecarlo, "run_experiment", fail_all)
+        monkeypatch.setattr(cli_mod.montecarlo, "run_experiments", fail_all)
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(self.plan_doc(replicates=1)))
         assert run_cli("mc", str(plan), "--output", str(tmp_path / "mc")) == 4

@@ -346,6 +346,18 @@ class TestSerialization:
             ModelSpec.from_dict(doc)
         assert str(excinfo.value) == message
 
+    @pytest.mark.parametrize("drop, extra, message", [
+        (("alphas",), {}, "model spec is missing key(s): alphas"),
+        (("betas", "p"), {}, "model spec is missing key(s): p, betas"),
+        ((), {"gamma": 1}, "unknown model spec key(s): gamma"),
+        (("alphas",), {"alpha": [0.4]}, "unknown model spec key(s): alpha"),
+    ])
+    def test_missing_or_unknown_key_is_rejected(self, drop, extra, message):
+        doc = {k: v for k, v in reference_spec().to_dict().items() if k not in drop}
+        with pytest.raises(ValueError) as excinfo:
+            ModelSpec.from_dict({**doc, **extra})
+        assert str(excinfo.value) == message
+
     def test_whole_float_order_and_delay_load_as_ints(self):
         doc = {**reference_spec().to_dict(), "p": 1.0, "q": 1.0, "delay": 1.0}
         spec = ModelSpec.from_dict(doc)

@@ -194,13 +194,8 @@ class TestPlan:
     @pytest.mark.parametrize("name", sorted(path.name for path in PLANS.glob("*.json")))
     def test_committed_plan_writes_back_its_file(self, name):
         text = (PLANS / name).read_text()
-        doc = json.loads(text)
-        if doc["estimator"] == "both":
-            for estimator in montecarlo.ESTIMATORS:
-                one = {**doc, "estimator": estimator}
-                assert ExperimentPlan.from_dict(one).to_dict() == one
-        else:
-            assert json.dumps(ExperimentPlan.from_dict(doc).to_dict(), indent=2) + "\n" == text
+        plan = ExperimentPlan.from_dict(json.loads(text))
+        assert json.dumps(plan.to_dict(), indent=2) + "\n" == text
 
     def test_whole_floats_load_as_ints(self):
         doc = {**small_plan().to_dict(), "replicates": 6.0, "sample_sizes": [300.0],
@@ -303,10 +298,9 @@ class TestRunExperiment:
         if not os.path.isdir("/proc/self/task"):
             pytest.skip("no /proc/self/task to count threads in")
         monkeypatch.setattr(montecarlo, "_replicate_task", task_counting_os_threads)
-        plans = [ExperimentPlan(true_spec=sym_spec, sample_sizes=(300,), replicates=4,
-                                base_seed=7, estimator=est)
-                 for est in ("concentrated", "full_symmetric")]
-        for res in run_experiments(plans, workers=2):
+        plan = ExperimentPlan(true_spec=sym_spec, sample_sizes=(300,), replicates=4,
+                              base_seed=7, estimator="both")
+        for res in run_experiments(plan, workers=2):
             assert [row.seed for row in res.rows] == [1] * 4
 
     def test_serial_run_is_single_threaded_blas(self, monkeypatch, blas_at_two_threads):
@@ -389,22 +383,93 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="disagrees"):
             load_results(csv_path, json_path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda lines: lines + ["300,4,1,0" + ",nan" * 14],
+         "results row n=300, r=4 is not a cell of the plan, or repeats one"),
+        (lambda lines: lines + [lines[2]],
+         "results row n=300, r=1 is not a cell of the plan, or repeats one"),
+        (lambda lines: lines[:-1], "results row n=300, r=3 is missing"),
+        (lambda lines: lines[:2] + [lines[2] + ",0.5"] + lines[3:],
+         "results row 3 has more fields than its header"),
+    ], ids=["extra", "repeated", "missing", "long"])
+    def test_load_rejects_rows_that_are_not_the_plans_cells(self, tmp_path, edit, message):
+        res = run_experiment(small_plan(replicates=4))
+        csv_path = tmp_path / "rows.csv"
+        json_path = tmp_path / "summary.json"
+        save_results(res, csv_path, json_path)
+        csv_path.write_text("\n".join(edit(csv_path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_results(csv_path, json_path)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_total", 5), ("n_converged", 2), ("nonconverged_rate", 0.25), ("delay_mode", 2),
+        ("delay_mode", None), ("threshold_medians", [0.5]), ("threshold_medians", None),
+    ])
+    def test_load_detects_tampered_counts_and_selections(self, tmp_path, key, value):
+        grid = SearchGrid(delay_candidates=(1, 2), threshold_candidates=((-0.1, 0.0, 0.1),))
+        res = run_experiment(small_plan(replicates=3, grid=grid))
+        csv_path = tmp_path / "rows.csv"
+        json_path = tmp_path / "summary.json"
+        save_results(res, csv_path, json_path)
+        load_results(csv_path, json_path)  # the untampered pair loads
+        doc = json.loads(json_path.read_text())
+        assert doc["cells"]["300"][key] != value
+        doc["cells"]["300"][key] = value
+        json_path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as excinfo:
+            load_results(csv_path, json_path)
+        assert str(excinfo.value) == (
+            f"stored summary field {key!r} at n=300 disagrees with raw rows")
+
+    @pytest.mark.filterwarnings("ignore:stationarity check failed:UserWarning")
+    def test_search_grid_wider_than_its_truth_round_trips(self, tmp_path):
+        # two boundaries searched, one in the truth: the rows select two
+        # thresholds, and the CSV has a column for each
+        doc = json.loads((PLANS / "search_lynx.json").read_text())
+        doc["grid"].update(boundaries=2, step=0.2)
+        doc["replicates"] = 2
+        res = run_experiment(ExperimentPlan.from_dict(doc))
+        assert [len(row.selected_thresholds) for row in res.rows] == [2, 2]
+        csv_path = tmp_path / "rows.csv"
+        json_path = tmp_path / "summary.json"
+        save_results(res, csv_path, json_path)
+        lines = [line.split(",") for line in csv_path.read_text().splitlines()]
+        assert lines[0][-3:] == ["selected_delay", "selected_threshold_1",
+                                 "selected_threshold_2"]
+        assert {len(line) for line in lines} == {len(lines[0])}
+        again = load_results(csv_path, json_path)
+        assert ([row.selected_thresholds for row in again.rows]
+                == [row.selected_thresholds for row in res.rows])
+
 
 class TestRunExperiments:
-    def both_plans(self, sym_spec, **kwargs):
-        return tuple(
-            ExperimentPlan(true_spec=sym_spec, sample_sizes=(300,), replicates=4,
-                           base_seed=23, estimator=est, **kwargs)
-            for est in ("concentrated", "full_symmetric")
-        )
+    def both_plan(self, sym_spec, **kwargs):
+        return ExperimentPlan(true_spec=sym_spec, sample_sizes=(300,), replicates=4,
+                              base_seed=23, estimator="both", **kwargs)
+
+    def test_both_plan_runs_each_estimator_in_order(self, sym_spec, monkeypatch):
+        plan = self.both_plan(sym_spec)
+        doc = plan.to_dict()
+        assert [one.to_dict() for one in plan.per_estimator()] == [
+            {**doc, "estimator": est} for est in ("concentrated", "full_symmetric")
+        ]
+        for one in plan.per_estimator():
+            (again,) = one.per_estimator()
+            assert again is one
+        # one result cannot hold two estimators' rows: refused before any path
+        monkeypatch.setattr(montecarlo, "simulate_path", raising(AssertionError("simulated")))
+        with pytest.raises(ValueError, match='run a "both" plan with run_experiments'):
+            run_experiment(plan)
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_one_pass_matches_separate_runs(self, sym_spec, workers):
-        plans = self.both_plans(sym_spec)
-        together = run_experiments(plans, workers=workers)
-        for plan, res in zip(plans, together):
-            alone = run_experiment(plan, workers=1)
-            assert res.plan is plan
+        plan = self.both_plan(sym_spec)
+        together = run_experiments(plan, workers=workers)
+        assert len(together) == 2
+        for one, res in zip(plan.per_estimator(), together):
+            alone = run_experiment(one, workers=1)
+            assert res.plan.to_dict() == one.to_dict()
             assert res.names == alone.names
             assert len(res.rows) == len(alone.rows) == 4
             for a, b in zip(res.rows, alone.rows):
@@ -422,11 +487,8 @@ class TestRunExperiments:
             return real(spec, config)
 
         monkeypatch.setattr(montecarlo, "simulate_path", counting)
-        plans = tuple(
-            replace(plan, sample_sizes=(300, 400), replicates=2)
-            for plan in self.both_plans(sym_spec)
-        )
-        run_experiments(plans, workers=1)
+        plan = replace(self.both_plan(sym_spec), sample_sizes=(300, 400), replicates=2)
+        run_experiments(plan, workers=1)
         assert calls == [(n, mix_seed(23, n, r)) for n in (300, 400) for r in range(2)]
 
     def test_simulation_error_fails_every_plan(self, sym_spec, monkeypatch):
@@ -434,25 +496,12 @@ class TestRunExperiments:
             raise SimulationError("simulated path exploded at step 0", index=0)
 
         monkeypatch.setattr(montecarlo, "simulate_path", explode)
-        for res in run_experiments(self.both_plans(sym_spec), workers=1):
+        for res in run_experiments(self.both_plan(sym_spec), workers=1):
             assert res.failed
             for row in res.rows:
                 assert not row.converged
                 assert row.estimates.shape == (len(res.names),)
                 assert np.isnan(row.estimates).all()
-
-    @pytest.mark.parametrize("field, value", [
-        ("base_seed", 24),
-        ("sample_sizes", (400,)),
-        ("replicates", 5),
-        ("burn_in", 300),
-        ("true_spec", reference_spec()),
-    ])
-    def test_plans_must_share_the_path_inputs(self, sym_spec, field, value):
-        plan_a, _ = self.both_plans(sym_spec)
-        plan_b = replace(plan_a, **{field: value})
-        with pytest.raises(ValueError, match=field):
-            run_experiments((plan_a, plan_b))
 
 
 UNTYPED = [ValueError("plan fault"), np.linalg.LinAlgError("matrix fault"),
@@ -664,10 +713,9 @@ class TestEfficiency:
             efficiency_comparison(plan_bad, plan_bad, results=(None, None))
 
     def test_results_must_belong_to_their_plans(self, sym_spec):
-        plans = [ExperimentPlan(true_spec=sym_spec, sample_sizes=(300,), replicates=3,
-                                base_seed=5, estimator=est)
-                 for est in ("concentrated", "full_symmetric")]
-        res_a, res_b = run_experiments(plans)
+        res_a, res_b = run_experiments(ExperimentPlan(
+            true_spec=sym_spec, sample_sizes=(300,), replicates=3, base_seed=5, estimator="both"))
+        plans = [res_a.plan, res_b.plan]
         efficiency_comparison(*plans, results=(res_a, res_b))
         # swapped, each estimator's variances would carry the other's label
         with pytest.raises(ValueError, match="results must be those of"):
@@ -802,9 +850,7 @@ from pathlib import Path
 import taraarch, taraarch.cli
 from taraarch.montecarlo import ExperimentPlan
 for path in sorted(Path(sys.argv[1]).glob("*.json")):
-    doc = json.loads(path.read_text())
-    for est in ("concentrated", "full_symmetric") if doc["estimator"] == "both" else (None,):
-        ExperimentPlan.from_dict(doc if est is None else {**doc, "estimator": est})
+    ExperimentPlan.from_dict(json.loads(path.read_text()))
 print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 """
 
@@ -849,10 +895,8 @@ def task_checking_blas_threads(args):
 montecarlo._replicate_task = task_checking_blas_threads
 with open(sys.argv[1]) as fh:
     doc = {**json.load(fh), "sample_sizes": [300], "replicates": 4}
-plans = [montecarlo.ExperimentPlan.from_dict({**doc, "estimator": est})
-         for est in ("concentrated", "full_symmetric")]
 before = blas_threads()
-results = montecarlo.run_experiments(plans, workers=2)
+results = montecarlo.run_experiments(montecarlo.ExperimentPlan.from_dict(doc), workers=2)
 for _ in range(50):  # the pool's joined threads can take a moment to exit
     if not before or len(os.listdir("/proc/self/task")) == 1:
         break
