@@ -4,12 +4,14 @@ pricing, and the full (non-concentrated) QMLE for the symmetric model.
 The full QMLE is the comparison point for the concentrated two-step
 estimator: with symmetric ARCH errors the variance recursion is smooth in
 every parameter, so the Gaussian quasi-likelihood can be maximized jointly.
-Its gradient, scores and Hessian are analytic.  Each evaluation of the
-objective makes the residuals and the variances, and the gradient from them
-through one product on the regime design; only the inference at the
-optimum builds the rows of the variances' derivative.  The presample
-variance is frozen at the warm start so that the likelihood stays smooth
-and local in the mean parameters.
+The symmetric model is the asymmetric one restricted to ``c+ = c- = a**2``,
+so its lag rows and the theta terms of its inference come from the
+concentrated fit's code in :mod:`taraarch.estimation`.  Its gradient,
+scores and Hessian are analytic.  Each evaluation of the objective makes the
+residuals and the variances, and the gradient from them through one product
+on the regime design; only the inference at the optimum builds the rows of
+the variances' derivative.  The presample variance is frozen at the warm
+start so that the likelihood stays smooth and local in the mean parameters.
 """
 
 from __future__ import annotations
@@ -25,7 +27,9 @@ from .estimation import (
     FitReport,
     _FitContext,
     _initial_values,
+    _lag_rows,
     _sandwich,
+    _theta_terms,
 )
 from .model import (
     AarchParams,
@@ -52,6 +56,17 @@ MEAN_ABS_STANDARD_NORMAL = math.sqrt(2.0 / math.pi)
 MAX_FULL_QMLE_ITER = 500
 
 
+def _coefficients(kind: str, alpha0, *coefficients) -> list[np.ndarray]:
+    """Check ``alpha0`` is finite and > 0, and return each coefficient vector
+    as a float array after checking it is finite and nonnegative."""
+    if not (np.isfinite(alpha0) and alpha0 > 0):
+        raise ValueError(f"alpha0 must be finite and > 0, got {alpha0}")
+    arrays = [np.atleast_1d(np.asarray(c, dtype=float)) for c in coefficients]
+    if not all(np.all(np.isfinite(a) & (a >= 0)) for a in arrays):
+        raise ValueError(f"{kind} coefficients must be finite and nonnegative")
+    return arrays
+
+
 @dataclass(frozen=True)
 class GarchParams:
     """GARCH coefficients: ``h_t = alpha0 + sum a_i e_{t-i}^2 + sum b_j h_{t-j}``."""
@@ -61,12 +76,7 @@ class GarchParams:
     betas: np.ndarray
 
     def __post_init__(self):
-        if self.alpha0 <= 0:
-            raise ValueError(f"alpha0 must be > 0, got {self.alpha0}")
-        a = np.atleast_1d(np.asarray(self.alphas, dtype=float))
-        b = np.atleast_1d(np.asarray(self.betas, dtype=float))
-        if np.any(a < 0) or np.any(b < 0):
-            raise ValueError("GARCH coefficients must be nonnegative")
+        a, b = _coefficients("GARCH", self.alpha0, self.alphas, self.betas)
         object.__setattr__(self, "alphas", a)
         object.__setattr__(self, "betas", b)
 
@@ -92,11 +102,7 @@ class EgarchParams:
 
 def arch_variance(alpha0: float, alphas, residuals) -> np.ndarray:
     """ARCH(q) variances ``alpha0 + sum a_i e_{t-i}^2`` with zero presample shocks."""
-    if alpha0 <= 0:
-        raise ValueError(f"alpha0 must be > 0, got {alpha0}")
-    a = np.atleast_1d(np.asarray(alphas, dtype=float))
-    if np.any(a < 0):
-        raise ValueError("ARCH coefficients must be nonnegative")
+    (a,) = _coefficients("ARCH", alpha0, alphas)
     e = np.asarray(residuals, dtype=float)
     n = e.size
     h = np.full(n, float(alpha0))
@@ -109,6 +115,8 @@ def arch_variance(alpha0: float, alphas, residuals) -> np.ndarray:
 
 def garch_variance(params: GarchParams, residuals, presample_h: float) -> np.ndarray:
     """GARCH(p, q) variances with zero presample shocks and ``presample_h`` backcast."""
+    if not np.isfinite(presample_h) or presample_h < 0:
+        raise ValueError(f"presample_h must be finite and >= 0, got {presample_h}")
     e = np.asarray(residuals, dtype=float)
     n = e.size
     sq = e * e
@@ -271,11 +279,7 @@ def _symmetric_variance(ctx: _FitContext, ph: float, theta, alpha0, alphas):
     """On the residual window: the residuals, the squared-lag rows ``E_k``
     (``ph`` before the sample) and the variances ``alpha0 + sum_k a_k^2 E_k``."""
     e = ctx.residuals(theta)
-    nr = ctx.nr
-    lag_sq = np.full((ctx.q, nr), ph)
-    for k in range(ctx.q):
-        m = min(k + 1, nr)
-        lag_sq[k, m:] = e[: nr - m] ** 2
+    lag_sq = _lag_rows(np.empty((ctx.q, ctx.nr)), e * e, ph)
     return e, lag_sq, alpha0 + np.einsum("k,kt->t", alphas * alphas, lag_sq)
 
 
@@ -343,9 +347,12 @@ def tar_arch_full_qmle(
     regime design, with no per-observation derivative rows.  Inference
     builds the rows of ``dh/d(theta, alpha0, a)`` once, at the optimum: the
     per-observation scores, the OPG information and the Hessian of the mean
-    qll are analytic in them.  ``trace`` holds the qll at each iterate as the
-    optimizer itself evaluated it, with the frozen presample; ``qll`` is the
-    fitted model's, with ``var(e)`` of its residuals there.
+    qll are analytic in them.  The lag rows ``E_k`` and the theta terms are
+    the concentrated fit's (``estimation._lag_rows`` and ``_theta_terms``)
+    at ``c+ = c- = a**2``, with the presample frozen at ``ph``.  ``trace``
+    holds the qll at each iterate as the optimizer itself evaluated it, with
+    the frozen presample; ``qll`` is the fitted model's, with ``var(e)`` of
+    its residuals there.
 
     Returns a :class:`FitReport` whose ``betas`` are exactly zero; raises
     :class:`ConvergenceError` carrying the best iterate on failure, and
@@ -398,20 +405,17 @@ def tar_arch_full_qmle(
     # analytic Hessian of the mean qll,
     #   -zz'/h + (e/h^2)(e_phi dh' + dh e_phi') + (1/2 - e^2/h)/h^2 dh dh'
     #   + w1 d2h,
-    # with e_phi = -z in the theta rows, d2h/dtheta2 = sum_k 2 a_k^2 z z' and
-    # d2h/dtheta da_k = -4 a_k e z at lag k, and d2h/da_k^2 = 2 E_k.  The
-    # theta block's -zz'/h + w1 d2h/dtheta2 is -z diag(b) z'.
+    # with e_phi = -z in the theta rows, d2h/dtheta2 = sum_k 2 a_k^2 z z',
+    # d2h/dtheta da_k = 2 a_k d(X+_k + X-_k)/dtheta and d2h/da_k^2 = 2 E_k;
+    # the theta terms are the concentrated fit's at gamma = (alpha0, a^2, a^2).
+    # The theta block's -zz'/h + w1 d2h/dtheta2 is -z diag(b) z'.
     e, lag_sq, h = _symmetric_variance(ctx, ph, theta, alpha0, alphas)
     eq, hq, zq = e[o:], h[o:], zexp[:, o:]
     r = eq * eq / hq
     w1, b = _variance_weights(ctx, r, hq, alphas)
-    dh = np.zeros((kdim, nr))
-    for k in range(q):
-        m = min(k + 1, nr)
-        dh[:ntheta, m:] -= 2.0 * alphas[k] ** 2 * e[: nr - m] * zexp[:, : nr - m]
-    dh[ntheta] = 1.0
-    dh[ntheta + 1 :] = 2.0 * alphas[:, None] * lag_sq
-    dhq = dh[:, o:]
+    a2 = alphas * alphas
+    dh_theta, dx_w1 = _theta_terms(ctx, e, np.concatenate([[alpha0], a2, a2]), w1)
+    dhq = np.vstack([dh_theta, np.ones(nr), 2.0 * alphas[:, None] * lag_sq])[:, o:]
     s = w1[o:] * dhq
     s[:ntheta] += zq * (eq / hq)
     info = np.einsum("it,jt->ij", s, s) / nq
@@ -421,14 +425,11 @@ def tar_arch_full_qmle(
     hess[:ntheta] -= cross
     hess[:, :ntheta] -= cross.T
     hess[:ntheta, :ntheta] -= np.einsum("it,jt->ij", zexp * b, zexp)
-    for k in range(q):
-        m, a = min(k + 1, nr), ntheta + 1 + k
-        col = -4.0 * alphas[k] * np.einsum(
-            "it,t->i", zexp[:, : nr - m], e[: nr - m] * w1[m:]
-        )
-        hess[:ntheta, a] += col
-        hess[a, :ntheta] += col
-        hess[a, a] += 2.0 * float(np.einsum("t,t->", lag_sq[k], w1))
+    a = np.arange(ntheta + 1, kdim)
+    col = 2.0 * alphas[:, None] * (dx_w1[1 : 1 + q] + dx_w1[1 + q :])
+    hess[a, :ntheta] += col
+    hess[:ntheta, a] += col.T
+    hess[a, a] += 2.0 * np.einsum("kt,t->k", lag_sq, w1)
     hess /= nq
 
     info, sandwich = _sandwich(info, hess, nq)

@@ -165,18 +165,22 @@ def _slope_design(e: np.ndarray, q: int) -> np.ndarray:
     :func:`~taraarch.model.variance_path`.  Shape ``(1 + 2q, n)``,
     time-contiguous.
     """
-    n = e.size
     half_ph = 0.5 * float(e.var())
-    pos = np.maximum(e, 0.0)
-    neg = np.minimum(e, 0.0)
-    x = np.empty((1 + 2 * q, n))
+    x = np.empty((1 + 2 * q, e.size))
     x[0] = 1.0
-    for k in range(1, q + 1):
-        m = min(k, n)
-        x[k, m:] = pos[: n - m] ** 2
-        x[q + k, m:] = neg[: n - m] ** 2
-        x[k, :m] = x[q + k, :m] = half_ph
+    _lag_rows(x[1 : 1 + q], np.maximum(e, 0.0) ** 2, half_ph)
+    _lag_rows(x[1 + q :], np.minimum(e, 0.0) ** 2, half_ph)
     return x
+
+
+def _lag_rows(out: np.ndarray, v: np.ndarray, pre: float) -> np.ndarray:
+    """``out`` with row ``k - 1`` filled by ``v`` lagged ``k`` steps and ``pre``
+    before the sample: the one layout of a lag in the variance, for both fits."""
+    for k, row in enumerate(out, 1):
+        m = min(k, v.size)
+        row[:m] = pre
+        row[m:] = v[: v.size - m]
+    return out
 
 
 def _slopes(aarch: AarchParams) -> np.ndarray:
@@ -567,8 +571,7 @@ def _sandwich_parts(ctx: _FitContext, spec: ModelSpec) -> tuple[np.ndarray, np.n
     zq = zr[:, o:]
 
     ntheta = ctx.ntheta
-    ka = 1 + 2 * q
-    k = ntheta + ka
+    k = ntheta + 1 + 2 * q
     # The variance estimating function is w1_t X_t with w1 = dqll_t/dh_t;
     # dw1 = dw1/dh_t, and e/h**2 = dw1/de_t = -d(e_t/h_t)/dh_t.
     w1 = 0.5 * (eq * eq / hq - 1.0) / hq
@@ -590,27 +593,18 @@ def _sandwich_parts(ctx: _FitContext, spec: ModelSpec) -> tuple[np.ndarray, np.n
     mean_by_slope = -np.einsum("it,jt->ij", zq * e_h2, xq)
     hess[:ntheta, ntheta:] = mean_by_slope
 
-    # Variance equations by mean parameters.  Per unit of theta, e_t moves
-    # by -z_t, lag k of X_t by -2 e_{t-k} z_{t-k} in the row of the sign of
-    # e_{t-k}, so lag k of h_t by -2 c_k e_{t-k} z_{t-k} with c_k = c+_k or
-    # c-_k; presample lags move with ph = var(e) over the residual window.
-    # X is C^1 in e, so no observation needs excluding at the |e| kink.
-    # dh holds dh_t/dtheta and dx_w1 the sum of w1_t dX_t/dtheta.
-    dph = -2.0 / nr * np.einsum("it,t->i", zr, e - e.mean())
+    # Variance equations by mean parameters: the terms with the presample
+    # held fixed (:func:`_theta_terms`), plus the presample lags, which move
+    # with ph = var(e) over the residual window.
     w1r = np.zeros(nr)
     w1r[o:] = w1
-    dh = np.zeros((ntheta, nr))
-    dx_w1 = np.zeros((ka, ntheta))
+    dh, dx_w1 = _theta_terms(ctx, e, gamma, w1r)
+    dph = -2.0 / nr * np.einsum("it,t->i", zr, e - e.mean())
     for lag in range(1, q + 1):
         m = min(lag, nr)
-        pos = np.maximum(e[: nr - m], 0.0)
-        neg = np.minimum(e[: nr - m], 0.0)
-        zl = zr[:, : nr - m]
-        dh[:, m:] -= 2.0 * zl * (gamma[lag] * pos + gamma[q + lag] * neg)
         dh[:, :m] += 0.5 * (gamma[lag] + gamma[q + lag]) * dph[:, None]
         pre = 0.5 * dph * w1r[:m].sum()
-        dx_w1[lag] = pre - 2.0 * np.einsum("it,t->i", zl, w1r[m:] * pos)
-        dx_w1[q + lag] = pre - 2.0 * np.einsum("it,t->i", zl, w1r[m:] * neg)
+        dx_w1[[lag, q + lag]] += pre
     hess[ntheta:, :ntheta] = (
         mean_by_slope.T + np.einsum("it,jt->ij", xq * dw1, dh[:, o:]) + dx_w1
     )
@@ -630,6 +624,27 @@ def _sandwich_parts(ctx: _FitContext, spec: ModelSpec) -> tuple[np.ndarray, np.n
     hess[diag, diag + q] += 2.0 * (gp - gm)
     hess[diag + q, diag] += 2.0 * (gp - gm)
     return info, hess
+
+
+def _theta_terms(ctx: _FitContext, e: np.ndarray, gamma: np.ndarray, w1: np.ndarray):
+    """With the presample held fixed, at residuals ``e`` and slopes ``gamma``:
+    the rows ``dh/dtheta`` on the residual window and, per slope, ``sum_t w1_t
+    dX_t/dtheta`` for weights ``w1`` that are zero before the likelihood window.
+    Per unit of theta, e_t moves by -z_t, so lag k of X_t by -2 e_{t-k} z_{t-k}
+    in the row of the sign of e_{t-k} (X is C^1 in e: no kink to exclude), and
+    lag k of h_t by -2 c_k e_{t-k} z_{t-k} with c_k = c+_k or c-_k."""
+    q, nr, zr = ctx.q, ctx.nr, ctx.zexp_t
+    dh = np.zeros((ctx.ntheta, nr))
+    dx_w1 = np.zeros((1 + 2 * q, ctx.ntheta))
+    for lag in range(1, q + 1):
+        m = min(lag, nr)
+        pos = np.maximum(e[: nr - m], 0.0)
+        neg = np.minimum(e[: nr - m], 0.0)
+        zl = zr[:, : nr - m]
+        dh[:, m:] -= 2.0 * zl * (gamma[lag] * pos + gamma[q + lag] * neg)
+        dx_w1[lag] = -2.0 * np.einsum("it,t->i", zl, w1[m:] * pos)
+        dx_w1[q + lag] = -2.0 * np.einsum("it,t->i", zl, w1[m:] * neg)
+    return dh, dx_w1
 
 
 def _sandwich(info: np.ndarray, hess: np.ndarray, nq: int):

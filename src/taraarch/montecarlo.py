@@ -750,7 +750,10 @@ def load_results(csv_path, json_path) -> ExperimentResult:
     once, if a row has more fields than the header, or if a stored summary
     statistic disagrees with the recomputed one: the counts and the
     selection statistics exactly, the others beyond 1e-12.  Either would
-    indicate that the two files do not belong together.
+    indicate that the two files do not belong together.  ``mean_scaled_cov``
+    is the one field taken from the JSON without a recompute, because the
+    rows' scaled covariances are not in the CSV; it is checked only for its
+    ``(k, k)`` shape.
     """
     with open(json_path) as fh:
         doc = json.load(fh)
@@ -815,7 +818,11 @@ def load_results(csv_path, json_path) -> ExperimentResult:
             raise ValueError(f"stored cov_scaled at n={n} disagrees with raw rows")
         mean_scaled = stored.get("mean_scaled_cov")
         if mean_scaled is not None:
-            summaries[n] = replace(fresh, mean_scaled_cov=np.asarray(mean_scaled, dtype=float))
+            mean_scaled = np.asarray(mean_scaled, dtype=float)
+            if mean_scaled.shape != (len(names),) * 2:
+                raise ValueError(f"stored mean_scaled_cov at n={n} has shape "
+                                 f"{mean_scaled.shape}, not {(len(names),) * 2}")
+            summaries[n] = replace(fresh, mean_scaled_cov=mean_scaled)
     if bool(doc["failed"]) != failed:
         raise ValueError("stored failure flag disagrees with raw rows")
     return ExperimentResult(

@@ -19,11 +19,13 @@ from taraarch.baselines import (
     garch_variance,
     tar_arch_full_qmle,
     _full_qmle_objective,
+    _symmetric_variance,
 )
 from taraarch.estimation import (
     EstimationError,
     _FitContext,
     _initial_values,
+    _slope_design,
     gaussian_qll,
     theta_step,
 )
@@ -148,6 +150,18 @@ class TestArchVariance:
         with pytest.raises(ValueError):
             arch_variance(0.1, np.array([-0.2]), np.array([1.0]))
 
+    @pytest.mark.parametrize("alpha0", [np.nan, np.inf])
+    def test_rejects_non_finite_alpha0(self, alpha0):
+        # NaN returned all-NaN variances instead of raising
+        with pytest.raises(ValueError, match=f"alpha0 must be finite and > 0, got {alpha0}"):
+            arch_variance(alpha0, np.array([0.4]), np.array([1.0, 2.0]))
+
+    @pytest.mark.parametrize("coefficient", [np.nan, np.inf])
+    def test_rejects_non_finite_coefficients(self, coefficient):
+        # NaN passed the a < 0 check
+        with pytest.raises(ValueError, match="ARCH coefficients must be finite and nonnegative"):
+            arch_variance(0.1, np.array([coefficient]), np.array([1.0, 2.0]))
+
 
 class TestGarchVariance:
     def test_beta_zero_reduces_to_arch(self):
@@ -177,6 +191,24 @@ class TestGarchVariance:
             e_prev, h_prev = e[t], h_t
         target = alpha0 / (1 - a1 - b1)
         assert abs(e.var() - target) / target < 0.10
+
+    @pytest.mark.parametrize("alpha0, alphas, betas, message", [
+        (np.nan, [0.1], [0.8], "alpha0 must be finite and > 0, got nan"),
+        (0.1, [np.inf], [0.8], "GARCH coefficients must be finite and nonnegative"),
+        (0.1, [0.1], [np.nan], "GARCH coefficients must be finite and nonnegative"),
+        (0.1, [0.1], [-0.8], "GARCH coefficients must be finite and nonnegative"),
+    ])
+    def test_rejects_non_finite_or_negative_parameters(self, alpha0, alphas, betas, message):
+        with pytest.raises(ValueError, match=message):
+            GarchParams(alpha0, np.array(alphas), np.array(betas))
+
+    @pytest.mark.parametrize("presample_h", [-5.0, np.nan, np.inf])
+    def test_rejects_negative_or_non_finite_presample(self, presample_h):
+        # at -5.0 these variances were -3.9 and -2.995
+        params = GarchParams(0.1, np.array([0.1]), np.array([0.8]))
+        with pytest.raises(ValueError,
+                           match=f"presample_h must be finite and >= 0, got {presample_h}"):
+            garch_variance(params, np.array([0.5, -1.5]), presample_h=presample_h)
 
     def test_stationarity_flag(self):
         assert GarchParams(0.1, np.array([0.1]), np.array([0.8])).is_stationary
@@ -285,6 +317,24 @@ class TestBlackScholes:
 
 
 class TestFullQmle:
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_lag_rows_are_the_slope_designs_at_c_plus_equal_c_minus(self, q):
+        # One of e+^2 and e-^2 is an exact zero and ph/2 + ph/2 = ph, so the
+        # squared-lag rows E_k are X+_k + X-_k of the concentrated fit's slope
+        # design bit for bit, and both are e^2 lagged k steps after ph.
+        spec = symmetric_reference_spec()
+        x = simulate_path(spec, SimConfig(n=500, seed=48)).series.values
+        ctx = _FitContext(x, spec.partition, spec.p, q)
+        theta = spec.tar.coefficients.ravel()
+        e = ctx.residuals(theta)
+        ph = float(e.var())
+        _, lag_sq, _ = _symmetric_variance(ctx, ph, theta, 0.1, np.full(q, 0.4))
+        xd = _slope_design(e, q)
+        assert lag_sq.tobytes() == (xd[1 : 1 + q] + xd[1 + q :]).tobytes()
+        for k in range(1, q + 1):
+            ref = np.concatenate([np.full(k, ph), e[:-k] ** 2])
+            assert lag_sq[k - 1].tobytes() == ref.tobytes()
+
     def test_degenerate_case_recovers_moments(self):
         spec = ModelSpec(
             p=0,

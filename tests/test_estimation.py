@@ -718,6 +718,51 @@ def test_sandwich_jacobian_matches_finite_differences(n):
         assert np.max(np.abs(got - fd)) <= 1e-6 * np.max(np.abs(fd))
 
 
+@pytest.mark.parametrize("q", [1, 2])
+@pytest.mark.parametrize("symmetric", [False, True], ids=["asymmetric", "c+=c-"])
+def test_theta_terms_match_finite_differences(q, symmetric):
+    # With the presample frozen at ph: dh/dtheta and sum_t w1_t dX_t/dtheta
+    # against central differences.  At n = 200 the presample rows show; with
+    # betas = 0 the slopes are gamma = (alpha0, a**2, a**2), as in the full QMLE.
+    spec = two_lag_spec() if q == 2 else reference_spec()
+    if symmetric:
+        spec = dataclasses.replace(spec, aarch=dataclasses.replace(
+            spec.aarch, betas=np.zeros(q)))
+    x = simulate_path(spec, SimConfig(n=200, seed=23)).series.values
+    ctx = _FitContext(x, spec.partition, spec.p, q)
+    theta, gamma = spec.tar.coefficients.ravel(), _slopes(spec.aarch)
+    ph = float(ctx.residuals(theta).var())
+
+    def design(theta):
+        e = ctx.residuals(theta)
+        rows = [np.ones(ctx.nr)]
+        for part in (np.maximum(e, 0.0), np.minimum(e, 0.0)):
+            rows += [np.concatenate([np.full(k, ph / 2), part[:-k] ** 2])
+                     for k in range(1, q + 1)]
+        return np.array(rows)
+
+    e, xd = ctx.residuals(theta), design(theta)
+    h = gamma @ xd
+    w1 = np.zeros(ctx.nr)
+    w1[ctx.o :] = 0.5 * (e[ctx.o :] ** 2 / h[ctx.o :] - 1.0) / h[ctx.o :]
+    dh, dx_w1 = estimation._theta_terms(ctx, e, gamma, w1)
+
+    def central(f, step=1e-6):
+        cols = []
+        for c in range(theta.size):
+            up, dn = theta.copy(), theta.copy()
+            up[c] += step
+            dn[c] -= step
+            cols.append((f(up) - f(dn)) / (2.0 * step))
+        return np.stack(cols)
+
+    fd_dh = central(lambda t: gamma @ design(t))
+    fd_dx = central(lambda t: design(t) @ w1).T
+    assert not dh[:, 0].any() and not dx_w1[0].any()
+    assert np.max(np.abs(dh - fd_dh)) <= 1e-7 * np.max(np.abs(fd_dh))
+    assert np.max(np.abs(dx_w1 - fd_dx)) <= 1e-7 * np.max(np.abs(fd_dx))
+
+
 def test_std_errors_match_finite_difference_sandwich():
     plan = load_plan("consistency.json")
     spec = plan.true_spec

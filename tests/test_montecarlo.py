@@ -383,6 +383,25 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="disagrees"):
             load_results(csv_path, json_path)
 
+    @pytest.mark.parametrize("value, shape", [
+        ([[2.0]], (1, 1)), (np.eye(6).tolist(), (6, 6)), ([2.0] * 7, (7,)), (2.0, ()),
+    ])
+    def test_load_rejects_mean_scaled_cov_of_the_wrong_shape(self, tmp_path, value, shape):
+        # the one summary field not recomputed from the rows: a 1 x 1 matrix
+        # would broadcast in normality_diagnostics without an error
+        res = run_experiment(small_plan(replicates=4))
+        csv_path = tmp_path / "rows.csv"
+        json_path = tmp_path / "summary.json"
+        save_results(res, csv_path, json_path)
+        doc = json.loads(json_path.read_text())
+        assert np.shape(doc["cells"]["300"]["mean_scaled_cov"]) == (7, 7)
+        doc["cells"]["300"]["mean_scaled_cov"] = value
+        json_path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as excinfo:
+            load_results(csv_path, json_path)
+        assert str(excinfo.value) == (
+            f"stored mean_scaled_cov at n=300 has shape {shape}, not (7, 7)")
+
     @pytest.mark.parametrize("edit, message", [
         (lambda lines: lines + ["300,4,1,0" + ",nan" * 14],
          "results row n=300, r=4 is not a cell of the plan, or repeats one"),
