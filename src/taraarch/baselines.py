@@ -17,7 +17,7 @@ start so that the likelihood stays smooth and local in the mean parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .model import (
     ModelSpec,
     TarParams,
     ThresholdPartition,
+    _as_float_array,
 )
 
 __all__ = [
@@ -95,6 +96,11 @@ class EgarchParams:
     omega: float
     lam: float
 
+    def __post_init__(self):
+        for f in fields(self):
+            if not np.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be finite, got {getattr(self, f.name)}")
+
     @property
     def is_stationary(self) -> bool:
         return abs(self.gamma1) < 1.0
@@ -103,13 +109,12 @@ class EgarchParams:
 def arch_variance(alpha0: float, alphas, residuals) -> np.ndarray:
     """ARCH(q) variances ``alpha0 + sum a_i e_{t-i}^2`` with zero presample shocks."""
     (a,) = _coefficients("ARCH", alpha0, alphas)
-    e = np.asarray(residuals, dtype=float)
+    e = _as_float_array(residuals, "residuals")
     n = e.size
     h = np.full(n, float(alpha0))
     sq = e * e
-    for k in range(1, a.size + 1):
-        if k <= n:
-            h[k:] += a[k - 1] * sq[: n - k]
+    for k in range(1, min(a.size, n) + 1):
+        h[k:] += a[k - 1] * sq[: n - k]
     return h
 
 
@@ -117,7 +122,7 @@ def garch_variance(params: GarchParams, residuals, presample_h: float) -> np.nda
     """GARCH(p, q) variances with zero presample shocks and ``presample_h`` backcast."""
     if not np.isfinite(presample_h) or presample_h < 0:
         raise ValueError(f"presample_h must be finite and >= 0, got {presample_h}")
-    e = np.asarray(residuals, dtype=float)
+    e = _as_float_array(residuals, "residuals")
     n = e.size
     sq = e * e
     qn = params.alphas.size
@@ -125,9 +130,8 @@ def garch_variance(params: GarchParams, residuals, presample_h: float) -> np.nda
     h = np.empty(n)
     for t in range(n):
         val = params.alpha0
-        for i in range(1, qn + 1):
-            if t - i >= 0:
-                val += params.alphas[i - 1] * sq[t - i]
+        for i in range(1, min(qn, t) + 1):
+            val += params.alphas[i - 1] * sq[t - i]
         for j in range(1, pn + 1):
             val += params.betas[j - 1] * (h[t - j] if t - j >= 0 else presample_h)
         h[t] = val
@@ -149,7 +153,9 @@ def egarch_log_variance(
     ``presample_logh``.  Variances are recovered by exponentiation and are
     therefore positive by construction.
     """
-    z = np.asarray(standardized_shocks, dtype=float)
+    z = _as_float_array(standardized_shocks, "standardized_shocks")
+    if not np.isfinite(presample_logh):
+        raise ValueError(f"presample_logh must be finite, got {presample_logh}")
     out = np.empty(z.size)
     prev = float(presample_logh)
     for t in range(z.size):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import io
 import json
 import multiprocessing
 from collections import Counter
@@ -41,6 +42,7 @@ from .model import (
     param_names,
     param_vector,
     _document,
+    _reals,
     _whole,
     _wholes,
 )
@@ -416,6 +418,15 @@ def _summarize(plan, names, truth, rows):
     return summaries, failed
 
 
+def _result(plan: ExperimentPlan, rows: tuple[ReplicateRow, ...]) -> ExperimentResult:
+    """A one-estimator plan's result on its rows."""
+    names = plan_param_names(plan)
+    truth = param_vector(plan.true_spec)[: len(names)]
+    summaries, failed = _summarize(plan, names, truth, rows)
+    return ExperimentResult(plan=plan, names=tuple(names), truth=truth, rows=rows,
+                            summaries=summaries, failed=failed)
+
+
 def run_experiments(plan: ExperimentPlan, workers: int = 1) -> tuple[ExperimentResult, ...]:
     """Simulate every (sample size, replicate) cell once and fit it by each
     of :meth:`ExperimentPlan.per_estimator`, one result per estimator.
@@ -458,21 +469,7 @@ def run_experiments(plan: ExperimentPlan, workers: int = 1) -> tuple[ExperimentR
             cells = list(pool.map(_replicate_task, tasks))
     else:
         cells = [_replicate_task(t) for t in tasks]
-    results = []
-    for i, one in enumerate(plans):
-        names = plan_param_names(one)
-        truth = param_vector(one.true_spec)[: len(names)]
-        rows = tuple(cell[i] for cell in cells)
-        summaries, failed = _summarize(one, names, truth, rows)
-        results.append(ExperimentResult(
-            plan=one,
-            names=tuple(names),
-            truth=truth,
-            rows=rows,
-            summaries=summaries,
-            failed=failed,
-        ))
-    return tuple(results)
+    return tuple(_result(one, tuple(cell[i] for cell in cells)) for i, one in enumerate(plans))
 
 
 def run_experiment(plan: ExperimentPlan, workers: int = 1) -> ExperimentResult:
@@ -698,30 +695,31 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
-def results_to_csv(result: ExperimentResult, fh) -> None:
-    """One raw row per replicate: identifiers, convergence, estimates, SEs."""
-    grid = result.plan.grid
-    has_search = grid is not None
-    if has_search:  # as many threshold columns as the grid has boundaries
+def _csv_header(plan: ExperimentPlan, names) -> list[str]:
+    """The results CSV's columns: identifiers, convergence, estimates, SEs,
+    and for a search the selected delay and one column per grid boundary."""
+    header = ["n", "r", "seed", "converged", *names, *(f"se_{name}" for name in names)]
+    grid = plan.grid
+    if grid is not None:
         boundaries = (grid.boundaries if isinstance(grid, GridRecipe)
                       else len(grid.threshold_candidates))
-    header = ["n", "r", "seed", "converged"]
-    header += list(result.names)
-    header += [f"se_{name}" for name in result.names]
-    if has_search:
-        header += ["selected_delay"]
-        header += [f"selected_threshold_{i + 1}" for i in range(boundaries)]
+        header += ["selected_delay", *(f"selected_threshold_{i + 1}" for i in range(boundaries))]
+    return header
+
+
+def results_to_csv(result: ExperimentResult, fh) -> None:
+    """One raw row per replicate under :func:`_csv_header`'s columns."""
+    header = _csv_header(result.plan, result.names)
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(header)
     for row in result.rows:
         record = [row.n, row.r, row.seed, int(row.converged)]
         record += [_fmt(v) for v in row.estimates]
         record += [_fmt(v) for v in row.std_errors]
-        if has_search:
+        if result.plan.grid is not None:
             record += [row.selected_delay if row.selected_delay is not None else ""]
-            ths = row.selected_thresholds or ()
-            record += [_fmt(t) for t in ths] + [""] * (boundaries - len(ths))
-        writer.writerow(record)
+            record += [_fmt(t) for t in row.selected_thresholds or ()]
+        writer.writerow(record + [""] * (len(header) - len(record)))
 
 
 def summary_to_dict(result: ExperimentResult) -> dict:
@@ -743,52 +741,60 @@ def save_results(result: ExperimentResult, csv_path, json_path) -> None:
         fh.write("\n")
 
 
-def load_results(csv_path, json_path) -> ExperimentResult:
-    """Reload persisted results, recomputing summaries from the raw rows.
+_SUMMARY_RTOL = {"bias": 0.0, "rmse": 0.0, "coverage": 0.0, "cov_scaled": 1e-12}
 
-    Raises ``ValueError`` if the rows are not the plan's (n, r) cells, each
-    once, if a row has more fields than the header, or if a stored summary
-    statistic disagrees with the recomputed one: the counts and the
-    selection statistics exactly, the others beyond 1e-12.  Either would
-    indicate that the two files do not belong together.  ``mean_scaled_cov``
-    is the one field taken from the JSON without a recompute, because the
+
+def _agrees(key: str, stored, fresh) -> bool:
+    rtol = _SUMMARY_RTOL.get(key)
+    if rtol is None:
+        return stored == fresh
+    stored = _reals(key, stored, np.ndim(fresh))
+    return stored.shape == np.shape(fresh) and np.allclose(
+        stored, fresh, atol=1e-12, rtol=rtol, equal_nan=True)
+
+
+def load_results(csv_path, json_path) -> ExperimentResult:
+    """Reload a results CSV and its summary JSON, as :func:`save_results`
+    writes them.
+
+    The result is rebuilt from the stored plan and the CSV's rows, as
+    :func:`run_experiments` builds it: the names, the truth and each row's
+    seed come from the plan.  The pair is accepted only if writing that
+    result gives back the CSV byte for byte and every stored summary field
+    agrees with the rebuilt one: ``bias``, ``rmse`` and ``coverage`` within
+    1e-12, ``cov_scaled`` within 1e-12 absolute and relative, the others
+    exactly.  Otherwise ``ValueError`` is raised, naming the row or field at fault.
+    ``mean_scaled_cov`` is the one field taken from the JSON, because the
     rows' scaled covariances are not in the CSV; it is checked only for its
-    ``(k, k)`` shape.
+    ``(k, k)`` shape.  The ``normality`` entry of ``taraarch mc`` is not read.
     """
     with open(json_path) as fh:
         doc = json.load(fh)
+    _document("summary", doc, ["plan", "failed", "param_names", "truth", "cells"], ["normality"])
     plan = ExperimentPlan.from_dict(doc["plan"])
-    names = tuple(doc["param_names"])
-    truth = np.asarray(doc["truth"], dtype=float)
-    rows = []
+    names = plan_param_names(plan)
+    k = len(names)
+    header = _csv_header(plan, names)
     with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        threshold_cols = [
-            c for c in reader.fieldnames or () if c.startswith("selected_threshold_")
-        ]
-        for rec in reader:
-            if None in rec:
-                raise ValueError(f"results row {reader.line_num} has more fields than its header")
-            conv = bool(int(rec["converged"]))
-            est = np.array([float(rec[name]) for name in names])
-            ses = np.array([float(rec[f"se_{name}"]) for name in names])
-            sel_delay = sel_ths = None
-            if "selected_delay" in rec and rec["selected_delay"] not in (None, ""):
-                sel_delay = int(rec["selected_delay"])
-                sel_ths = tuple(float(rec[c]) for c in threshold_cols if rec[c] != "")
-            rows.append(
-                ReplicateRow(
-                    n=int(rec["n"]),
-                    r=int(rec["r"]),
-                    seed=int(rec["seed"]),
-                    converged=conv,
-                    estimates=est,
-                    std_errors=ses,
-                    selected_delay=sel_delay,
-                    selected_thresholds=sel_ths,
-                )
-            )
-    rows = tuple(rows)
+        text = fh.read()
+    reader = csv.reader(io.StringIO(text, newline=""))
+    if next(reader, []) != header:
+        raise ValueError(f"results header is not the plan's: {','.join(header)}")
+    rows = []
+    for record in reader:
+        if len(record) != len(header):
+            more = "more" if len(record) > len(header) else "fewer"
+            raise ValueError(f"results row {reader.line_num} has {more} fields than its header")
+        n, r, converged = int(record[0]), int(record[1]), int(record[3])
+        search = record[4 + 2 * k:]
+        delay = thresholds = None
+        if search and search[0] != "":
+            delay = int(search[0])
+            thresholds = tuple(float(t) for t in search[1:] if t != "")
+        rows.append(ReplicateRow(n, r, mix_seed(plan.base_seed, n, r), bool(converged),
+                                 np.array([float(v) for v in record[4:4 + k]]),
+                                 np.array([float(v) for v in record[4 + k:4 + 2 * k]]),
+                                 delay, thresholds))
     found = Counter((row.n, row.r) for row in rows)
     cells = Counter((n, r) for n in plan.sample_sizes for r in range(plan.replicates))
     for label, off in (("is not a cell of the plan, or repeats one", found - cells),
@@ -796,40 +802,27 @@ def load_results(csv_path, json_path) -> ExperimentResult:
         if off:
             n, r = min(off)
             raise ValueError(f"results row n={n}, r={r} {label}")
-    summaries, failed = _summarize(plan, list(names), truth, rows)
+    result = _result(plan, tuple(rows))
+    written = io.StringIO()
+    results_to_csv(result, written)
+    if written.getvalue() != text:
+        raise ValueError("results file does not write back unchanged")
+    fresh = summary_to_dict(result)
+    for key in ("plan", "param_names", "truth", "failed"):
+        if doc[key] != fresh[key]:
+            raise ValueError(f"stored summary field {key!r} disagrees with the plan and its rows")
+    _document("summary cells", doc["cells"], list(fresh["cells"]))
     for n in plan.sample_sizes:
         stored = doc["cells"][str(n)]
-        fresh = summaries[n]
-        for key in ("n_total", "n_converged", "nonconverged_rate", "delay_mode",
-                    "threshold_medians"):
-            if stored[key] != _encode(getattr(fresh, key)):
-                raise ValueError(
-                    f"stored summary field {key!r} at n={n} disagrees with raw rows"
-                )
-        for key in ("bias", "rmse", "coverage"):
-            a = np.asarray(stored[key], dtype=float)
-            b = getattr(fresh, key)
-            if not np.allclose(a, b, atol=1e-12, rtol=0.0, equal_nan=True):
-                raise ValueError(
-                    f"stored summary field {key!r} at n={n} disagrees with raw rows"
-                )
-        a = np.asarray(stored["cov_scaled"], dtype=float)
-        if not np.allclose(a, fresh.cov_scaled, atol=1e-12, rtol=1e-12, equal_nan=True):
-            raise ValueError(f"stored cov_scaled at n={n} disagrees with raw rows")
-        mean_scaled = stored.get("mean_scaled_cov")
+        _document(f"summary cell n={n}", stored, list(fresh["cells"][str(n)]))
+        for key, value in fresh["cells"][str(n)].items():
+            if key != "mean_scaled_cov" and not _agrees(key, stored[key], value):
+                raise ValueError(f"stored summary field {key!r} at n={n} disagrees with raw rows")
+        mean_scaled = stored["mean_scaled_cov"]
         if mean_scaled is not None:
             mean_scaled = np.asarray(mean_scaled, dtype=float)
-            if mean_scaled.shape != (len(names),) * 2:
+            if mean_scaled.shape != (k, k):
                 raise ValueError(f"stored mean_scaled_cov at n={n} has shape "
-                                 f"{mean_scaled.shape}, not {(len(names),) * 2}")
-            summaries[n] = replace(fresh, mean_scaled_cov=mean_scaled)
-    if bool(doc["failed"]) != failed:
-        raise ValueError("stored failure flag disagrees with raw rows")
-    return ExperimentResult(
-        plan=plan,
-        names=names,
-        truth=truth,
-        rows=rows,
-        summaries=summaries,
-        failed=failed,
-    )
+                                 f"{mean_scaled.shape}, not {(k, k)}")
+            result.summaries[n] = replace(result.summaries[n], mean_scaled_cov=mean_scaled)
+    return result

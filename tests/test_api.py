@@ -1,5 +1,8 @@
 """The public calls take only the options that the package, its command line
-or its benchmark set; an option that none of them set is not accepted."""
+or its benchmark set; an option that none of them set is not accepted.  Every
+exported name still imports."""
+
+import importlib
 
 import pytest
 
@@ -58,3 +61,60 @@ def test_efficiency_comparison_needs_results():
 def test_removed_search_grid_from_series():
     # a quantile grid is a GridRecipe, which threshold_delay_search accepts
     assert not hasattr(SearchGrid, "from_series")
+
+
+# The names the package and each module export; a simplification may remove
+# an option, but not one of these names.
+EXPORTS = {
+    "taraarch": [
+        "AarchParams", "ModelSpec", "TarParams", "ThresholdPartition", "TimeSeries",
+        "check_stationarity", "conditional_mean", "news_impact", "param_names",
+        "param_vector", "regime_index", "regime_indices", "replace_params", "residuals",
+        "variance_path", "SimConfig", "SimulatedPath", "SimulationError",
+        "box_cox_sqrt_transform", "log_return_transform", "mix_seed", "normal_stream",
+        "relative_return_transform", "simulate_path", "ConvergenceError", "EstimationError",
+        "FitReport", "GridRecipe", "SearchGrid", "alpha_score", "alpha_step",
+        "concentrated_equation_residuals", "estimate_information", "fit_alternating",
+        "gaussian_qll", "theta_step", "threshold_delay_search", "CannedSpec", "EgarchParams",
+        "GarchParams", "arch_variance", "black_scholes_price", "canned_model_spec",
+        "canned_specs", "egarch_log_variance", "egarch_shock_response", "garch_variance",
+        "tar_arch_full_qmle", "ExperimentPlan", "ExperimentResult", "efficiency_comparison",
+        "normality_diagnostics", "reference_spec", "run_experiment", "run_experiments",
+        "symmetric_reference_spec",
+    ],
+    "taraarch.model": [
+        "TimeSeries", "ThresholdPartition", "TarParams", "AarchParams", "ModelSpec",
+        "regime_index", "regime_indices", "conditional_mean", "residuals", "variance_path",
+        "news_impact", "check_stationarity", "param_names", "param_vector", "replace_params",
+    ],
+    "taraarch.simulate": [
+        "SimConfig", "SimulatedPath", "SimulationError", "mix_seed", "normal_stream",
+        "simulate_path", "log_return_transform", "relative_return_transform",
+        "box_cox_sqrt_transform", "path_to_csv",
+    ],
+    "taraarch.estimation": [
+        "EstimationError", "ConvergenceError", "FitReport", "SearchGrid", "GridRecipe",
+        "SearchOutcome", "gaussian_qll", "theta_step", "alpha_step", "fit_alternating",
+        "alpha_score", "concentrated_equation_residuals", "estimate_information",
+        "threshold_delay_search",
+    ],
+    "taraarch.baselines": [
+        "GarchParams", "EgarchParams", "CannedSpec", "arch_variance", "garch_variance",
+        "egarch_shock_response", "egarch_log_variance", "canned_specs", "canned_model_spec",
+        "black_scholes_price", "tar_arch_full_qmle",
+    ],
+    "taraarch.montecarlo": [
+        "ExperimentPlan", "ExperimentResult", "ReplicateRow", "CellSummary", "GridRecipe",
+        "run_experiment", "run_experiments", "efficiency_comparison", "EfficiencyReport",
+        "normality_diagnostics", "NormalityReport", "anderson_darling_statistic",
+        "reference_spec", "symmetric_reference_spec", "save_results", "load_results",
+    ],
+}
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_every_exported_name_still_imports(module):
+    mod = importlib.import_module(module)
+    exported = getattr(mod, "__all__", EXPORTS[module])
+    assert [name for name in EXPORTS[module] if name not in exported] == []
+    assert [name for name in exported if not hasattr(mod, name)] == []

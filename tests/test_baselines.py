@@ -162,6 +162,17 @@ class TestArchVariance:
         with pytest.raises(ValueError, match="ARCH coefficients must be finite and nonnegative"):
             arch_variance(0.1, np.array([coefficient]), np.array([1.0, 2.0]))
 
+    def test_rejects_a_non_finite_residual(self):
+        # returned [0.1 0.5 nan]
+        with pytest.raises(ValueError, match="residuals contains a non-finite value at index 1"):
+            arch_variance(0.1, [0.4], [1.0, np.nan, 2.0])
+
+    def test_rejects_two_dimensional_residuals(self):
+        # failed in a numpy broadcast
+        with pytest.raises(ValueError,
+                           match=r"residuals must be one-dimensional, got shape \(2, 2\)"):
+            arch_variance(0.1, [0.4], np.ones((2, 2)))
+
 
 class TestGarchVariance:
     def test_beta_zero_reduces_to_arch(self):
@@ -210,6 +221,18 @@ class TestGarchVariance:
                            match=f"presample_h must be finite and >= 0, got {presample_h}"):
             garch_variance(params, np.array([0.5, -1.5]), presample_h=presample_h)
 
+    def test_rejects_a_non_finite_residual(self):
+        # returned an infinite variance
+        params = GarchParams(0.1, np.array([0.1]), np.array([0.8]))
+        with pytest.raises(ValueError, match="residuals contains a non-finite value at index 1"):
+            garch_variance(params, [0.5, np.inf, 1.0], presample_h=1.0)
+
+    def test_rejects_two_dimensional_residuals(self):
+        params = GarchParams(0.1, np.array([0.1]), np.array([0.8]))
+        with pytest.raises(ValueError,
+                           match=r"residuals must be one-dimensional, got shape \(2, 2\)"):
+            garch_variance(params, np.ones((2, 2)), presample_h=1.0)
+
     def test_stationarity_flag(self):
         assert GarchParams(0.1, np.array([0.1]), np.array([0.8])).is_stationary
         assert not GarchParams(0.1, np.array([0.3]), np.array([0.8])).is_stationary
@@ -243,6 +266,28 @@ class TestEgarch:
         z = normal_stream(5, 1000)
         logh = egarch_log_variance(params, z, presample_logh=0.0)
         assert np.all(np.exp(logh) > 0)
+
+    @pytest.mark.parametrize("field", ["gamma0", "gamma1", "omega", "lam"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_non_finite_parameters(self, field, value):
+        # a NaN gamma0 returned [nan nan nan]
+        values = {"gamma0": 0.1, "gamma1": 0.5, "omega": 0.1, "lam": 0.2, field: value}
+        with pytest.raises(ValueError, match=f"{field} must be finite, got {value}"):
+            EgarchParams(**values)
+
+    @pytest.mark.parametrize("presample_logh", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_presample(self, presample_logh):
+        # inf returned [inf inf inf]
+        params = EgarchParams(0.1, 0.5, omega=0.1, lam=0.2)
+        with pytest.raises(ValueError,
+                           match=f"presample_logh must be finite, got {presample_logh}"):
+            egarch_log_variance(params, np.zeros(3), presample_logh=presample_logh)
+
+    def test_rejects_a_non_finite_shock(self):
+        params = EgarchParams(0.1, 0.5, omega=0.1, lam=0.2)
+        with pytest.raises(ValueError,
+                           match="standardized_shocks contains a non-finite value at index 1"):
+            egarch_log_variance(params, [0.0, np.nan, 1.0], presample_logh=0.0)
 
 
 class TestCannedSpecs:

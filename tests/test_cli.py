@@ -1,3 +1,4 @@
+import io
 import json
 import math
 from dataclasses import replace
@@ -8,7 +9,12 @@ import pytest
 from taraarch.cli import main
 from taraarch.estimation import FitReport
 from taraarch.model import param_vector
-from taraarch.montecarlo import reference_spec, symmetric_reference_spec
+from taraarch.montecarlo import (
+    load_results,
+    reference_spec,
+    results_to_csv,
+    symmetric_reference_spec,
+)
 from taraarch.simulate import SimConfig, simulate_path
 
 from conftest import PLANS
@@ -247,16 +253,27 @@ class TestMc:
     @pytest.mark.filterwarnings("ignore:stationarity check failed:UserWarning")
     @pytest.mark.parametrize("name", sorted(path.name for path in PLANS.glob("*.json")))
     def test_committed_plan_writes_its_file_layout(self, tmp_path, name):
-        # the files bench/workloads.output_files reads, per estimator
+        # the files bench/workloads.output_files reads, per estimator; each
+        # results pair reloads, and its CSV writes back byte for byte
         doc = json.loads((PLANS / name).read_text())
-        doc.update(sample_sizes=doc["sample_sizes"][:1], replicates=2)
+        if doc["grid"] is None:
+            doc.update(sample_sizes=[300], replicates=4)
+        else:
+            doc.update(sample_sizes=doc["sample_sizes"][:1], replicates=2)
         plan = tmp_path / "plan.json"
         plan.write_text(json.dumps(doc))
         assert run_cli("mc", str(plan), "--workers", "1", "--output", str(tmp_path / "mc")) == 0
-        layout = (["concentrated.csv", "concentrated.json", "full.csv", "full.json"]
-                  if doc["estimator"] == "both" else ["results.csv"])
+        pairs = ([("concentrated.csv", "concentrated.json"), ("full.csv", "full.json")]
+                 if doc["estimator"] == "both" else [("results.csv", "summary.json")])
         assert sorted(path.name for path in tmp_path.glob("mc_*")) == sorted(
-            f"mc_{suffix}" for suffix in layout + ["summary.json"])
+            {f"mc_{suffix}" for pair in pairs for suffix in pair} | {"mc_summary.json"})
+        for csv_name, json_name in pairs:
+            csv_path = tmp_path / f"mc_{csv_name}"
+            result = load_results(csv_path, tmp_path / f"mc_{json_name}")
+            assert len(result.rows) == doc["replicates"]
+            buf = io.StringIO()
+            results_to_csv(result, buf)
+            assert buf.getvalue().encode() == csv_path.read_bytes()
 
     def test_nonstationary_plan_warns(self, tmp_path, capsys):
         doc = self.plan_doc(replicates=1)

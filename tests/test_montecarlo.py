@@ -49,6 +49,8 @@ from taraarch.simulate import SimulationError, mix_seed, normal_stream
 from conftest import PLANS
 
 WORKERS = min(2, os.cpu_count() or 1)
+HEADER = ("n,r,seed,converged,phi_1_0,phi_1_1,phi_2_0,phi_2_1,alpha_0,alpha_1,beta_1,"
+          "se_phi_1_0,se_phi_1_1,se_phi_2_0,se_phi_2_1,se_alpha_0,se_alpha_1,se_beta_1")
 FIXED_GRID = {"type": "fixed", "delays": [1, 2, 3], "threshold_candidates": [[3.25]]}
 
 
@@ -104,6 +106,13 @@ def task_counting_os_threads(args):
 
 def task_failing(args):
     raise RuntimeError(f"replicate {args[2]} failed")
+
+
+def set_field(lines, line, column, value):
+    """``lines`` with one CSV field replaced; ``line`` counts from 1."""
+    fields = lines[line - 1].split(",")
+    fields[column] = value
+    return lines[:line - 1] + [",".join(fields)] + lines[line:]
 
 
 def small_plan(replicates=6, n=(300,), seed=101, **kwargs):
@@ -410,13 +419,52 @@ class TestRunExperiment:
         (lambda lines: lines[:-1], "results row n=300, r=3 is missing"),
         (lambda lines: lines[:2] + [lines[2] + ",0.5"] + lines[3:],
          "results row 3 has more fields than its header"),
-    ], ids=["extra", "repeated", "missing", "long"])
+        (lambda lines: lines[:2] + [lines[2].rsplit(",", 1)[0]] + lines[3:],
+         "results row 3 has fewer fields than its header"),
+        (lambda lines: [line.rsplit(",", 1)[0] for line in lines],
+         f"results header is not the plan's: {HEADER}"),
+        (lambda lines: [line + ",0.5" for line in lines],
+         f"results header is not the plan's: {HEADER}"),
+        (lambda lines: [lines[0].replace("alpha_0", "omega")] + lines[1:],
+         f"results header is not the plan's: {HEADER}"),
+        (lambda lines: set_field(lines, 3, 3, "2"), "results file does not write back unchanged"),
+        (lambda lines: set_field(lines, 3, 2, "1"), "results file does not write back unchanged"),
+    ], ids=["extra", "repeated", "missing", "long", "short", "missing_column", "extra_column",
+            "renamed_column", "converged_2", "seed"])
     def test_load_rejects_rows_that_are_not_the_plans_cells(self, tmp_path, edit, message):
         res = run_experiment(small_plan(replicates=4))
         csv_path = tmp_path / "rows.csv"
         json_path = tmp_path / "summary.json"
         save_results(res, csv_path, json_path)
         csv_path.write_text("\n".join(edit(csv_path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError) as excinfo:
+            load_results(csv_path, json_path)
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc["param_names"].pop(),
+         "stored summary field 'param_names' disagrees with the plan and its rows"),
+        (lambda doc: doc["truth"].__setitem__(0, 0.3),
+         "stored summary field 'truth' disagrees with the plan and its rows"),
+        (lambda doc: doc["plan"].pop("burn_in"),
+         "stored summary field 'plan' disagrees with the plan and its rows"),
+        (lambda doc: doc.update(failed=True),
+         "stored summary field 'failed' disagrees with the plan and its rows"),
+        (lambda doc: doc["cells"].pop("300"), "summary cells is missing key(s): 300"),
+        (lambda doc: doc["cells"]["300"].pop("rmse"),
+         "summary cell n=300 is missing key(s): rmse"),
+        (lambda doc: doc.pop("truth"), "summary is missing key(s): truth"),
+        (lambda doc: doc.update(normalty={}), "unknown summary key(s): normalty"),
+    ], ids=["param_names", "truth", "plan", "failed", "cell", "cell_field", "key",
+            "unknown_key"])
+    def test_load_rejects_a_summary_that_is_not_the_rebuilt_one(self, tmp_path, edit, message):
+        res = run_experiment(small_plan(replicates=4))
+        csv_path = tmp_path / "rows.csv"
+        json_path = tmp_path / "summary.json"
+        save_results(res, csv_path, json_path)
+        doc = json.loads(json_path.read_text())
+        edit(doc)
+        json_path.write_text(json.dumps(doc))
         with pytest.raises(ValueError) as excinfo:
             load_results(csv_path, json_path)
         assert str(excinfo.value) == message
