@@ -25,10 +25,6 @@ EXIT_NONCONVERGENCE = 3
 EXIT_FAILED_EXPERIMENT = 4
 
 
-class _DataError(ValueError):
-    pass
-
-
 def _read_column(path: str) -> np.ndarray:
     """Parse a one-column numeric CSV; the first row may be a header."""
     values = []
@@ -36,7 +32,7 @@ def _read_column(path: str) -> np.ndarray:
         with open(path) as fh:
             lines = fh.read().splitlines()
     except OSError as exc:
-        raise _DataError(f"cannot read {path}: {exc}") from None
+        raise ValueError(f"cannot read {path}: {exc}") from None
     start = 0
     if lines:
         try:
@@ -50,11 +46,11 @@ def _read_column(path: str) -> np.ndarray:
         try:
             values.append(float(field))
         except ValueError:
-            raise _DataError(
+            raise ValueError(
                 f"{path}: line {lineno}: cannot parse {field!r} as a number"
             ) from None
     if not values:
-        raise _DataError(f"{path}: no numeric rows found")
+        raise ValueError(f"{path}: no numeric rows found")
     return np.asarray(values)
 
 
@@ -103,7 +99,7 @@ def _parse_thresholds(text: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in text.split(",") if v.strip() != "")
     except ValueError:
-        raise _DataError(f"cannot parse thresholds {text!r}") from None
+        raise ValueError(f"cannot parse thresholds {text!r}") from None
 
 
 def _fit_report_text(report: estimation.FitReport, fmt: str, extra=None) -> str:

@@ -42,7 +42,6 @@ from .model import (
     param_names,
     param_vector,
     _document,
-    _reals,
     _whole,
     _wholes,
 )
@@ -373,10 +372,10 @@ def _summarize(plan, names, truth, rows):
             err = est - truth
             bias = err.mean(axis=0)
             rmse = np.sqrt((err * err).mean(axis=0))
-            if len(est) > 1:
-                cov_scaled = n * np.cov(est, rowvar=False, ddof=1).reshape(k, k)
-            else:
-                cov_scaled = np.zeros((k, k))
+            # einsum, not np.cov, whose BLAS product rounds by CPU kernel; a
+            # one-row cell's deviations are zero
+            dev = est - est.mean(axis=0)
+            cov_scaled = n * np.einsum("ri,rj->ij", dev, dev) / max(len(est) - 1, 1)
             coverage = (np.abs(err) <= Z_975 * ses).mean(axis=0)
             # coordinates with no finite standard error have no CI to score
             coverage = np.where(np.isfinite(ses).any(axis=0), coverage, np.nan)
@@ -741,29 +740,17 @@ def save_results(result: ExperimentResult, csv_path, json_path) -> None:
         fh.write("\n")
 
 
-_SUMMARY_RTOL = {"bias": 0.0, "rmse": 0.0, "coverage": 0.0, "cov_scaled": 1e-12}
-
-
-def _agrees(key: str, stored, fresh) -> bool:
-    rtol = _SUMMARY_RTOL.get(key)
-    if rtol is None:
-        return stored == fresh
-    stored = _reals(key, stored, np.ndim(fresh))
-    return stored.shape == np.shape(fresh) and np.allclose(
-        stored, fresh, atol=1e-12, rtol=rtol, equal_nan=True)
-
-
 def load_results(csv_path, json_path) -> ExperimentResult:
     """Reload a results CSV and its summary JSON, as :func:`save_results`
     writes them.
 
-    The result is rebuilt from the stored plan and the CSV's rows, as
-    :func:`run_experiments` builds it: the names, the truth and each row's
-    seed come from the plan.  The pair is accepted only if writing that
-    result gives back the CSV byte for byte and every stored summary field
-    agrees with the rebuilt one: ``bias``, ``rmse`` and ``coverage`` within
-    1e-12, ``cov_scaled`` within 1e-12 absolute and relative, the others
-    exactly.  Otherwise ``ValueError`` is raised, naming the row or field at fault.
+    The result is rebuilt from the stored plan and the CSV's rows, taken in
+    plan order (n, then r), as :func:`run_experiments` builds it: the names,
+    the truth and each row's seed come from the plan.  The pair is accepted
+    only if writing that result gives back the CSV byte for byte, so rows out
+    of plan order are rejected, and every stored summary field is the
+    rebuilt one exactly, compared as JSON text so that NaN equals NaN.
+    Otherwise ``ValueError`` is raised, naming the row or field at fault.
     ``mean_scaled_cov`` is the one field taken from the JSON, because the
     rows' scaled covariances are not in the CSV; it is checked only for its
     ``(k, k)`` shape.  The ``normality`` entry of ``taraarch mc`` is not read.
@@ -802,6 +789,7 @@ def load_results(csv_path, json_path) -> ExperimentResult:
         if off:
             n, r = min(off)
             raise ValueError(f"results row n={n}, r={r} {label}")
+    rows.sort(key=lambda row: (row.n, row.r))
     result = _result(plan, tuple(rows))
     written = io.StringIO()
     results_to_csv(result, written)
@@ -816,7 +804,7 @@ def load_results(csv_path, json_path) -> ExperimentResult:
         stored = doc["cells"][str(n)]
         _document(f"summary cell n={n}", stored, list(fresh["cells"][str(n)]))
         for key, value in fresh["cells"][str(n)].items():
-            if key != "mean_scaled_cov" and not _agrees(key, stored[key], value):
+            if key != "mean_scaled_cov" and json.dumps(stored[key]) != json.dumps(value):
                 raise ValueError(f"stored summary field {key!r} at n={n} disagrees with raw rows")
         mean_scaled = stored["mean_scaled_cov"]
         if mean_scaled is not None:

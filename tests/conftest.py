@@ -46,8 +46,10 @@ def efficiency_pair():
 
 @pytest.fixture(scope="session")
 def search_result():
-    """The committed lynx search plan: 100 threshold/delay searches."""
-    return run_experiment(load_plan("search_lynx.json"), workers=WORKERS)
+    """The committed lynx search plan: 100 threshold/delay searches.  Its truth,
+    the lynx fit, lies outside the sufficient stationarity region."""
+    with pytest.warns(UserWarning, match="stationarity check failed"):
+        return run_experiment(load_plan("search_lynx.json"), workers=WORKERS)
 
 
 @pytest.fixture(scope="session")

@@ -6,6 +6,7 @@ import scipy.optimize
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from taraarch import baselines
 from taraarch.baselines import (
     CannedSpec,
     EgarchParams,
@@ -22,7 +23,9 @@ from taraarch.baselines import (
     _symmetric_variance,
 )
 from taraarch.estimation import (
+    ConvergenceError,
     EstimationError,
+    FitReport,
     _FitContext,
     _initial_values,
     _slope_design,
@@ -418,6 +421,18 @@ class TestFullQmle:
         sim = simulate_path(spec, SimConfig(n=500, seed=48))
         with pytest.raises(EstimationError, match="full QMLE stopped at alpha0"):
             tar_arch_full_qmle(sim.series, spec.partition, spec.p, spec.q)
+
+    def test_nonconvergence_carries_the_unconverged_report(self, monkeypatch):
+        monkeypatch.setattr(baselines, "MAX_FULL_QMLE_ITER", 1)
+        spec = symmetric_reference_spec()
+        sim = simulate_path(spec, SimConfig(n=500, seed=48))
+        with pytest.raises(ConvergenceError,
+                           match="full QMLE did not converge in 1 iterations") as excinfo:
+            tar_arch_full_qmle(sim.series, spec.partition, spec.p, spec.q)
+        report = excinfo.value.result
+        assert isinstance(report, FitReport)
+        assert not report.converged
+        assert report.iterations == 1
 
     def test_ascent_from_truth(self):
         spec = symmetric_reference_spec()

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from taraarch import estimation
 from taraarch.cli import main
 from taraarch.estimation import FitReport
 from taraarch.model import param_vector
@@ -107,8 +108,9 @@ class TestSimulate:
 
     def test_canned_spec_by_name(self, tmp_path):
         out = tmp_path / "lynx.csv"
-        assert run_cli("simulate", "--canned", "lynx", "--n", "50",
-                       "--seed", "1", "--output", str(out)) == 0
+        with pytest.warns(UserWarning, match="stationarity check failed"):
+            assert run_cli("simulate", "--canned", "lynx", "--n", "50",
+                           "--seed", "1", "--output", str(out)) == 0
         assert len(out.read_text().splitlines()) == 51
 
     def test_explosive_spec_exits_1_with_index(self, tmp_path, capsys):
@@ -117,7 +119,8 @@ class TestSimulate:
         spec["betas"] = [0.4]
         path = tmp_path / "boom.json"
         path.write_text(json.dumps(spec))
-        code = run_cli("simulate", "--spec", str(path), "--n", "5000", "--seed", "3")
+        with pytest.warns(UserWarning, match="stationarity check failed"):
+            code = run_cli("simulate", "--spec", str(path), "--n", "5000", "--seed", "3")
         assert code == 1
         assert "step" in capsys.readouterr().err
 
@@ -184,6 +187,41 @@ class TestFit:
 
     def test_missing_partition_is_usage_error(self, data_file):
         assert run_cli("fit", str(data_file), "--p", "1", "--q", "1") == 2
+
+    def test_unparsable_thresholds_exit_1(self, data_file, capsys):
+        code = run_cli("fit", str(data_file), "--p", "1", "--q", "1",
+                       "--delay", "1", "--thresholds", "0,abc")
+        assert code == 1
+        assert capsys.readouterr().err == "error: cannot parse thresholds '0,abc'\n"
+
+    def test_empty_regime_exits_3_without_output(self, data_file, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = run_cli("fit", str(data_file), "--p", "1", "--q", "1",
+                       "--delay", "1", "--thresholds", "1e9", "--output", str(out))
+        assert code == 3
+        assert capsys.readouterr().err == "error: regime 2 is empty on the fitting window\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_nonconvergence_exits_3_with_partial_report(self, data_file, tmp_path, capsys,
+                                                         monkeypatch, fmt):
+        monkeypatch.setattr(estimation, "MAX_OUTER", 1)
+        out = tmp_path / f"report.{fmt}"
+        code = run_cli("fit", str(data_file), "--p", "1", "--q", "1", "--delay", "1",
+                       "--thresholds", "0.0", "--format", fmt, "--output", str(out))
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "error: alternating fit did not converge in 1 sweeps")
+        if fmt == "json":
+            report = FitReport.from_json(out.read_text())
+            assert not report.converged
+            assert report.iterations == 1
+        else:
+            lines = out.read_text().splitlines()
+            assert lines[0] == "name,estimate,std_error"
+            assert len(lines) == 8
+            # a partial report carries no inference
+            assert [line.split(",")[2] for line in lines[1:]] == ["nan"] * 7
 
 
 class TestMc:

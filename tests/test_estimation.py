@@ -22,6 +22,7 @@ from taraarch.estimation import (
     threshold_delay_search,
     _FitContext,
     _initial_values,
+    _loadings,
     _mean_pass,
     _nonnegative_step,
     _sandwich_parts,
@@ -227,6 +228,25 @@ class TestAlphaStep:
                 AarchParams(0.3, np.array([0.2]), np.array([0.0])),
             )
             assert got.alphas[0] >= abs(got.betas[0])
+
+    def test_nonconvergence_carries_the_last_iterate(self, monkeypatch):
+        true = single_regime_spec([0.0], alpha0=0.1, a1=0.5, b1=0.3)
+        sim = simulate_path(true, SimConfig(n=4000, seed=9))
+        init = AarchParams(0.3, np.array([0.2]), np.array([0.0]))
+        monkeypatch.setattr(estimation, "MAX_VARIANCE_ITER", 1)
+        with pytest.raises(ConvergenceError,
+                           match="variance step did not converge in 1 iterations") as excinfo:
+            alpha_step(sim.series, true.partition, true.tar, init)
+        # the one scoring pass from the start
+        ctx = _FitContext(sim.series, true.partition, 0, 1)
+        x, sq, h = ctx.slope_window(true.tar.coefficients, _slopes(init))
+        gamma, _, _ = _variance_pass(x, sq, _slopes(init), h, newton=False)
+        last, expected = excinfo.value.result, _loadings(gamma, 1)
+        assert isinstance(last, AarchParams)
+        assert last.alpha0 == expected.alpha0
+        np.testing.assert_array_equal(last.alphas, expected.alphas)
+        np.testing.assert_array_equal(last.betas, expected.betas)
+        assert last.alpha0 != init.alpha0
 
     def test_nonfinite_input_to_nnls_raises_estimation_error(self):
         # An infinite squared residual makes the score infinite, and the

@@ -3,6 +3,7 @@ import ctypes
 import io
 import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
@@ -392,6 +393,23 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="disagrees"):
             load_results(csv_path, json_path)
 
+    @pytest.mark.parametrize("key", ["bias", "rmse", "coverage", "cov_scaled"])
+    def test_load_rejects_a_summary_entry_one_ulp_off(self, tmp_path, key):
+        res = run_experiment(small_plan(replicates=4))
+        csv_path = tmp_path / "rows.csv"
+        json_path = tmp_path / "summary.json"
+        save_results(res, csv_path, json_path)
+        load_results(csv_path, json_path)  # the untampered pair loads
+        doc = json.loads(json_path.read_text())
+        entries = np.array(doc["cells"]["300"][key])
+        entries.flat[0] = np.nextafter(entries.flat[0], np.inf)
+        doc["cells"]["300"][key] = entries.tolist()
+        json_path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError) as excinfo:
+            load_results(csv_path, json_path)
+        assert str(excinfo.value) == (
+            f"stored summary field {key!r} at n=300 disagrees with raw rows")
+
     @pytest.mark.parametrize("value, shape", [
         ([[2.0]], (1, 1)), (np.eye(6).tolist(), (6, 6)), ([2.0] * 7, (7,)), (2.0, ()),
     ])
@@ -429,8 +447,10 @@ class TestRunExperiment:
          f"results header is not the plan's: {HEADER}"),
         (lambda lines: set_field(lines, 3, 3, "2"), "results file does not write back unchanged"),
         (lambda lines: set_field(lines, 3, 2, "1"), "results file does not write back unchanged"),
+        (lambda lines: [lines[0], lines[2], lines[1], *lines[3:]],
+         "results file does not write back unchanged"),
     ], ids=["extra", "repeated", "missing", "long", "short", "missing_column", "extra_column",
-            "renamed_column", "converged_2", "seed"])
+            "renamed_column", "converged_2", "seed", "swapped"])
     def test_load_rejects_rows_that_are_not_the_plans_cells(self, tmp_path, edit, message):
         res = run_experiment(small_plan(replicates=4))
         csv_path = tmp_path / "rows.csv"
@@ -778,6 +798,9 @@ class TestEfficiency:
             efficiency_comparison(plan_a, plan_bad, results=(None, None))
         with pytest.raises(ValueError, match="symmetric"):
             efficiency_comparison(plan_bad, plan_bad, results=(None, None))
+        plan_long = replace(plan_a, sample_sizes=(400, 800))
+        with pytest.raises(ValueError, match="plans must share sample_sizes"):
+            efficiency_comparison(plan_a, plan_long, results=(None, None))
 
     def test_results_must_belong_to_their_plans(self, sym_spec):
         res_a, res_b = run_experiments(ExperimentPlan(
@@ -928,6 +951,29 @@ def test_import_and_committed_plans_load_no_scipy():
     plans = Path(montecarlo.__file__).parents[2] / "plans"
     assert len(list(plans.glob("*.json"))) >= 3
     assert json.loads(run_fresh(NO_SCIPY_SCRIPT, plans)) == []
+
+
+REBUILD_SCRIPT = """
+import json, sys
+from taraarch.montecarlo import load_results, summary_to_dict
+print(json.dumps(summary_to_dict(load_results(sys.argv[1], sys.argv[2]))))
+"""
+
+NO_AVX512 = "AVX512F AVX512CD AVX512_SKX AVX512_ICL AVX512_SPR X86_V4 AVX2 FMA3"
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="the OpenBLAS kernels and numpy features named are x86-64's")
+def test_summary_does_not_depend_on_the_cpu_kernels(tmp_path):
+    """One results pair's rebuilt summary is the same bytes whichever
+    OpenBLAS kernel and numpy SIMD dispatch the reloading process runs."""
+    csv_path, json_path = tmp_path / "rows.csv", tmp_path / "summary.json"
+    save_results(run_experiment(small_plan(replicates=24)), csv_path, json_path)
+    default = run_fresh(REBUILD_SCRIPT, csv_path, json_path)
+    for env in ({"OPENBLAS_CORETYPE": "Nehalem"}, {"OPENBLAS_CORETYPE": "Sandybridge"},
+                {"OPENBLAS_CORETYPE": "Prescott"}, {"NPY_DISABLE_CPU_FEATURES": NO_AVX512},
+                {"NPY_DISABLE_CPU_FEATURES": f"{NO_AVX512} X86_V3"}):
+        assert run_fresh(REBUILD_SCRIPT, csv_path, json_path, **env) == default, env
 
 
 def test_z_975_is_the_normal_quantile():
