@@ -4,6 +4,9 @@ The observation equation is a threshold autoregression: which AR coefficients
 apply at time t is decided by where x[t-d] falls relative to the thresholds.
 The shocks have an asymmetric ARCH variance: a lagged shock e contributes
 (a*|e| + b*e)^2, so the response to -e and +e differs whenever a*b != 0.
+
+A spec is a partition, the AR coefficients `tar` and the ARCH loadings
+`aarch`; the orders p and q and the regime count are read off those parts.
 """
 
 import numpy as np
@@ -20,15 +23,15 @@ from taraarch import (
     variance_path,
 )
 
-partition = ThresholdPartition(regimes=2, delay=1, thresholds=np.array([0.0]))
+partition = ThresholdPartition(delay=1, thresholds=np.array([0.0]))
 spec = ModelSpec(
-    p=1,
-    q=1,
     partition=partition,
     tar=TarParams(np.array([[0.2, 0.5], [-0.3, -0.4]])),
     aarch=AarchParams(alpha0=0.1, alphas=np.array([0.4]), betas=np.array([0.2])),
 )
 
+print("p, q and regimes, derived from tar, aarch and the thresholds:",
+      spec.p, spec.q, partition.regimes)
 print("regime of x = -1.0:", regime_index(partition, -1.0))
 print("regime of x =  0.0:", regime_index(partition, 0.0), "(boundary goes down)")
 print("regime of x = +1.0:", regime_index(partition, 1.0))

@@ -188,8 +188,6 @@ class CannedSpec:
         if alpha0 is None:
             alpha0 = self.noise_sd[0] ** 2 if self.noise_sd else 1.0
         return ModelSpec(
-            p=self.tar.p,
-            q=1,
             partition=self.partition,
             tar=self.tar,
             aarch=AarchParams(alpha0=alpha0, alphas=np.zeros(1), betas=np.zeros(1)),
@@ -200,7 +198,7 @@ def canned_specs() -> list[CannedSpec]:
     """The classic two-regime lynx and sunspot threshold-AR fits."""
     lynx = CannedSpec(
         name="lynx",
-        partition=ThresholdPartition(regimes=2, delay=2, thresholds=np.array([3.25])),
+        partition=ThresholdPartition(delay=2, thresholds=np.array([3.25])),
         tar=TarParams(
             np.array(
                 [
@@ -217,9 +215,7 @@ def canned_specs() -> list[CannedSpec]:
     high = [4.2746, 1.4431, -0.8408, 0.0554] + [0.0] * 8
     sunspot = CannedSpec(
         name="sunspot",
-        partition=ThresholdPartition(
-            regimes=2, delay=8, thresholds=np.array([11.9824])
-        ),
+        partition=ThresholdPartition(delay=8, thresholds=np.array([11.9824])),
         tar=TarParams(np.array([low, high])),
         noise_sd=None,
         source="tong1983-sunspot",
@@ -399,8 +395,6 @@ def tar_arch_full_qmle(
         raise EstimationError(f"full QMLE stopped at alpha0 = {alpha0} ({res.message})")
     tar = TarParams(theta.reshape(l, p + 1))
     spec = ModelSpec(
-        p=p,
-        q=q,
         partition=partition,
         tar=tar,
         aarch=AarchParams(alpha0=alpha0, alphas=alphas, betas=np.zeros(q)),
@@ -446,7 +440,6 @@ def tar_arch_full_qmle(
         info_matrix=np.pad(info, (0, q), constant_values=np.nan),
         sandwich_cov=np.pad(sandwich, (0, q), constant_values=np.nan),
         qll=ctx.qll_sum(tar, spec.aarch),
-        iterations=int(res.nit),
         converged=converged,
         trace=tuple(trace),
     )

@@ -12,6 +12,7 @@ import argparse
 import io
 import json
 import sys
+import warnings
 
 import numpy as np
 
@@ -150,11 +151,7 @@ def _cmd_fit(args) -> int:
             }
             text = _fit_report_text(outcome.report, args.format, extra=extra)
         else:
-            partition = ThresholdPartition(
-                regimes=len(thresholds) + 1,
-                delay=args.delay,
-                thresholds=np.asarray(thresholds),
-            )
+            partition = ThresholdPartition(delay=args.delay, thresholds=np.asarray(thresholds))
             report = estimation.fit_alternating(x, partition, p, q)
             text = _fit_report_text(report, args.format)
     except estimation.ConvergenceError as exc:
@@ -288,7 +285,14 @@ def main(argv=None) -> int:
         return EXIT_NONCONVERGENCE
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    sys.stderr.write(f"warning: {message}\n")
+
+
 def run() -> None:
+    """The console entry point: :func:`main`, with each warning printed as one
+    ``warning:`` line that names no file, so stderr is the same from any checkout."""
+    warnings.showwarning = _warning_line
     raise SystemExit(main())
 
 

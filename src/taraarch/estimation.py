@@ -92,8 +92,8 @@ class FitReport:
     """Estimates plus inference products from one fit.
 
     ``qll`` is the final quasi-log-likelihood (sum form, constant dropped),
-    ``iterations`` counts the concentrated fit's sweeps (or the full QMLE's
-    optimizer iterations) and ``trace`` holds the objective after each, and
+    ``trace`` holds the objective after each of the concentrated fit's sweeps
+    (or the full QMLE's optimizer iterations), ``iterations`` counts them, and
     ``info_matrix`` is the outer-product-of-scores information estimate whose
     sandwich combination with the estimating-function Jacobian is
     ``sandwich_cov``, from which ``std_errors`` is derived.  ``qll`` puts
@@ -106,9 +106,12 @@ class FitReport:
     info_matrix: np.ndarray
     sandwich_cov: np.ndarray
     qll: float
-    iterations: int
     converged: bool
     trace: tuple[float, ...]
+
+    @property
+    def iterations(self) -> int:
+        return len(self.trace)
 
     @property
     def std_errors(self) -> np.ndarray:
@@ -137,15 +140,17 @@ class FitReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitReport":
-        return cls(
+        report = cls(
             spec=ModelSpec.from_dict(d["params"]),
             info_matrix=np.asarray(d["info_matrix"], dtype=float),
             sandwich_cov=np.asarray(d["sandwich_cov"], dtype=float),
             qll=float(d["qll"]),
-            iterations=int(d["iterations"]),
             converged=bool(d["converged"]),
             trace=tuple(float(v) for v in d["trace"]),
         )
+        if d["iterations"] != report.iterations:
+            raise ValueError(f"iterations {d['iterations']!r} is not the trace length")
+        return report
 
     @classmethod
     def from_json(cls, text: str) -> "FitReport":
@@ -533,11 +538,10 @@ def _fit(ctx: _FitContext) -> FitReport:
     k = ctx.ntheta + 1 + 2 * ctx.q
     tar, aarch = TarParams(theta), _loadings(gamma, ctx.q)
     report = FitReport(
-        spec=ModelSpec(p=ctx.p, q=ctx.q, partition=ctx.partition, tar=tar, aarch=aarch),
+        spec=ModelSpec(partition=ctx.partition, tar=tar, aarch=aarch),
         info_matrix=np.full((k, k), np.nan),
         sandwich_cov=np.full((k, k), np.nan),
         qll=qll,
-        iterations=len(trace),
         converged=converged,
         trace=tuple(trace),
     )
@@ -777,12 +781,15 @@ def _grid_from_dict(d) -> SearchGrid | GridRecipe:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Result of a threshold/delay search: selected partition, its fit, and
-    the per-candidate score table."""
+    """Result of a threshold/delay search: the selected candidate's fit, whose
+    spec holds the selected ``partition``, and the per-candidate score table."""
 
-    partition: ThresholdPartition
     report: FitReport
     candidates: list[dict]
+
+    @property
+    def partition(self) -> ThresholdPartition:
+        return self.report.spec.partition
 
 
 def threshold_delay_search(series, p: int, q: int, grid: SearchGrid | GridRecipe) -> SearchOutcome:
@@ -822,9 +829,7 @@ def threshold_delay_search(series, p: int, q: int, grid: SearchGrid | GridRecipe
     failures = []
     best = None
     for d, combo in candidates:
-        partition = ThresholdPartition(
-            regimes=len(combo) + 1, delay=d, thresholds=np.asarray(combo)
-        )
+        partition = ThresholdPartition(delay=d, thresholds=np.asarray(combo))
         ctx = _FitContext(x, partition, p, q)
         if combo:
             counts = np.bincount(ctx.labels_r[m_common - ctx.mpd :], minlength=partition.regimes)
@@ -863,6 +868,4 @@ def threshold_delay_search(series, p: int, q: int, grid: SearchGrid | GridRecipe
     _, ctx, report, selected = best
     for row in rows:
         row["selected"] = row is selected
-    return SearchOutcome(
-        partition=ctx.partition, report=_with_inference(ctx, report), candidates=rows
-    )
+    return SearchOutcome(report=_with_inference(ctx, report), candidates=rows)

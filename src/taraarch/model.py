@@ -130,31 +130,30 @@ class ThresholdPartition:
     With thresholds ``t_1 < ... < t_{l-1}`` the intervals are
     ``(-inf, t_1], (t_1, t_2], ..., (t_{l-1}, +inf)``; every finite real
     belongs to exactly one interval and boundary values belong to the lower
-    regime.  ``delay`` is the lag of the regime-deciding observation.
+    regime.  ``delay`` is the lag of the regime-deciding observation, and
+    the regime count is derived from the thresholds.
     """
 
-    regimes: int
     delay: int
     thresholds: np.ndarray
 
     def __post_init__(self):
-        if self.regimes < 1:
-            raise ValueError(f"regimes must be >= 1, got {self.regimes}")
-        if self.delay < 1:
-            raise ValueError(f"delay must be >= 1, got {self.delay}")
+        delay = _whole("delay", self.delay)
+        if delay < 1:
+            raise ValueError(f"delay must be >= 1, got {delay}")
         th = _as_float_array(self.thresholds, "thresholds")
-        if th.size != self.regimes - 1:
-            raise ValueError(
-                f"expected {self.regimes - 1} thresholds for {self.regimes} "
-                f"regimes, got {th.size}"
-            )
         if th.size > 1 and not np.all(np.diff(th) > 0):
             raise ValueError("thresholds must be strictly increasing")
+        object.__setattr__(self, "delay", delay)
         object.__setattr__(self, "thresholds", th)
+
+    @property
+    def regimes(self) -> int:
+        return self.thresholds.size + 1
 
     @classmethod
     def single_regime(cls, delay: int = 1) -> "ThresholdPartition":
-        return cls(regimes=1, delay=delay, thresholds=np.empty(0))
+        return cls(delay=delay, thresholds=np.empty(0))
 
 
 @dataclass(frozen=True)
@@ -165,8 +164,8 @@ class TarParams:
 
     def __post_init__(self):
         c = np.asarray(self.coefficients, dtype=float)
-        if c.ndim != 2:
-            raise ValueError(f"coefficients must be 2-d, got shape {c.shape}")
+        if c.ndim != 2 or c.shape[1] < 1:
+            raise ValueError(f"coefficients must be 2-d with an intercept column, got {c.shape}")
         if not np.all(np.isfinite(c)):
             raise ValueError("coefficients contain non-finite values")
         c = c.copy()
@@ -224,28 +223,27 @@ class AarchParams:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Full model: AR order ``p``, ARCH order ``q``, partition, and parameters."""
+    """Full model: a threshold partition, per-regime AR coefficients ``tar``
+    and ARCH loadings ``aarch``; the orders ``p`` and ``q`` are read off them."""
 
-    p: int
-    q: int
     partition: ThresholdPartition
     tar: TarParams
     aarch: AarchParams
 
     def __post_init__(self):
-        if self.p < 0:
-            raise ValueError(f"p must be >= 0, got {self.p}")
-        if self.q < 1:
-            raise ValueError(f"q must be >= 1, got {self.q}")
         if self.tar.regimes != self.partition.regimes:
             raise ValueError(
                 f"tar has {self.tar.regimes} regimes but partition has "
                 f"{self.partition.regimes}"
             )
-        if self.tar.p != self.p:
-            raise ValueError(f"tar implies p={self.tar.p} but spec says p={self.p}")
-        if self.aarch.q != self.q:
-            raise ValueError(f"aarch implies q={self.aarch.q} but spec says q={self.q}")
+
+    @property
+    def p(self) -> int:
+        return self.tar.p
+
+    @property
+    def q(self) -> int:
+        return self.aarch.q
 
     @property
     def presample_length(self) -> int:
@@ -274,14 +272,9 @@ class ModelSpec:
         """A spec from its document; a malformed one raises ValueError naming the field."""
         _document("model spec", d,
                   ("p", "q", "delay", "thresholds", "tar", "alpha0", "alphas", "betas"))
-        thresholds = _reals("thresholds", d["thresholds"])
-        partition = ThresholdPartition(
-            regimes=thresholds.size + 1, delay=_whole("delay", d["delay"]), thresholds=thresholds
-        )
-        return cls(
-            p=_whole("p", d["p"]),
-            q=_whole("q", d["q"]),
-            partition=partition,
+        p, q = _whole("p", d["p"]), _whole("q", d["q"])
+        spec = cls(
+            partition=ThresholdPartition(d["delay"], _reals("thresholds", d["thresholds"])),
             tar=TarParams(_reals("tar", d["tar"], ndim=2)),
             aarch=AarchParams(
                 alpha0=_real("alpha0", d["alpha0"]),
@@ -289,6 +282,11 @@ class ModelSpec:
                 betas=_reals("betas", d["betas"]),
             ),
         )
+        if spec.p != p:
+            raise ValueError(f"tar implies p={spec.p} but spec says p={p}")
+        if spec.q != q:
+            raise ValueError(f"aarch implies q={spec.q} but spec says q={q}")
+        return spec
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -461,8 +459,6 @@ def replace_params(spec: ModelSpec, vector) -> ModelSpec:
             f"expected {ntheta + 1 + 2 * q} parameters, got {v.size}"
         )
     return ModelSpec(
-        p=p,
-        q=q,
         partition=spec.partition,
         tar=TarParams(v[:ntheta].reshape(l, p + 1)),
         aarch=AarchParams(

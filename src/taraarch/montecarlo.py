@@ -76,9 +76,7 @@ N_BOOTSTRAP = 500  # resamples behind each bootstrap standard error
 def reference_spec() -> ModelSpec:
     """The repository's fixed two-regime reference model for experiments."""
     return ModelSpec(
-        p=1,
-        q=1,
-        partition=ThresholdPartition(regimes=2, delay=1, thresholds=np.array([0.0])),
+        partition=ThresholdPartition(delay=1, thresholds=np.array([0.0])),
         tar=TarParams(np.array([[0.2, 0.5], [-0.3, -0.4]])),
         aarch=AarchParams(alpha0=0.1, alphas=np.array([0.4]), betas=np.array([0.2])),
     )

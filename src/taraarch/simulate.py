@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import ModelSpec, TimeSeries, series_values, variance_path
+from .model import ModelSpec, TimeSeries, _whole, series_values, variance_path
 
 __all__ = [
     "SimConfig",
@@ -90,6 +90,8 @@ class SimConfig:
     burn_in: int = DEFAULT_BURN_IN
 
     def __post_init__(self):
+        for name in ("n", "seed", "burn_in"):
+            object.__setattr__(self, name, _whole(name, getattr(self, name)))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.burn_in < 0:

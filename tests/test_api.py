@@ -2,14 +2,21 @@
 or its benchmark set; an option that none of them set is not accepted.  Every
 exported name still imports."""
 
+import dataclasses
 import importlib
 
 import pytest
 
 from taraarch import (
+    AarchParams,
     ExperimentPlan,
+    ExperimentResult,
+    FitReport,
+    ModelSpec,
     SearchGrid,
     SimConfig,
+    TarParams,
+    ThresholdPartition,
     alpha_step,
     check_stationarity,
     efficiency_comparison,
@@ -19,11 +26,14 @@ from taraarch import (
     symmetric_reference_spec,
     tar_arch_full_qmle,
 )
+from taraarch.estimation import SearchOutcome
+from taraarch.montecarlo import CellSummary, ReplicateRow
 
 SPEC = symmetric_reference_spec()
 X = simulate_path(SPEC, SimConfig(n=300, seed=1)).series
 PART = SPEC.partition
 PLAN = ExperimentPlan(true_spec=SPEC, sample_sizes=(300,), replicates=2, base_seed=1)
+FIT = fit_alternating(X, PART, 1, 1)
 
 REMOVED = [
     ("fit_alternating", "init", lambda: fit_alternating(X, PART, 1, 1, init=SPEC)),
@@ -32,8 +42,7 @@ REMOVED = [
     ("alpha_step", "fit_lags",
      lambda: alpha_step(X, PART, SPEC.tar, SPEC.aarch, fit_lags=False)),
     ("gaussian_qll", "conditioning", lambda: gaussian_qll(SPEC, X, conditioning=10)),
-    ("FitReport.to_json", "indent",
-     lambda: fit_alternating(X, PART, 1, 1).to_json(indent=2)),
+    ("FitReport.to_json", "indent", lambda: FIT.to_json(indent=2)),
     ("tar_arch_full_qmle", "init", lambda: tar_arch_full_qmle(X, PART, 1, 1, init=SPEC)),
     ("check_stationarity", "warn", lambda: check_stationarity(SPEC, warn=False)),
     ("ModelSpec.to_json", "indent", lambda: SPEC.to_json(indent=2)),
@@ -42,6 +51,14 @@ REMOVED = [
      lambda: efficiency_comparison(PLAN, PLAN, (None, None), workers=2)),
     ("efficiency_comparison", "n_bootstrap",
      lambda: efficiency_comparison(PLAN, PLAN, (None, None), n_bootstrap=50)),
+    # facts a record derives from its other fields
+    ("ModelSpec", "p", lambda: ModelSpec(p=1, partition=PART, tar=SPEC.tar, aarch=SPEC.aarch)),
+    ("ModelSpec", "q", lambda: ModelSpec(q=1, partition=PART, tar=SPEC.tar, aarch=SPEC.aarch)),
+    ("ThresholdPartition", "regimes",
+     lambda: ThresholdPartition(regimes=2, delay=1, thresholds=PART.thresholds)),
+    ("FitReport", "iterations", lambda: FitReport(**vars(FIT), iterations=len(FIT.trace))),
+    ("SearchOutcome", "partition",
+     lambda: SearchOutcome(report=FIT, candidates=[], partition=PART)),
 ]
 
 
@@ -118,3 +135,30 @@ def test_every_exported_name_still_imports(module):
     exported = getattr(mod, "__all__", EXPORTS[module])
     assert [name for name in EXPORTS[module] if name not in exported] == []
     assert [name for name in exported if not hasattr(mod, name)] == []
+
+
+# The fields of every exported record, each an independently settable value;
+# a fact the other fields determine is a property instead.  The benchmark
+# constructs ReplicateRow, CellSummary and ExperimentResult.
+RECORDS = {
+    ModelSpec: ("partition", "tar", "aarch"),
+    ThresholdPartition: ("delay", "thresholds"),
+    TarParams: ("coefficients",),
+    AarchParams: ("alpha0", "alphas", "betas"),
+    FitReport: ("spec", "info_matrix", "sandwich_cov", "qll", "converged", "trace"),
+    SearchOutcome: ("report", "candidates"),
+    SimConfig: ("n", "seed", "burn_in"),
+    ExperimentPlan: ("true_spec", "sample_sizes", "replicates", "base_seed", "estimator",
+                     "grid", "burn_in"),
+    ReplicateRow: ("n", "r", "seed", "converged", "estimates", "std_errors", "selected_delay",
+                   "selected_thresholds", "scaled_cov"),
+    CellSummary: ("n", "n_total", "n_converged", "nonconverged_rate", "bias", "rmse",
+                  "cov_scaled", "coverage", "mean_scaled_cov", "delay_mode",
+                  "threshold_medians"),
+    ExperimentResult: ("plan", "names", "truth", "rows", "summaries", "failed"),
+}
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda record: record.__name__)
+def test_record_fields(record):
+    assert tuple(field.name for field in dataclasses.fields(record)) == RECORDS[record]

@@ -76,7 +76,7 @@ def frozen_presample_mean_qll(x, spec):
     flat = AarchParams(1.0, np.zeros(q), np.zeros(q))
     tar0 = theta_step(x, spec.partition, flat, TarParams(np.zeros((l, w))))
     ph = float(model_residuals(
-        ModelSpec(p=spec.p, q=q, partition=spec.partition, tar=tar0, aarch=flat), x
+        ModelSpec(partition=spec.partition, tar=tar0, aarch=flat), x
     ).var())
     nq = x.size - spec.presample_length
     o = spec.presample_length - spec.mean_lag_length
@@ -84,7 +84,7 @@ def frozen_presample_mean_qll(x, spec):
     def mean_qll(v):
         tar = TarParams(v[: l * w].reshape(l, w))
         aarch = AarchParams(v[l * w], v[l * w + 1 :], np.zeros(q))
-        probe = ModelSpec(p=spec.p, q=q, partition=spec.partition, tar=tar, aarch=aarch)
+        probe = ModelSpec(partition=spec.partition, tar=tar, aarch=aarch)
         e = model_residuals(probe, x)
         h = variance_path(aarch, e, ph)
         eq, hq = e[o:], h[o:]
@@ -106,7 +106,7 @@ def symmetric_spec(alphas):
     base = symmetric_reference_spec()
     q = len(alphas)
     return ModelSpec(
-        p=1, q=q, partition=base.partition, tar=base.tar,
+        partition=base.partition, tar=base.tar,
         aarch=AarchParams(0.1, np.array(alphas), np.zeros(q)),
     )
 
@@ -385,8 +385,6 @@ class TestFullQmle:
 
     def test_degenerate_case_recovers_moments(self):
         spec = ModelSpec(
-            p=0,
-            q=1,
             partition=ThresholdPartition.single_regime(),
             tar=TarParams(np.array([[0.3]])),
             aarch=AarchParams(0.5, np.zeros(1), np.zeros(1)),
@@ -537,7 +535,7 @@ class TestFullQmle:
         base = symmetric_reference_spec()
         q = len(alphas)
         spec = ModelSpec(
-            p=1, q=q, partition=base.partition, tar=base.tar,
+            partition=base.partition, tar=base.tar,
             aarch=AarchParams(0.1, np.array(alphas), np.zeros(q)),
         )
         sim = simulate_path(spec, SimConfig(n=300, seed=49))

@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -498,6 +501,25 @@ class TestExitCodeContract:
         with pytest.raises(SystemExit) as err:
             run_cli("frobnicate")
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command", ["simulate", "mc"])
+    def test_console_prints_each_warning_as_one_line_without_a_path(self, tmp_path, command):
+        # the lynx truth fails the sufficient stationarity check; the line
+        # names no file or source line, so it is the same from any checkout
+        if command == "mc":
+            doc = json.loads((PLANS / "search_lynx.json").read_text())
+            doc["replicates"] = 2
+            (tmp_path / "plan.json").write_text(json.dumps(doc))
+            argv = ["mc", "plan.json", "--output", "mc"]
+        else:
+            argv = ["simulate", "--canned", "lynx", "--n", "50", "--output", "lynx.csv"]
+        env = {**os.environ, "PYTHONPATH": str(PLANS.parent / "src")}
+        done = subprocess.run([sys.executable, "-m", "taraarch.cli", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0
+        assert done.stderr == (
+            "warning: stationarity check failed: sum(alpha^2 + beta^2) = 0 (needs < 1), "
+            "max regime sum |phi| = 2.76 (needs < 1); this is a sufficient-side check only\n")
 
     def test_missing_input_file_is_data_error(self, tmp_path):
         assert run_cli("transform", str(tmp_path / "nope.csv"),

@@ -73,8 +73,6 @@ def assert_variance_kkt(report, x, p, q):
 def single_regime_spec(phi, alpha0=1.0, a1=0.0, b1=0.0):
     phi = np.atleast_2d(np.asarray(phi, dtype=float))
     return ModelSpec(
-        p=phi.shape[1] - 1,
-        q=1,
         partition=ThresholdPartition.single_regime(),
         tar=TarParams(phi),
         aarch=AarchParams(alpha0, np.array([a1]), np.array([b1])),
@@ -153,7 +151,7 @@ class TestThetaStep:
         )
 
     def test_empty_regime_raises(self):
-        part = ThresholdPartition(regimes=2, delay=1, thresholds=np.array([100.0]))
+        part = ThresholdPartition(delay=1, thresholds=np.array([100.0]))
         x = normal_stream(1, 200)
         flat = AarchParams(1.0, np.zeros(1), np.zeros(1))
         with pytest.raises(EstimationError, match="regime 2"):
@@ -164,7 +162,7 @@ class TestThetaStep:
         # fewer than the p + 1 = 3 coefficients of its fit.
         x = normal_stream(4, 200)
         top = np.sort(x[1:199])[-3:]
-        part = ThresholdPartition(regimes=2, delay=1, thresholds=np.array([top[:2].mean()]))
+        part = ThresholdPartition(delay=1, thresholds=np.array([top[:2].mean()]))
         flat = AarchParams(1.0, np.zeros(1), np.zeros(1))
         with pytest.raises(EstimationError, match=r"regime 2 has 2 observations; need at least 3"):
             theta_step(x, part, flat, TarParams(np.zeros((2, 3))))
@@ -200,7 +198,7 @@ class TestThetaStep:
         sim = simulate_path(spec, SimConfig(n=1500, seed=33))
         got = theta_step(sim.series, spec.partition, spec.aarch, spec.tar)
         fitted = ModelSpec(
-            p=1, q=1, partition=spec.partition, tar=got, aarch=spec.aarch
+            partition=spec.partition, tar=got, aarch=spec.aarch
         )
         eq = concentrated_equation_residuals(fitted, sim.series)
         assert np.max(np.abs(eq)) < 1e-8
@@ -214,7 +212,7 @@ class TestAlphaStep:
             sim.series, true.partition, true.tar,
             AarchParams(0.3, np.array([0.2]), np.array([0.0])),
         )
-        fitted = ModelSpec(p=0, q=1, partition=true.partition, tar=true.tar, aarch=got)
+        fitted = ModelSpec(partition=true.partition, tar=true.tar, aarch=got)
         score = alpha_score(fitted, sim.series)
         nq = sim.series.values.size - 1
         assert np.max(np.abs(score / nq)) < 1e-6
@@ -271,7 +269,7 @@ class TestAlphaStep:
                 AarchParams(0.2, np.array([0.3]), np.array([0.0])),
             )
             fitted = ModelSpec(
-                p=0, q=1, partition=true.partition, tar=true.tar, aarch=got
+                partition=true.partition, tar=true.tar, aarch=got
             )
             _, sandwich = estimate_information(sim.series, fitted)
             se = np.sqrt(np.diag(sandwich))[1:]
@@ -520,9 +518,7 @@ class TestFitAlternating:
         sim = simulate_path(
             plan.true_spec, SimConfig(n=500, seed=mix_seed(1, 500, 4), burn_in=500)
         )
-        part = ThresholdPartition(
-            regimes=2, delay=2, thresholds=np.array([3.226762032174132])
-        )
+        part = ThresholdPartition(delay=2, thresholds=np.array([3.226762032174132]))
         report = fit_alternating(sim.series, part, 2, 1)
         assert_variance_kkt(report, sim.series, 2, 1)
         assert report.qll >= 555.31034
@@ -531,7 +527,7 @@ class TestFitAlternating:
         "part",
         [
             ThresholdPartition.single_regime(),
-            ThresholdPartition(regimes=2, delay=2, thresholds=np.array([-0.5])),
+            ThresholdPartition(delay=2, thresholds=np.array([-0.5])),
         ],
         ids=["single_regime", "d2_r-0.5"],
     )
@@ -581,12 +577,22 @@ class TestFitAlternating:
         bare = fit_alternating(sim.series, spec.partition, 1, 1, compute_se=False)
         assert np.isnan(bare.std_errors).all()
 
+    def test_iterations_are_the_trace_length(self):
+        spec = reference_spec()
+        x = simulate_path(spec, SimConfig(n=500, seed=11)).series
+        doc = fit_alternating(x, spec.partition, 1, 1).to_dict()
+        assert doc["iterations"] == len(doc["trace"]) > 1
+        assert FitReport.from_dict(doc).iterations == doc["iterations"]
+        for wrong in (doc["iterations"] + 1, doc["iterations"] - 1):
+            with pytest.raises(ValueError, match=f"iterations {wrong} is not the trace length"):
+                FitReport.from_dict({**doc, "iterations": wrong})
+
 
 def two_lag_spec():
     """The reference spec with q = 2, so the likelihood window starts at o = 1."""
     ref = reference_spec()
     aarch = AarchParams(0.1, np.array([0.3, 0.15]), np.array([0.1, -0.05]))
-    return ModelSpec(p=1, q=2, partition=ref.partition, tar=ref.tar, aarch=aarch)
+    return ModelSpec(partition=ref.partition, tar=ref.tar, aarch=aarch)
 
 
 class TestAboveBlasThreadingLimits:
@@ -601,7 +607,7 @@ class TestAboveBlasThreadingLimits:
         def at(avec):
             aarch = AarchParams(avec[0], avec[1:3], avec[3:])
             return ModelSpec(
-                p=1, q=2, partition=spec.partition, tar=spec.tar, aarch=aarch
+                partition=spec.partition, tar=spec.tar, aarch=aarch
             )
 
         base = np.array([0.13, 0.25, 0.2, 0.15, -0.1])
@@ -631,9 +637,7 @@ class TestAboveBlasThreadingLimits:
 
 def three_regime_p2_spec(delay, q):
     return ModelSpec(
-        p=2,
-        q=q,
-        partition=ThresholdPartition(regimes=3, delay=delay, thresholds=np.array([-0.4, 0.3])),
+        partition=ThresholdPartition(delay=delay, thresholds=np.array([-0.4, 0.3])),
         tar=TarParams(np.array([[0.1, 0.3, -0.2], [0.0, 0.5, 0.1], [-0.1, -0.4, 0.2]])),
         aarch=AarchParams(0.2, np.full(q, 0.25), np.full(q, 0.05)),
     )
@@ -649,7 +653,7 @@ class TestFitContext:
     def test_negative_ar_or_zero_arch_order_is_rejected(self, p, q, message):
         # every fit builds its context first, the search's candidates too
         x = normal_stream(6, 300)
-        partition = ThresholdPartition(2, 1, np.array([0.0]))
+        partition = ThresholdPartition(1, np.array([0.0]))
         with pytest.raises(ValueError, match=message):
             fit_alternating(x, partition, p, q)
         with pytest.raises(ValueError, match=message):
@@ -705,7 +709,7 @@ def fd_jacobian_blocks(spec: ModelSpec, x: np.ndarray, step: float = 1e-5):
     def at(avec, tvec):
         aarch = AarchParams(avec[0], avec[1 : 1 + q], avec[1 + q :])
         tar = TarParams(tvec.reshape(spec.tar.coefficients.shape))
-        return ModelSpec(p=spec.p, q=q, partition=spec.partition, tar=tar, aarch=aarch)
+        return ModelSpec(partition=spec.partition, tar=tar, aarch=aarch)
 
     def central(f, v):
         cols = []
@@ -828,11 +832,7 @@ def mirrored(spec: ModelSpec) -> ModelSpec:
     coeffs[:, 0] *= -1.0
     part = spec.partition
     return ModelSpec(
-        p=spec.p,
-        q=spec.q,
-        partition=ThresholdPartition(
-            regimes=part.regimes, delay=part.delay, thresholds=-part.thresholds[::-1]
-        ),
+        partition=ThresholdPartition(delay=part.delay, thresholds=-part.thresholds[::-1]),
         tar=TarParams(coeffs),
         aarch=AarchParams(spec.aarch.alpha0, spec.aarch.alphas, -spec.aarch.betas),
     )
@@ -845,11 +845,7 @@ def scaled(spec: ModelSpec, c: float) -> ModelSpec:
     coeffs[:, 0] *= c
     part = spec.partition
     return ModelSpec(
-        p=spec.p,
-        q=spec.q,
-        partition=ThresholdPartition(
-            regimes=part.regimes, delay=part.delay, thresholds=c * part.thresholds
-        ),
+        partition=ThresholdPartition(delay=part.delay, thresholds=c * part.thresholds),
         tar=TarParams(coeffs),
         aarch=AarchParams(c * c * spec.aarch.alpha0, spec.aarch.alphas, spec.aarch.betas),
     )
@@ -983,11 +979,7 @@ class TestEquivariance:
         shifted_coeffs = coeffs.copy()
         shifted_coeffs[:, 0] = coeffs[:, 0] + c * (1.0 - coeffs[:, 1:].sum(axis=1))
         shifted = ModelSpec(
-            p=spec.p,
-            q=spec.q,
-            partition=ThresholdPartition(
-                regimes=2, delay=1, thresholds=spec.partition.thresholds + c
-            ),
+            partition=ThresholdPartition(delay=1, thresholds=spec.partition.thresholds + c),
             tar=TarParams(shifted_coeffs),
             aarch=spec.aarch,
         )
@@ -1274,13 +1266,11 @@ class TestSearch:
             # other sweep.
             (row,) = [r for r in rows if r["delay"] == 1
                       and r["thresholds"][0] == pytest.approx(2.475754, abs=1e-6)]
-            part = ThresholdPartition(regimes=2, delay=1, thresholds=np.array(row["thresholds"]))
+            part = ThresholdPartition(delay=1, thresholds=np.array(row["thresholds"]))
             assert_variance_kkt(fit_alternating(sim.series, part, 2, 1), sim.series, 2, 1)
 
     def test_single_regime_preferred_on_linear_data(self):
         single = ModelSpec(
-            p=1,
-            q=1,
             partition=ThresholdPartition.single_regime(),
             tar=TarParams(np.array([[0.1, 0.5]])),
             aarch=AarchParams(0.1, np.array([0.4]), np.array([0.1])),

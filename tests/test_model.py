@@ -33,14 +33,12 @@ finite_floats = st.floats(
 
 
 def lynx_partition():
-    return ThresholdPartition(regimes=2, delay=2, thresholds=np.array([3.25]))
+    return ThresholdPartition(delay=2, thresholds=np.array([3.25]))
 
 
 def single_regime_spec(phi, alpha0=1.0, a1=0.0, b1=0.0, delay=1):
     phi = np.atleast_2d(np.asarray(phi, dtype=float))
     return ModelSpec(
-        p=phi.shape[1] - 1,
-        q=1,
         partition=ThresholdPartition.single_regime(delay=delay),
         tar=TarParams(phi),
         aarch=AarchParams(alpha0=alpha0, alphas=np.array([a1]), betas=np.array([b1])),
@@ -56,17 +54,13 @@ class TestTypes:
         with pytest.raises(ValueError, match="length"):
             TimeSeries(np.array([]))
 
-    def test_partition_threshold_count(self):
-        with pytest.raises(ValueError, match="thresholds"):
-            ThresholdPartition(regimes=3, delay=1, thresholds=np.array([1.0]))
-
     def test_partition_strictly_increasing(self):
         with pytest.raises(ValueError, match="increasing"):
-            ThresholdPartition(regimes=3, delay=1, thresholds=np.array([2.0, 2.0]))
+            ThresholdPartition(delay=1, thresholds=np.array([2.0, 2.0]))
 
     def test_partition_delay_positive(self):
         with pytest.raises(ValueError, match="delay"):
-            ThresholdPartition(regimes=1, delay=0, thresholds=np.array([]))
+            ThresholdPartition(delay=0, thresholds=np.array([]))
 
     def test_single_regime_has_no_thresholds(self):
         assert ThresholdPartition.single_regime().thresholds.size == 0
@@ -80,19 +74,27 @@ class TestTypes:
             AarchParams(alpha0=1.0, alphas=np.array([]), betas=np.array([]))
 
     def test_spec_dimension_consistency(self):
-        part = lynx_partition()
         tar = TarParams(np.zeros((2, 3)))
         aarch = AarchParams(1.0, np.zeros(1), np.zeros(1))
-        with pytest.raises(ValueError, match="p="):
-            ModelSpec(p=1, q=1, partition=part, tar=tar, aarch=aarch)
         with pytest.raises(ValueError, match="regimes"):
-            ModelSpec(
-                p=2,
-                q=1,
-                partition=ThresholdPartition.single_regime(),
-                tar=tar,
-                aarch=aarch,
-            )
+            ModelSpec(partition=ThresholdPartition.single_regime(), tar=tar, aarch=aarch)
+
+    def test_orders_and_regime_count_are_derived(self):
+        spec = ModelSpec(partition=ThresholdPartition(3, np.array([-1.0, 1.0])),
+                         tar=TarParams(np.zeros((3, 3))),
+                         aarch=AarchParams(1.0, np.zeros(2), np.zeros(2)))
+        assert (spec.p, spec.q, spec.partition.regimes) == (2, 2, 3)
+
+    @pytest.mark.parametrize("delay", [1.5, True])
+    def test_partition_delay_that_is_not_whole_is_rejected(self, delay):
+        with pytest.raises(ValueError, match=f"delay must be a whole number, got {delay!r}"):
+            ThresholdPartition(delay, np.array([0.0]))
+
+    @pytest.mark.parametrize("delay", [2.0, np.int64(1)])
+    def test_whole_partition_delay_is_an_int(self, delay):
+        # an int64 delay would make a fit's report unwritable as JSON
+        partition = ThresholdPartition(delay, np.array([0.0]))
+        assert type(partition.delay) is int and partition.delay == delay
 
     def test_values_are_immutable(self):
         ts = TimeSeries(np.array([1.0, 2.0]))
@@ -115,7 +117,7 @@ class TestRegimeIndex:
             regime_index(lynx_partition(), np.inf)
 
     def test_totality_on_a_million_points(self):
-        part = ThresholdPartition(regimes=4, delay=1, thresholds=np.array([-1.0, 0.5, 2.0]))
+        part = ThresholdPartition(delay=1, thresholds=np.array([-1.0, 0.5, 2.0]))
         rng = np.random.Generator(np.random.Philox(key=7))
         x = rng.uniform(-1e6, 1e6, size=1_000_000)
         labels = regime_indices(part, x)
@@ -127,7 +129,7 @@ class TestRegimeIndex:
     @given(x=finite_floats)
     @settings(deadline=None, max_examples=200)
     def test_membership_matches_interval_definition(self, x):
-        part = ThresholdPartition(regimes=3, delay=1, thresholds=np.array([-0.5, 1.5]))
+        part = ThresholdPartition(delay=1, thresholds=np.array([-0.5, 1.5]))
         j = regime_index(part, x)
         in_regime = [x <= -0.5, -0.5 < x <= 1.5, x > 1.5]
         assert sum(in_regime) == 1
@@ -137,8 +139,6 @@ class TestRegimeIndex:
 class TestConditionalMean:
     def test_lynx_regime_one_intercept(self):
         spec = ModelSpec(
-            p=2,
-            q=1,
             partition=lynx_partition(),
             tar=TarParams(np.array([[0.62, 1.25, -0.43], [2.25, 1.52, -1.24]])),
             aarch=AarchParams(1.0, np.zeros(1), np.zeros(1)),
@@ -151,8 +151,6 @@ class TestConditionalMean:
 
     def test_lynx_regime_two_arithmetic(self):
         spec = ModelSpec(
-            p=2,
-            q=1,
             partition=lynx_partition(),
             tar=TarParams(np.array([[0.62, 1.25, -0.43], [2.25, 1.52, -1.24]])),
             aarch=AarchParams(1.0, np.zeros(1), np.zeros(1)),
@@ -299,9 +297,7 @@ class TestStationarityCheck:
 class TestSerialization:
     def test_json_round_trip_is_bit_stable(self):
         spec = ModelSpec(
-            p=2,
-            q=2,
-            partition=ThresholdPartition(2, 3, np.array([1.0 / 3.0])),
+            partition=ThresholdPartition(3, np.array([1.0 / 3.0])),
             tar=TarParams(np.array([[0.1, 0.2, -0.3], [1e-17, 0.7, 2.0 / 7.0]])),
             aarch=AarchParams(0.1, np.array([0.5, 0.25]), np.array([-0.125, 0.3])),
         )
@@ -356,6 +352,17 @@ class TestSerialization:
         doc = {k: v for k, v in reference_spec().to_dict().items() if k not in drop}
         with pytest.raises(ValueError) as excinfo:
             ModelSpec.from_dict({**doc, **extra})
+        assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"p": 2}, "tar implies p=1 but spec says p=2"),
+        ({"q": 2}, "aarch implies q=1 but spec says q=2"),
+        ({"tar": [[], []], "p": -1},
+         "coefficients must be 2-d with an intercept column, got (2, 0)"),
+    ])
+    def test_orders_must_match_tar_and_alphas(self, doc, message):
+        with pytest.raises(ValueError) as excinfo:
+            ModelSpec.from_dict({**reference_spec().to_dict(), **doc})
         assert str(excinfo.value) == message
 
     def test_whole_float_order_and_delay_load_as_ints(self):

@@ -30,8 +30,6 @@ from taraarch.simulate import (
 
 def noise_only_spec(alpha0=1.0):
     return ModelSpec(
-        p=0,
-        q=1,
         partition=ThresholdPartition.single_regime(),
         tar=TarParams(np.array([[0.0]])),
         aarch=AarchParams(alpha0, np.zeros(1), np.zeros(1)),
@@ -57,9 +55,7 @@ class TestSeeding:
 
 def three_regime_spec():
     return ModelSpec(
-        p=2,
-        q=3,
-        partition=ThresholdPartition(regimes=3, delay=2, thresholds=np.array([-0.5, 0.4])),
+        partition=ThresholdPartition(delay=2, thresholds=np.array([-0.5, 0.4])),
         tar=TarParams(np.array([[0.1, 0.3, -0.2], [0.0, 0.5, 0.1], [-0.1, -0.4, 0.2]])),
         aarch=AarchParams(0.2, np.array([0.3, 0.2, 0.1]), np.array([0.1, -0.05, 0.05])),
     )
@@ -68,9 +64,7 @@ def three_regime_spec():
 def late_delay_spec():
     """Delay beyond the mean lags: x[t-3] picks the regime of an AR(1) row."""
     return ModelSpec(
-        p=1,
-        q=2,
-        partition=ThresholdPartition(regimes=2, delay=3, thresholds=np.array([0.1])),
+        partition=ThresholdPartition(delay=3, thresholds=np.array([0.1])),
         tar=TarParams(np.array([[0.2, 0.6], [-0.1, -0.5]])),
         aarch=AarchParams(0.4, np.array([0.4, 0.2]), np.array([-0.2, 0.1])),
     )
@@ -120,9 +114,7 @@ def loop_oracle(spec, config):
 
 def assert_explosion_matches_oracle(tar, alphas, betas):
     boom = ModelSpec(
-        p=1,
-        q=2,
-        partition=ThresholdPartition(regimes=2, delay=1, thresholds=np.array([0.0])),
+        partition=ThresholdPartition(delay=1, thresholds=np.array([0.0])),
         tar=TarParams(np.array(tar)),
         aarch=AarchParams(1.0, np.array(alphas), np.array(betas)),
     )
@@ -206,8 +198,6 @@ class TestSimulatePath:
 
     def test_symmetric_spec_innovation_skewness_vanishes(self):
         spec = ModelSpec(
-            p=0,
-            q=1,
             partition=ThresholdPartition.single_regime(),
             tar=TarParams(np.array([[0.0]])),
             aarch=AarchParams(0.2, np.array([0.6]), np.zeros(1)),
@@ -217,8 +207,6 @@ class TestSimulatePath:
 
     def test_explosive_path_raises_with_index(self):
         boom = ModelSpec(
-            p=0,
-            q=1,
             partition=ThresholdPartition.single_regime(),
             tar=TarParams(np.array([[0.0]])),
             aarch=AarchParams(1.0, np.array([2.5]), np.zeros(1)),
@@ -282,3 +270,16 @@ class TestSimConfig:
             SimConfig(n=0, seed=1)
         with pytest.raises(ValueError):
             SimConfig(n=10, seed=1, burn_in=-1)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n", 50.5), ("n", True), ("seed", 1.7), ("seed", "1"), ("burn_in", 10.5),
+    ])
+    def test_rejects_a_setting_that_is_not_whole(self, key, value):
+        settings = {"n": 50, "seed": 1, "burn_in": 10, key: value}
+        with pytest.raises(ValueError, match=f"{key} must be a whole number, got {value!r}"):
+            SimConfig(**settings)
+
+    def test_whole_float_and_numpy_settings_load_as_ints(self):
+        config = SimConfig(n=50.0, seed=np.int64(3), burn_in=np.int32(10))
+        assert (config.n, config.seed, config.burn_in) == (50, 3, 10)
+        assert {type(v) for v in (config.n, config.seed, config.burn_in)} == {int}
