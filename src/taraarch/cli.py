@@ -247,7 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fi.add_argument("--thresholds", default=None, help="comma-separated thresholds")
     fi.add_argument("--search", action="store_true", help="grid-search delay/threshold")
     fi.add_argument("--delays", default="1,2,3", help="candidate delays for --search")
-    fi.add_argument("--min-regime-frac", type=float, default=0.1)
+    fi.add_argument("--min-regime-frac", type=float,
+                    default=estimation.GridRecipe.min_regime_fraction)
     fi.add_argument("--allow-single-regime", action="store_true")
     fi.add_argument(
         "--format", choices=("json", "csv"), default="json", help="report format"

@@ -41,10 +41,14 @@ from .model import (
     ModelSpec,
     TarParams,
     ThresholdPartition,
+    param_names,
     regime_indices,
     series_values,
+    _as_float_array,
     _lag_design,
+    _document,
     _real,
+    _reals,
     _whole,
     _wholes,
 )
@@ -140,14 +144,19 @@ class FitReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitReport":
-        report = cls(
-            spec=ModelSpec.from_dict(d["params"]),
-            info_matrix=np.asarray(d["info_matrix"], dtype=float),
-            sandwich_cov=np.asarray(d["sandwich_cov"], dtype=float),
-            qll=float(d["qll"]),
-            converged=bool(d["converged"]),
-            trace=tuple(float(v) for v in d["trace"]),
-        )
+        """A report from its document; ``std_errors``, ``partition`` and ``search`` go unread."""
+        _document("fit report", d, ("params", "std_errors", "info_matrix", "sandwich_cov",
+                  "qll", "iterations", "converged", "trace", "partition"), ("search",))
+        spec = ModelSpec.from_dict(d["params"])
+        k = len(param_names(spec))
+        matrices = {key: _reals(key, d[key], ndim=2) for key in ("info_matrix", "sandwich_cov")}
+        for key, matrix in matrices.items():
+            if matrix.shape != (k, k):
+                raise ValueError(f"{key} must have shape ({k}, {k}), got {matrix.shape}")
+        if not isinstance(d["converged"], bool):
+            raise ValueError(f"converged must be true or false, got {d['converged']!r}")
+        report = cls(spec, **matrices, qll=_real("qll", d["qll"]), converged=d["converged"],
+                     trace=tuple(_reals("trace", d["trace"]).tolist()))
         if d["iterations"] != report.iterations:
             raise ValueError(f"iterations {d['iterations']!r} is not the trace length")
         return report
@@ -337,18 +346,20 @@ def _mean_pass(ctx: _FitContext, w: np.ndarray) -> np.ndarray:
 def theta_step(series, partition, aarch, theta_init) -> TarParams:
     """Solve the concentrated mean equations by iteratively reweighted least squares.
 
-    The conditional variances act as fixed weights inside each pass and are
-    refreshed from the updated residuals between passes, until the maximum
-    coefficient change falls below ``THETA_TOL``.
+    The conditional variances act as fixed weights inside each pass and are refreshed
+    from the updated residuals between passes, until the maximum coefficient change
+    falls below ``THETA_TOL``, else :class:`ConvergenceError` carries the last iterate.
     """
     ctx = _FitContext(series, partition, theta_init.p, aarch.q)
     coeffs, gamma = theta_init.coefficients, _slopes(aarch)
     for _ in range(MAX_THETA_ITER):
         _, _, h = ctx.window(coeffs, gamma)
         coeffs, old = _mean_pass(ctx, 1.0 / h[ctx.o :]), coeffs
-        if float(np.max(np.abs(coeffs - old))) < THETA_TOL:
-            break
-    return TarParams(coeffs)
+        change = float(np.max(np.abs(coeffs - old)))
+        if change < THETA_TOL:
+            return TarParams(coeffs)
+    raise ConvergenceError(f"mean step did not converge in {MAX_THETA_ITER} iterations "
+                           f"(last coefficient change {change:.3g})", result=TarParams(coeffs))
 
 
 def _information(x: np.ndarray, w: np.ndarray) -> np.ndarray | None:
@@ -676,10 +687,9 @@ def estimate_information(series, spec: ModelSpec):
     return _sandwich(*_sandwich_parts(ctx, spec), ctx.nq)
 
 
-def _check_grid(grid, delays: str, boundaries: int) -> None:
-    """Check and coerce the fields both grids share: the field named
-    ``delays``, ``min_regime_fraction`` and ``include_single_regime``."""
-    values = _wholes("delays", getattr(grid, delays))
+def _check_grid(grid) -> None:
+    """Check and coerce ``delays``, ``min_regime_fraction`` and ``include_single_regime``."""
+    values = _wholes("delays", grid.delays)
     if not values or min(values) < 1:
         raise ValueError(f"delays must be non-empty positive integers, got {list(values)}")
     fraction = _real("min_regime_fraction", grid.min_regime_fraction)
@@ -688,40 +698,43 @@ def _check_grid(grid, delays: str, boundaries: int) -> None:
     single = grid.include_single_regime
     if not isinstance(single, bool):
         raise ValueError(f"include_single_regime must be true or false, got {single!r}")
-    if not boundaries and not single:
+    if not grid.boundaries and not single:
         raise ValueError("grid has 0 boundaries and include_single_regime is false")
-    object.__setattr__(grid, delays, values)
+    object.__setattr__(grid, "delays", values)
     object.__setattr__(grid, "min_regime_fraction", fraction)
 
 
 @dataclass(frozen=True)
 class SearchGrid:
-    """Candidate delays and per-boundary threshold values for model search.
+    """Candidate ``delays`` and per-boundary threshold values for model search.
 
-    ``threshold_candidates`` holds one sorted candidate array per regime
-    boundary; an empty tuple searches only the single-regime model.
+    ``threshold_candidates`` holds one sorted, non-empty list of finite numbers
+    per regime boundary; an empty tuple searches only the single-regime model.
     Candidates that would leave any regime with fewer than
     ``min_regime_fraction`` of the scored observations are skipped.
     """
 
-    delay_candidates: tuple[int, ...]
+    delays: tuple[int, ...]
     threshold_candidates: tuple[tuple[float, ...], ...]
     min_regime_fraction: float = 0.1
     include_single_regime: bool = False
 
     def __post_init__(self):
-        cands = tuple(tuple(float(t) for t in row) for row in self.threshold_candidates)
-        object.__setattr__(self, "threshold_candidates", cands)
-        _check_grid(self, "delay_candidates", len(cands))
+        key = "threshold_candidates"
+        rows = [_as_float_array(_reals(key, row), key, min_len=1) for row in getattr(self, key)]
+        object.__setattr__(self, key, tuple(tuple(row.tolist()) for row in rows))
+        _check_grid(self)
+
+    @property
+    def boundaries(self) -> int:
+        return len(self.threshold_candidates)
 
     def materialize(self, series) -> "SearchGrid":
         return self
 
     def to_dict(self) -> dict:
-        return {"type": "fixed", "delays": list(self.delay_candidates),
-                "threshold_candidates": [list(row) for row in self.threshold_candidates],
-                "min_regime_fraction": self.min_regime_fraction,
-                "include_single_regime": self.include_single_regime}
+        return {"type": "fixed", **asdict(self), "delays": list(self.delays),
+                "threshold_candidates": [list(row) for row in self.threshold_candidates]}
 
 
 @dataclass(frozen=True)
@@ -748,7 +761,7 @@ class GridRecipe:
             raise ValueError(f"step must be > 0, got {step}")
         for name, value in (("boundaries", boundaries), ("lo", lo), ("hi", hi), ("step", step)):
             object.__setattr__(self, name, value)
-        _check_grid(self, "delays", boundaries)
+        _check_grid(self)
 
     def materialize(self, series) -> SearchGrid:
         """The series' grid: of the quantiles that split it alike, only the lowest."""
@@ -768,11 +781,10 @@ def _grid_from_dict(d) -> SearchGrid | GridRecipe:
     """A plan's grid from its document; an unknown type or key raises ValueError."""
     if not isinstance(d, dict):
         raise ValueError(f"grid must be an object, got {d!r}")
-    kind = d.get("type")
+    keys = dict(d)
+    kind = keys.pop("type", None)
     if kind not in ("quantile", "fixed"):
         raise ValueError(f"grid type must be 'quantile' or 'fixed', got {kind!r}")
-    keys = {("delay_candidates" if kind == "fixed" and k == "delays" else k): v
-            for k, v in d.items() if k != "type"}
     try:
         return (GridRecipe if kind == "quantile" else SearchGrid)(**keys)
     except TypeError as exc:  # an unknown or missing key
@@ -807,7 +819,7 @@ def threshold_delay_search(series, p: int, q: int, grid: SearchGrid | GridRecipe
     """
     x = series_values(series)
     grid = grid.materialize(x)
-    m_common = max(p, q, max(grid.delay_candidates))
+    m_common = max(p, q, max(grid.delays))
     n_common = x.size - m_common
     if n_common < 1:
         raise ValueError("series too short for the requested search grid")
@@ -815,7 +827,7 @@ def threshold_delay_search(series, p: int, q: int, grid: SearchGrid | GridRecipe
     candidates = []
     if grid.include_single_regime:
         candidates.append((1, ()))
-    for d in grid.delay_candidates:
+    for d in grid.delays:
         for combo in itertools.product(*grid.threshold_candidates):
             if not combo:  # the single-regime model is added once, above
                 continue

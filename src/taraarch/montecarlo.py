@@ -45,7 +45,7 @@ from .model import (
     _whole,
     _wholes,
 )
-from .simulate import DEFAULT_BURN_IN, SimConfig, SimulationError, mix_seed, simulate_path
+from .simulate import DEFAULT_BURN_IN, SimConfig, SimulationError, mix_seed, simulate_path, _seed
 
 __all__ = [
     "ExperimentPlan",
@@ -124,8 +124,8 @@ class ExperimentPlan:
         if not sizes or any(b <= a for a, b in zip(sizes[:-1], sizes[1:])):
             raise ValueError("sample_sizes must be non-empty and strictly increasing")
         object.__setattr__(self, "sample_sizes", sizes)
-        for name in ("replicates", "base_seed", "burn_in"):
-            object.__setattr__(self, name, _whole(name, getattr(self, name)))
+        for name, read in (("replicates", _whole), ("base_seed", _seed), ("burn_in", _whole)):
+            object.__setattr__(self, name, read(name, getattr(self, name)))
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if self.burn_in < 0:
@@ -160,15 +160,10 @@ class ExperimentPlan:
                   [f.name for f in fields(cls) if f.default is not MISSING])
         if not isinstance(d["true_spec"], dict):
             raise ValueError(f"true_spec must be an object, got {d['true_spec']!r}")
-        return cls(
-            true_spec=ModelSpec.from_dict(d["true_spec"]),
-            sample_sizes=d["sample_sizes"],
-            replicates=d["replicates"],
-            base_seed=d["base_seed"],
-            estimator=d.get("estimator", "concentrated"),
-            grid=None if d.get("grid") is None else _grid_from_dict(d["grid"]),
-            burn_in=d.get("burn_in", DEFAULT_BURN_IN),
-        )
+        keys = {**d, "true_spec": ModelSpec.from_dict(d["true_spec"])}
+        if keys.get("grid") is not None:
+            keys["grid"] = _grid_from_dict(keys["grid"])
+        return cls(**keys)
 
 
 def plan_param_names(plan: ExperimentPlan) -> list[str]:
@@ -696,11 +691,9 @@ def _csv_header(plan: ExperimentPlan, names) -> list[str]:
     """The results CSV's columns: identifiers, convergence, estimates, SEs,
     and for a search the selected delay and one column per grid boundary."""
     header = ["n", "r", "seed", "converged", *names, *(f"se_{name}" for name in names)]
-    grid = plan.grid
-    if grid is not None:
-        boundaries = (grid.boundaries if isinstance(grid, GridRecipe)
-                      else len(grid.threshold_candidates))
-        header += ["selected_delay", *(f"selected_threshold_{i + 1}" for i in range(boundaries))]
+    if plan.grid is not None:
+        header += ["selected_delay",
+                   *(f"selected_threshold_{i + 1}" for i in range(plan.grid.boundaries))]
     return header
 
 

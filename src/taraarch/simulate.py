@@ -65,17 +65,25 @@ def mix_seed(*parts: int) -> int:
     return state
 
 
+def _seed(key: str, value) -> int:
+    """``value`` as a seed, a whole number in [0, 2**64); else ValueError."""
+    seed = _whole(key, value)
+    if not 0 <= seed <= _MASK64:
+        raise ValueError(f"{key} must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def normal_stream(seed: int, count: int) -> np.ndarray:
     """``count`` i.i.d. standard normals from a counter-based stream.
 
-    Draw ``i`` depends only on ``(seed, i)``: Philox output is mapped to the
-    open interval (0, 1) with 53-bit resolution and passed through the
-    inverse normal CDF.
+    Draw ``i`` depends only on ``(seed, i)``, for a whole ``seed`` in
+    [0, 2**64): Philox output is mapped to the open interval (0, 1) with
+    53-bit resolution and passed through the inverse normal CDF.
     """
     from scipy.special import ndtri  # here, so that importing the package does not load it
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
-    bg = np.random.Philox(key=int(seed) & _MASK64)
+    bg = np.random.Philox(key=_seed("seed", seed))
     raw = bg.random_raw(count)
     u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     return ndtri(u)
@@ -83,15 +91,15 @@ def normal_stream(seed: int, count: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulation run settings; the same (spec, config) always yields the same path."""
+    """Simulation run settings, ``seed`` in [0, 2**64); same (spec, config), same path."""
 
     n: int
     seed: int
     burn_in: int = DEFAULT_BURN_IN
 
     def __post_init__(self):
-        for name in ("n", "seed", "burn_in"):
-            object.__setattr__(self, name, _whole(name, getattr(self, name)))
+        for name, read in (("n", _whole), ("seed", _seed), ("burn_in", _whole)):
+            object.__setattr__(self, name, read(name, getattr(self, name)))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.burn_in < 0:

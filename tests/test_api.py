@@ -12,6 +12,7 @@ from taraarch import (
     ExperimentPlan,
     ExperimentResult,
     FitReport,
+    GridRecipe,
     ModelSpec,
     SearchGrid,
     SimConfig,
@@ -59,6 +60,9 @@ REMOVED = [
     ("FitReport", "iterations", lambda: FitReport(**vars(FIT), iterations=len(FIT.trace))),
     ("SearchOutcome", "partition",
      lambda: SearchOutcome(report=FIT, candidates=[], partition=PART)),
+    # one name per grid field: a fixed grid's delays are its ``delays``
+    ("SearchGrid", "delay_candidates",
+     lambda: SearchGrid(delay_candidates=(1,), threshold_candidates=((0.0,),))),
 ]
 
 
@@ -147,6 +151,10 @@ RECORDS = {
     AarchParams: ("alpha0", "alphas", "betas"),
     FitReport: ("spec", "info_matrix", "sandwich_cov", "qll", "converged", "trace"),
     SearchOutcome: ("report", "candidates"),
+    SearchGrid: ("delays", "threshold_candidates", "min_regime_fraction",
+                 "include_single_regime"),
+    GridRecipe: ("delays", "boundaries", "lo", "hi", "step", "min_regime_fraction",
+                 "include_single_regime"),
     SimConfig: ("n", "seed", "burn_in"),
     ExperimentPlan: ("true_spec", "sample_sizes", "replicates", "base_seed", "estimator",
                      "grid", "burn_in"),

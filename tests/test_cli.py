@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from taraarch import estimation
-from taraarch.cli import main
+from taraarch.cli import _build_parser, main
 from taraarch.estimation import FitReport
 from taraarch.model import param_vector
 from taraarch.montecarlo import (
@@ -101,6 +101,13 @@ class TestSimulate:
         assert f"error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_seed_outside_64_bits_exits_1(self, tmp_path, capsys, spec_file):
+        out = tmp_path / "path.csv"
+        assert run_cli("simulate", "--spec", str(spec_file), "--n", "50", "--seed", "-1",
+                       "--output", str(out)) == 1
+        assert capsys.readouterr().err == "error: seed must be in [0, 2**64), got -1\n"
+        assert not out.exists()
+
     def test_byte_identical_runs(self, tmp_path, spec_file):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ("simulate", "--spec", str(spec_file), "--n", "200", "--seed", "42")
@@ -157,6 +164,23 @@ class TestFit:
         doc = json.loads(out.read_text())
         assert doc["search"]["selected_delay"] == 1
         assert any(row["selected"] for row in doc["search"]["candidates"])
+
+    def test_search_report_loads_as_a_fit_report(self, data_file, tmp_path):
+        out = tmp_path / "search.json"
+        assert run_cli("fit", str(data_file), "--p", "1", "--q", "1", "--search",
+                       "--delays", "1", "--output", str(out)) == 0
+        doc = json.loads(out.read_text())
+        report = FitReport.from_json(out.read_text())
+        assert report.spec.partition.delay == doc["search"]["selected_delay"]
+        del doc["search"]
+        assert json.dumps(report.to_dict()) == json.dumps(doc)
+
+    def test_min_regime_frac_defaults_to_the_grids(self, monkeypatch):
+        argv = ["fit", "data.csv", "--p", "1", "--q", "1", "--search"]
+        assert _build_parser().parse_args(argv).min_regime_frac == 0.1
+        # read from GridRecipe when the parser is built, not restated
+        monkeypatch.setattr(estimation.GridRecipe, "min_regime_fraction", 0.2)
+        assert _build_parser().parse_args(argv).min_regime_frac == 0.2
 
     def test_csv_format(self, data_file, capsys):
         code = run_cli("fit", str(data_file), "--p", "1", "--q", "1",

@@ -204,6 +204,24 @@ class TestThetaStep:
         assert np.max(np.abs(eq)) < 1e-8
 
 
+    def test_nonconvergence_carries_the_last_iterate(self, monkeypatch):
+        spec = reference_spec()
+        x = simulate_path(spec, SimConfig(n=1000, seed=7)).series
+        init = TarParams(np.zeros((2, 2)))
+        converged = theta_step(x, spec.partition, spec.aarch, init)
+        monkeypatch.setattr(estimation, "MAX_THETA_ITER", 1)
+        with pytest.raises(ConvergenceError,
+                           match="mean step did not converge in 1 iterations") as excinfo:
+            theta_step(x, spec.partition, spec.aarch, init)
+        # the one mean pass from the start
+        ctx = _FitContext(x, spec.partition, 1, 1)
+        _, _, h = ctx.window(init.coefficients, _slopes(spec.aarch))
+        last = excinfo.value.result
+        assert isinstance(last, TarParams)
+        np.testing.assert_array_equal(last.coefficients, _mean_pass(ctx, 1.0 / h[ctx.o :]))
+        assert np.max(np.abs(last.coefficients - converged.coefficients)) > 1e-6
+
+
 class TestAlphaStep:
     def test_score_vanishes_at_optimum(self):
         true = single_regime_spec([0.0], alpha0=0.1, a1=0.5, b1=0.3)
@@ -442,6 +460,13 @@ class TestNonnegativeStep:
             _variance_pass(xd, sq, gamma, h, newton=False)
 
 
+@pytest.fixture(scope="module")
+def report_doc():
+    spec = reference_spec()
+    x = simulate_path(spec, SimConfig(n=500, seed=11)).series
+    return fit_alternating(x, spec.partition, 1, 1).to_dict()
+
+
 class TestFitAlternating:
     def test_degenerate_composition_matches_ols_plus_variance(self):
         # the fit's start: the flat-weight mean step, which is OLS, and the
@@ -576,6 +601,28 @@ class TestFitAlternating:
         )
         bare = fit_alternating(sim.series, spec.partition, 1, 1, compute_se=False)
         assert np.isnan(bare.std_errors).all()
+
+    @pytest.mark.parametrize("edit, message", [
+        ({"converged": "false"}, "converged must be true or false, got 'false'"),
+        ({"converged": 1}, "converged must be true or false, got 1"),
+        ({"qll": "-1.5"}, "qll must be a number, got '-1.5'"),
+        ({"trace": [1.0, "x"]}, "trace must be a number, got 'x'"),
+        ({"trace": 3.0}, "trace must be a list of numbers, got 3.0"),
+        ({"info_matrix": [[1.0]]}, r"info_matrix must have shape \(7, 7\), got \(1, 1\)"),
+        ({"sandwich_cov": [1.0] * 7}, "sandwich_cov must be a list of equal-length lists"),
+        ({"sandwich_cov": [["1"] * 7] * 7}, "sandwich_cov must be a number, got '1'"),
+        ({"extra": 1}, r"unknown fit report key\(s\): extra"),
+    ], ids=["converged_string", "converged_int", "qll_string", "trace_entry", "trace_scalar",
+            "info_shape", "cov_one_d", "cov_entry", "unknown_key"])
+    def test_malformed_report_document_is_rejected(self, report_doc, edit, message):
+        with pytest.raises(ValueError, match=message):
+            FitReport.from_dict({**report_doc, **edit})
+
+    @pytest.mark.parametrize("key", ["qll", "iterations", "std_errors", "partition"])
+    def test_report_document_missing_a_key_is_rejected(self, report_doc, key):
+        doc = {k: v for k, v in report_doc.items() if k != key}
+        with pytest.raises(ValueError, match=rf"fit report is missing key\(s\): {key}$"):
+            FitReport.from_dict(doc)
 
     def test_iterations_are_the_trace_length(self):
         spec = reference_spec()
@@ -910,7 +957,7 @@ class TestEquivariance:
     @classmethod
     def search(cls, x, thresholds):
         grid = SearchGrid(
-            delay_candidates=(1, 2), threshold_candidates=(thresholds,),
+            delays=(1, 2), threshold_candidates=(thresholds,),
             include_single_regime=True,
         )
         outcome = threshold_delay_search(x, 1, 1, grid)
@@ -1047,7 +1094,7 @@ class TestSearch:
     def test_single_candidate_returned(self):
         spec = reference_spec()
         sim = simulate_path(spec, SimConfig(n=900, seed=15))
-        grid = SearchGrid(delay_candidates=(1,), threshold_candidates=((0.0,),))
+        grid = SearchGrid(delays=(1,), threshold_candidates=((0.0,),))
         outcome = threshold_delay_search(sim.series, 1, 1, grid)
         assert outcome.partition.delay == 1
         assert outcome.partition.thresholds[0] == 0.0
@@ -1059,7 +1106,7 @@ class TestSearch:
     def small_search():
         x = simulate_path(reference_spec(), SimConfig(n=500, seed=21)).series
         grid = SearchGrid(
-            delay_candidates=(1, 2),
+            delays=(1, 2),
             threshold_candidates=((-0.5, 0.0, 0.5),),
             include_single_regime=True,
         )
@@ -1091,7 +1138,7 @@ class TestSearch:
     def test_single_regime_only_grid_fits_it_once(self):
         x = simulate_path(reference_spec(), SimConfig(n=500, seed=3)).series
         grid = SearchGrid(
-            delay_candidates=(1, 2), threshold_candidates=(), include_single_regime=True
+            delays=(1, 2), threshold_candidates=(), include_single_regime=True
         )
         outcome = threshold_delay_search(x, 1, 1, grid)
         assert [(r["delay"], r["thresholds"], r["selected"]) for r in outcome.candidates] == [
@@ -1143,13 +1190,13 @@ class TestSearch:
         spec = reference_spec()
         sim = simulate_path(spec, SimConfig(n=400, seed=16))
         # thresholds far outside the data leave a regime empty
-        grid = SearchGrid(delay_candidates=(1,), threshold_candidates=((99.0,),))
+        grid = SearchGrid(delays=(1,), threshold_candidates=((99.0,),))
         with pytest.raises(EstimationError, match="candidates"):
             threshold_delay_search(sim.series, 1, 1, grid)
 
     def test_all_candidates_skipped_by_occupancy_raises(self):
         x = normal_stream(3, 400)
-        grid = SearchGrid(delay_candidates=(1, 2), threshold_candidates=((100.0, 200.0),))
+        grid = SearchGrid(delays=(1, 2), threshold_candidates=((100.0, 200.0),))
         with pytest.raises(EstimationError, match=(
             r"^none of the 4 search candidates was fitted: 4 skipped by "
             r"min_regime_fraction = 0.1 on the common window, 0 failed$"
@@ -1164,7 +1211,7 @@ class TestSearch:
 
         monkeypatch.setattr(estimation, "_fit", fit)
         x = normal_stream(3, 400)
-        grid = SearchGrid(delay_candidates=(1, 2), threshold_candidates=((0.0, 100.0),))
+        grid = SearchGrid(delays=(1, 2), threshold_candidates=((0.0, 100.0),))
         with pytest.raises(EstimationError, match=(
             r"^none of the 4 search candidates was fitted: 2 skipped by "
             r"min_regime_fraction = 0.1 on the common window, 2 failed "
@@ -1180,7 +1227,7 @@ class TestSearch:
         x = 0.3 * normal_stream(5, 200)
         x[:4] = 2.5
         x[10:200:10] = 2.5
-        grid = SearchGrid(delay_candidates=(1, 5), threshold_candidates=((0.0, 2.0),))
+        grid = SearchGrid(delays=(1, 5), threshold_candidates=((0.0, 2.0),))
         m_common, n_common = 5, 195
         high = x[:-1] > 2.0
         assert high[m_common - 1 :].sum() < grid.min_regime_fraction * n_common
@@ -1193,12 +1240,12 @@ class TestSearch:
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            SearchGrid(delay_candidates=(), threshold_candidates=((1.0,),))
+            SearchGrid(delays=(), threshold_candidates=((1.0,),))
         with pytest.raises(ValueError):
-            SearchGrid(delay_candidates=(1,), threshold_candidates=((1.0,),),
+            SearchGrid(delays=(1,), threshold_candidates=((1.0,),),
                        min_regime_fraction=0.7)
         with pytest.raises(ValueError):
-            SearchGrid(delay_candidates=(1,), threshold_candidates=())
+            SearchGrid(delays=(1,), threshold_candidates=())
 
     def test_quantile_grid_bounds_regime_occupancy(self):
         x = normal_stream(77, 3000)

@@ -143,7 +143,7 @@ class TestPlan:
     def test_full_symmetric_plan_with_a_grid_is_rejected(self, sym_spec):
         # the search fits only the concentrated estimator
         for grid in (GridRecipe(delays=(1,)),
-                     SearchGrid(delay_candidates=(1,), threshold_candidates=((0.0,),))):
+                     SearchGrid(delays=(1,), threshold_candidates=((0.0,),))):
             with pytest.raises(ValueError, match="full_symmetric estimator takes no grid"):
                 ExperimentPlan(true_spec=sym_spec, sample_sizes=(400,), replicates=1,
                                base_seed=1, estimator="full_symmetric", grid=grid)
@@ -181,6 +181,18 @@ class TestPlan:
         ({**FIXED_GRID, "include_single_regime": "false"}, "include_single_regime"),
         ({**FIXED_GRID, "delays": [1.5]}, "delays"),
         ({**FIXED_GRID, "delays": [True]}, "delays"),
+        ({**FIXED_GRID, "threshold_candidates": [["3.25"]]},
+         "threshold_candidates must be a number, got '3.25'"),
+        ({**FIXED_GRID, "threshold_candidates": [[True]]},
+         "threshold_candidates must be a number, got True"),
+        ({**FIXED_GRID, "threshold_candidates": [[float("nan")]]},
+         "threshold_candidates contains a non-finite value at index 0"),
+        ({**FIXED_GRID, "threshold_candidates": [[3.0, float("inf")]]},
+         "threshold_candidates contains a non-finite value at index 1"),
+        ({**FIXED_GRID, "threshold_candidates": [[]]},
+         "threshold_candidates must have length >= 1, got 0"),
+        ({**FIXED_GRID, "threshold_candidates": [3.25]},
+         "threshold_candidates must be a list of numbers, got 3.25"),
     ])
     def test_bad_grid_value_is_rejected_when_the_plan_loads(self, grid, key):
         doc = json.loads((PLANS / "search_lynx.json").read_text())
@@ -220,6 +232,13 @@ class TestPlan:
         with pytest.raises(ValueError, match="unknown plan key\\(s\\): burnin"):
             ExperimentPlan.from_dict(doc)
 
+    @pytest.mark.parametrize("seed", [-5, 2**64])
+    def test_base_seed_outside_64_bits_is_rejected(self, seed):
+        with pytest.raises(ValueError, match=rf"base_seed must be in \[0, 2\*\*64\), got {seed}$"):
+            small_plan(seed=seed)
+        with pytest.raises(ValueError, match="base_seed must be in"):
+            ExperimentPlan.from_dict({**small_plan().to_dict(), "base_seed": seed})
+
     def test_negative_burn_in_is_rejected_by_the_plan(self):
         with pytest.raises(ValueError, match="burn_in must be >= 0, got -1"):
             small_plan(burn_in=-1)
@@ -229,7 +248,7 @@ class TestPlan:
         again = ExperimentPlan.from_dict(json.loads(json.dumps(plan.to_dict())))
         assert again.to_dict() == plan.to_dict()
         fixed = small_plan(
-            grid=SearchGrid(delay_candidates=(1,), threshold_candidates=((0.0, 1.0),))
+            grid=SearchGrid(delays=(1,), threshold_candidates=((0.0, 1.0),))
         )
         again = ExperimentPlan.from_dict(json.loads(json.dumps(fixed.to_dict())))
         assert again.to_dict() == fixed.to_dict()
@@ -245,7 +264,7 @@ class TestPlan:
             "include_single_regime",
         ]
         fixed = small_plan(
-            grid=SearchGrid(delay_candidates=(1,), threshold_candidates=((0.0,),))
+            grid=SearchGrid(delays=(1,), threshold_candidates=((0.0,),))
         ).to_dict()["grid"]
         assert list(fixed) == [
             "type", "delays", "threshold_candidates", "min_regime_fraction",
@@ -272,7 +291,7 @@ class TestPlan:
         ({"type": "bogus", "delays": [1], "threshold_candidates": [[0.0]]},
          "'quantile' or 'fixed', got 'bogus'"),
         ({"delays": [1], "threshold_candidates": [[0.0]]}, "'quantile' or 'fixed', got None"),
-        ({"type": "fixed", "threshold_candidates": [[0.0]]}, "delay_candidates"),
+        ({"type": "fixed", "threshold_candidates": [[0.0]]}, "'delays'"),
     ])
     def test_unknown_grid_type_or_missing_delays_is_rejected(self, grid, match):
         doc = {**small_plan().to_dict(), "grid": grid}
@@ -494,7 +513,7 @@ class TestRunExperiment:
         ("delay_mode", None), ("threshold_medians", [0.5]), ("threshold_medians", None),
     ])
     def test_load_detects_tampered_counts_and_selections(self, tmp_path, key, value):
-        grid = SearchGrid(delay_candidates=(1, 2), threshold_candidates=((-0.1, 0.0, 0.1),))
+        grid = SearchGrid(delays=(1, 2), threshold_candidates=((-0.1, 0.0, 0.1),))
         res = run_experiment(small_plan(replicates=3, grid=grid))
         csv_path = tmp_path / "rows.csv"
         json_path = tmp_path / "summary.json"
@@ -612,7 +631,7 @@ class TestFailurePolicy:
         ("fit_alternating", montecarlo, {}),
         ("tar_arch_full_qmle", montecarlo, {"estimator": "full_symmetric"}),
         ("_fit", estimation,
-         {"grid": SearchGrid(delay_candidates=(1,), threshold_candidates=((0.0,),))}),
+         {"grid": SearchGrid(delays=(1,), threshold_candidates=((0.0,),))}),
     ]
 
     def plan(self, sym_spec, kwargs):

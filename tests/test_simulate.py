@@ -42,6 +42,18 @@ class TestSeeding:
         assert mix_seed(1, 2, 3) != mix_seed(3, 2, 1)
         assert 0 <= mix_seed(2**63, -5) < 2**64
 
+    def test_mix_seed_masks_each_word_to_64_bits(self):
+        assert mix_seed(2**63, -5) == mix_seed(2**63, 2**64 - 5) == 17662771176422891397
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3, 1.5])
+    def test_normal_stream_rejects_a_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match=r"seed must be (in \[0, 2\*\*64\)|a whole number)"):
+            normal_stream(seed, 3)
+
+    def test_normal_stream_takes_every_64_bit_seed(self):
+        assert normal_stream(0, 2).shape == normal_stream(2**64 - 1, 2).shape == (2,)
+        assert not np.array_equal(normal_stream(0, 2), normal_stream(2**64 - 1, 2))
+
     def test_normal_stream_depends_only_on_seed_and_index(self):
         long = normal_stream(99, 100)
         short = normal_stream(99, 40)
@@ -278,6 +290,12 @@ class TestSimConfig:
         settings = {"n": 50, "seed": 1, "burn_in": 10, key: value}
         with pytest.raises(ValueError, match=f"{key} must be a whole number, got {value!r}"):
             SimConfig(**settings)
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 3])
+    def test_rejects_a_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}$"):
+            SimConfig(n=5, seed=seed)
+        assert SimConfig(n=5, seed=2**64 - 1).seed == 2**64 - 1
 
     def test_whole_float_and_numpy_settings_load_as_ints(self):
         config = SimConfig(n=50.0, seed=np.int64(3), burn_in=np.int32(10))
