@@ -96,11 +96,11 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _parse_thresholds(text: str) -> tuple[float, ...]:
+def _parse_numbers(key: str, text: str) -> tuple[float, ...]:
     try:
         return tuple(float(v) for v in text.split(",") if v.strip() != "")
     except ValueError:
-        raise ValueError(f"cannot parse thresholds {text!r}") from None
+        raise ValueError(f"cannot parse {key} {text!r}") from None
 
 
 def _fit_report_text(report: estimation.FitReport, fmt: str, extra=None) -> str:
@@ -127,7 +127,7 @@ def _cmd_fit(args) -> int:
     if searching:
         k = 2 * (p + 1) + 1 + 2 * q
     else:
-        thresholds = _parse_thresholds(args.thresholds) if args.thresholds else ()
+        thresholds = _parse_numbers("thresholds", args.thresholds) if args.thresholds else ()
         k = (len(thresholds) + 1) * (p + 1) + 1 + 2 * q
     if x.size <= 10 * k:
         raise _UsageError(
@@ -137,7 +137,7 @@ def _cmd_fit(args) -> int:
     try:
         if searching:
             grid = estimation.GridRecipe(
-                delays=tuple(int(v) for v in args.delays.split(",")),
+                delays=_parse_numbers("delays", args.delays),
                 min_regime_fraction=args.min_regime_frac,
                 include_single_regime=args.allow_single_regime,
             )

@@ -690,8 +690,10 @@ def estimate_information(series, spec: ModelSpec):
 def _check_grid(grid) -> None:
     """Check and coerce ``delays``, ``min_regime_fraction`` and ``include_single_regime``."""
     values = _wholes("delays", grid.delays)
-    if not values or min(values) < 1:
-        raise ValueError(f"delays must be non-empty positive integers, got {list(values)}")
+    if not values or values[0] < 1 or any(a >= b for a, b in itertools.pairwise(values)):
+        raise ValueError(
+            f"delays must be non-empty, strictly increasing positive integers, got {list(values)}"
+        )
     fraction = _real("min_regime_fraction", grid.min_regime_fraction)
     if not 0.0 < fraction < 0.5:
         raise ValueError(f"min_regime_fraction must be in (0, 0.5), got {fraction}")
@@ -708,8 +710,10 @@ def _check_grid(grid) -> None:
 class SearchGrid:
     """Candidate ``delays`` and per-boundary threshold values for model search.
 
-    ``threshold_candidates`` holds one sorted, non-empty list of finite numbers
-    per regime boundary; an empty tuple searches only the single-regime model.
+    ``delays`` are strictly increasing, and ``threshold_candidates`` holds one
+    strictly increasing, non-empty list of finite numbers per regime boundary,
+    so no partition appears twice; an empty tuple searches only the
+    single-regime model.
     Candidates that would leave any regime with fewer than
     ``min_regime_fraction`` of the scored observations are skipped.
     """
@@ -722,6 +726,9 @@ class SearchGrid:
     def __post_init__(self):
         key = "threshold_candidates"
         rows = [_as_float_array(_reals(key, row), key, min_len=1) for row in getattr(self, key)]
+        for row in rows:
+            if np.any(np.diff(row) <= 0):
+                raise ValueError(f"{key} rows must be strictly increasing, got {row.tolist()}")
         object.__setattr__(self, key, tuple(tuple(row.tolist()) for row in rows))
         _check_grid(self)
 
@@ -808,14 +815,16 @@ def threshold_delay_search(series, p: int, q: int, grid: SearchGrid | GridRecipe
     """Profile the alternating fit over the delay and threshold candidates of
     ``grid``: a :class:`SearchGrid`, or a :class:`GridRecipe` of ``series``.
 
-    Every candidate is fitted once with the alternating estimator and scored
-    by its quasi-log-likelihood over a common conditioning window (so
-    candidates with different delays are compared on the same likelihood
-    terms), with a ``-(k/2) log n`` penalty that only matters when regime
-    counts differ.  Ties are broken toward the smaller delay, then the
-    smaller first threshold.  The selected candidate's own fit is returned,
-    with standard errors computed at its estimates, together with the full
-    candidate table.
+    Each candidate, in grid order (the single-regime model if the grid
+    includes it, then each delay's strictly increasing threshold tuples), is
+    fitted once with the alternating estimator and scored by its
+    quasi-log-likelihood over a common conditioning window (so candidates
+    with different delays are compared on the same likelihood terms), with a
+    ``-(k/2) log n`` penalty that only matters when regime counts differ.
+    The first candidate with the highest score is selected: ties go to the
+    smaller delay, then the smaller thresholds.  The selected candidate's own
+    fit is returned, with standard errors computed at its estimates, together
+    with the full candidate table.
     """
     x = series_values(series)
     grid = grid.materialize(x)
@@ -824,29 +833,17 @@ def threshold_delay_search(series, p: int, q: int, grid: SearchGrid | GridRecipe
     if n_common < 1:
         raise ValueError("series too short for the requested search grid")
 
-    candidates = []
-    if grid.include_single_regime:
-        candidates.append((1, ()))
-    for d in grid.delays:
-        for combo in itertools.product(*grid.threshold_candidates):
-            if not combo:  # the single-regime model is added once, above
-                continue
-            if len(combo) > 1 and any(
-                b <= a for a, b in zip(combo[:-1], combo[1:])
-            ):
-                continue
-            candidates.append((d, combo))
-
-    rows = []
-    failures = []
-    best = None
+    candidates = [(1, ())] if grid.include_single_regime else []
+    candidates += [(d, combo) for d in grid.delays if grid.boundaries
+                   for combo in itertools.product(*grid.threshold_candidates)
+                   if all(a < b for a, b in itertools.pairwise(combo))]
+    rows, failures, best = [], [], None
     for d, combo in candidates:
         partition = ThresholdPartition(delay=d, thresholds=np.asarray(combo))
         ctx = _FitContext(x, partition, p, q)
-        if combo:
-            counts = np.bincount(ctx.labels_r[m_common - ctx.mpd :], minlength=partition.regimes)
-            if counts.min() < grid.min_regime_fraction * n_common:
-                continue
+        counts = np.bincount(ctx.labels_r[m_common - ctx.mpd :], minlength=partition.regimes)
+        if counts.min() < grid.min_regime_fraction * n_common:
+            continue
         k = partition.regimes * (p + 1) + 1 + 2 * q
         row = {
             "delay": d,
@@ -866,9 +863,8 @@ def threshold_delay_search(series, p: int, q: int, grid: SearchGrid | GridRecipe
             continue
         score = qll_common - 0.5 * k * np.log(n_common)
         row.update(qll=report.qll, qll_common=qll_common, penalized=score, converged=True)
-        key = (-score, d, combo[0] if combo else -np.inf)
-        if best is None or key < best[0]:
-            best = (key, ctx, report, row)
+        if best is None or score > best[0]:
+            best = (score, ctx, report, row)
     if best is None:
         detail = f" ({'; '.join(failures[:5])})" if failures else ""
         raise EstimationError(

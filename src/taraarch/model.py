@@ -120,7 +120,7 @@ class TimeSeries:
         return self.values.size
 
     def __array__(self, dtype=None, copy=None):
-        return np.asarray(self.values, dtype=dtype)
+        return np.array(self.values, dtype=dtype, copy=copy)
 
 
 @dataclass(frozen=True)

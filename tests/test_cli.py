@@ -221,6 +221,20 @@ class TestFit:
         assert code == 1
         assert capsys.readouterr().err == "error: cannot parse thresholds '0,abc'\n"
 
+    @pytest.mark.parametrize("delays, message", [
+        ("1.5", "delays must be a whole number, got 1.5"),
+        ("1,x", "cannot parse delays '1,x'"),
+        ("2,1", "delays must be non-empty, strictly increasing positive integers, got [2, 1]"),
+        ("1,1", "delays must be non-empty, strictly increasing positive integers, got [1, 1]"),
+    ], ids=["fraction", "text", "decreasing", "repeated"])
+    def test_bad_search_delays_exit_1(self, data_file, tmp_path, capsys, delays, message):
+        out = tmp_path / "search.json"
+        code = run_cli("fit", str(data_file), "--p", "1", "--q", "1", "--search",
+                       "--delays", delays, "--output", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_empty_regime_exits_3_without_output(self, data_file, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = run_cli("fit", str(data_file), "--p", "1", "--q", "1",

@@ -1246,6 +1246,33 @@ class TestSearch:
                        min_regime_fraction=0.7)
         with pytest.raises(ValueError):
             SearchGrid(delays=(1,), threshold_candidates=())
+        # no grid holds one partition twice
+        with pytest.raises(ValueError, match=r"delays must .* strictly increasing .*\[2, 1\]"):
+            GridRecipe(delays=(2, 1))
+        with pytest.raises(ValueError, match=r"delays must .* strictly increasing .*\[1, 1\]"):
+            GridRecipe(delays=(1, 1))
+        with pytest.raises(ValueError, match=r"delays must .* strictly increasing"):
+            SearchGrid(delays=(1, 1), threshold_candidates=((0.0,),))
+        with pytest.raises(ValueError, match=r"threshold_candidates rows must be strictly "
+                                             r"increasing, got \[0.0, 0.0\]"):
+            SearchGrid(delays=(1,), threshold_candidates=((0.0, 0.0),))
+        with pytest.raises(ValueError, match=r"threshold_candidates rows must be strictly "
+                                             r"increasing, got \[0.5, 0.0\]"):
+            SearchGrid(delays=(1,), threshold_candidates=((-1.0,), (0.5, 0.0)))
+
+    def test_tied_candidates_select_the_earlier(self):
+        # Whole-number data: no observation lies between 0.25 and 0.5, so the
+        # two candidates split every window alike and their fits are equal.
+        x = np.round(normal_stream(5, 400) * 2)
+        assert not np.any((x > 0.25) & (x <= 0.5))
+        grid = SearchGrid(delays=(1,), threshold_candidates=((0.25, 0.5),))
+        outcome = threshold_delay_search(x, 1, 1, grid)
+        first, second = outcome.candidates
+        assert first["converged"] and second["converged"]
+        for key in ("qll", "qll_common", "penalized"):
+            assert first[key] == second[key]
+        assert (first["selected"], second["selected"]) == (True, False)
+        assert outcome.partition.thresholds.tolist() == [0.25]
 
     def test_quantile_grid_bounds_regime_occupancy(self):
         x = normal_stream(77, 3000)

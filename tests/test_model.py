@@ -54,6 +54,18 @@ class TestTypes:
         with pytest.raises(ValueError, match="length"):
             TimeSeries(np.array([]))
 
+    def test_array_of_a_series_is_a_writable_copy(self):
+        ts = TimeSeries(np.array([1.0, 2.0, 4.0]))
+        a = np.array(ts)
+        assert a is not ts.values and a.flags.writeable
+        a -= a.mean()
+        assert ts.values.tolist() == [1.0, 2.0, 4.0]
+
+    def test_asarray_of_a_series_is_its_read_only_values(self):
+        ts = TimeSeries(np.array([1.0, 2.0, 4.0]))
+        a = np.asarray(ts)
+        assert a is ts.values and not a.flags.writeable
+
     def test_partition_strictly_increasing(self):
         with pytest.raises(ValueError, match="increasing"):
             ThresholdPartition(delay=1, thresholds=np.array([2.0, 2.0]))

@@ -193,6 +193,7 @@ class TestPlan:
          "threshold_candidates must have length >= 1, got 0"),
         ({**FIXED_GRID, "threshold_candidates": [3.25]},
          "threshold_candidates must be a list of numbers, got 3.25"),
+        ({"delays": [1, 1]}, "delays must be non-empty, strictly increasing"),
     ])
     def test_bad_grid_value_is_rejected_when_the_plan_loads(self, grid, key):
         doc = json.loads((PLANS / "search_lynx.json").read_text())
