@@ -70,16 +70,16 @@ def _load_spec(args) -> ModelSpec:
         return ModelSpec.from_json(fh.read())
 
 
+_TRANSFORMS = {
+    "log100": lambda x: sim.log_return_transform(x, scale100=True),
+    "log": lambda x: sim.log_return_transform(x, scale100=False),
+    "relative": sim.relative_return_transform,
+    "boxcox": sim.box_cox_sqrt_transform,
+}
+
+
 def _cmd_transform(args) -> int:
-    x = _read_column(args.input)
-    if args.method == "log100":
-        out = sim.log_return_transform(x, scale100=True)
-    elif args.method == "log":
-        out = sim.log_return_transform(x, scale100=False)
-    elif args.method == "relative":
-        out = sim.relative_return_transform(x)
-    else:
-        out = sim.box_cox_sqrt_transform(x)
+    out = _TRANSFORMS[args.method](_read_column(args.input))
     body = "".join(f"{v:.17g}\n" for v in out.values)
     _write_output(body, args.output)
     return EXIT_OK
@@ -221,17 +221,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     tr = subs.add_parser("transform", parents=[common], help="price-to-return transforms")
     tr.add_argument("input", help="one-column numeric CSV (header optional)")
-    tr.add_argument(
-        "--method",
-        choices=("log100", "log", "relative", "boxcox"),
-        required=True,
-    )
+    tr.add_argument("--method", choices=tuple(_TRANSFORMS), required=True)
     tr.set_defaults(func=_cmd_transform)
 
     si = subs.add_parser("simulate", parents=[common], help="simulate a sample path")
     group = si.add_mutually_exclusive_group(required=True)
     group.add_argument("--spec", help="model spec JSON file")
-    group.add_argument("--canned", choices=("lynx", "sunspot"), help="built-in fixture")
+    group.add_argument("--canned", choices=[c.name for c in baselines.canned_specs()],
+                       help="built-in fixture")
     si.add_argument("--canned-alpha0", type=float, default=None,
                     help="noise variance for canned specs")
     si.add_argument("--n", type=int, required=True, help="output length")

@@ -262,14 +262,13 @@ class _FitContext:
         self.nr = n - self.mpd
         self.nq = n - self.m
         self.y_r = x[self.mpd :]
-        self.Zr = _lag_design(x, p, self.mpd)
         self.labels_r = regime_indices(partition, x[self.mpd - d : n - d]) - 1
         l = partition.regimes
         self.regime_sizes = np.bincount(self.labels_r[self.o :], minlength=l)
         self.ntheta = l * (p + 1)
-        self.zexp_t = np.zeros((self.ntheta, self.nr))
-        for j, block in enumerate(np.split(self.zexp_t, l)):
-            np.copyto(block, self.Zr.T, where=self.labels_r == j)
+        lags = np.ascontiguousarray(_lag_design(x, p, self.mpd).T)
+        on = self.labels_r == np.arange(l)[:, None, None]
+        self.zexp_t = np.where(on, lags, 0.0).reshape(self.ntheta, self.nr)
 
     def residuals(self, theta: np.ndarray) -> np.ndarray:
         """Mean residuals on the residual window for the coefficients

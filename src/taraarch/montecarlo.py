@@ -602,6 +602,7 @@ def _moment_ratios(z: np.ndarray) -> tuple[float, float]:
 class NormalityCoordinate:
     n: int
     name: str
+    n_rows: int
     skewness: float
     excess_kurtosis: float
     ad_statistic: float
@@ -633,8 +634,9 @@ def normality_diagnostics(result: ExperimentResult) -> NormalityReport:
     of the sqrt(n)-scaled errors is compared against the mean estimated
     asymptotic covariance; the disagreement is the largest elementwise gap
     relative to the estimated diagonal scale.  Only converged rows with
-    all-finite estimates enter; a sample size with fewer than 2 of them gets
-    NaN statistics.  The skewness of the slope estimates
+    all-finite estimates enter, and a coordinate's statistics only those whose
+    standard error for it is positive, counted in ``n_rows``; below 2 such
+    rows the statistics are NaN.  The skewness of the slope estimates
     ``(alpha_k ± beta_k)**2`` is reported alongside as a diagnostic.
     """
     if result.plan.replicates < 100:
@@ -644,14 +646,16 @@ def normality_diagnostics(result: ExperimentResult) -> NormalityReport:
     slope_skewness: dict[int, dict[str, float]] = {}
     for n in result.plan.sample_sizes:
         est, ses = _cell(result.rows, n, len(result.names))
-        z = (est - result.truth) / ses
         for idx, name in enumerate(result.names):
-            stat = anderson_darling_statistic(z[:, idx]) if len(z) > 1 else np.nan
-            skewness, excess_kurtosis = _moment_ratios(z[:, idx])
+            rows = ses[:, idx] > 0
+            z = (est[rows, idx] - result.truth[idx]) / ses[rows, idx]
+            stat = anderson_darling_statistic(z) if z.size > 1 else np.nan
+            skewness, excess_kurtosis = _moment_ratios(z)
             coords.append(
                 NormalityCoordinate(
                     n=n,
                     name=name,
+                    n_rows=z.size,
                     skewness=skewness,
                     excess_kurtosis=excess_kurtosis,
                     ad_statistic=stat,

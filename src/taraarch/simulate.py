@@ -73,20 +73,27 @@ def _seed(key: str, value) -> int:
     return seed
 
 
+def _open_unit(raw: np.ndarray) -> np.ndarray:
+    """Raw 64-bit words mapped into the open interval (0, 1): the top 53 bits
+    plus one half, times 2**-53.  The top 2,048 words would round to 1.0 and
+    are clamped to 1 - 2**-53, the largest double below 1."""
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return np.minimum(u, 1.0 - 2.0**-53)
+
+
 def normal_stream(seed: int, count: int) -> np.ndarray:
     """``count`` i.i.d. standard normals from a counter-based stream.
 
     Draw ``i`` depends only on ``(seed, i)``, for a whole ``seed`` in
     [0, 2**64): Philox output is mapped to the open interval (0, 1) with
-    53-bit resolution and passed through the inverse normal CDF.
+    53-bit resolution (:func:`_open_unit`, so every draw is finite) and
+    passed through the inverse normal CDF.
     """
     from scipy.special import ndtri  # here, so that importing the package does not load it
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     bg = np.random.Philox(key=_seed("seed", seed))
-    raw = bg.random_raw(count)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    return ndtri(_open_unit(bg.random_raw(count)))
 
 
 @dataclass(frozen=True)

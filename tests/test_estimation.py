@@ -36,6 +36,7 @@ from taraarch.model import (
     ModelSpec,
     TarParams,
     ThresholdPartition,
+    _lag_design,
     param_vector,
     replace_params,
     residuals,
@@ -174,7 +175,8 @@ class TestThetaStep:
         assert ctx.o > 0
         w = np.random.Generator(np.random.Philox(key=34)).uniform(0.2, 5.0, ctx.nq)
         got = _mean_pass(ctx, w)
-        labels, zq, yq = ctx.labels_r[ctx.o :], ctx.Zr[ctx.o :], ctx.y_r[ctx.o :]
+        zq = _lag_design(x, spec.p, ctx.mpd)[ctx.o :]
+        labels, yq = ctx.labels_r[ctx.o :], ctx.y_r[ctx.o :]
         eps = np.finfo(float).eps
         for j in range(spec.partition.regimes):
             rows = labels == j
@@ -726,7 +728,8 @@ class TestFitContext:
         # Both sum p + 1 products and subtract from y, each within
         # (p + 2) / 2 eps of |y| + sum |theta z| whatever the order of the sum.
         theta = spec.tar.coefficients[ctx.labels_r]
-        scale = np.abs(ctx.y_r) + np.einsum("ij,ij->i", np.abs(ctx.Zr), np.abs(theta))
+        z = _lag_design(x, spec.p, ctx.mpd)
+        scale = np.abs(ctx.y_r) + np.einsum("ij,ij->i", np.abs(z), np.abs(theta))
         assert np.all(np.abs(got - want) <= (spec.p + 2) * np.finfo(float).eps * scale)
 
     def test_expanded_design_holds_regime_rows_and_exact_zeros(self):
@@ -735,11 +738,12 @@ class TestFitContext:
         ctx = _FitContext(x, spec.partition, spec.p, spec.q)
         w = spec.p + 1
         assert ctx.zexp_t.shape == (3 * w, ctx.nr)
+        z = _lag_design(x, spec.p, ctx.mpd)
         for j in range(3):
             block = ctx.zexp_t[j * w : (j + 1) * w]
             on = ctx.labels_r == j
             assert on.any()
-            assert block[:, on].tobytes() == ctx.Zr[on].T.tobytes()
+            assert block[:, on].tobytes() == z[on].T.tobytes()
             off = block[:, ~on]
             assert np.all(off == 0.0) and not np.any(np.signbit(off))
 

@@ -1201,6 +1201,49 @@ class TestNormalityDiagnostics:
         report = efficiency_comparison(plan, plan, results=(mixed, clean))
         assert all(row.ratio == 1.0 for row in report.rows)
 
+    def test_zero_standard_error_row_left_out_and_counted(self):
+        # One row fits alpha_1 = beta_1 = 0 with standard error 0 among 120;
+        # those two coordinates are standardized on the other 120 rows.
+        spec = reference_spec()
+        names = tuple(param_names(spec))
+        truth = param_vector(spec)
+        n, r_total = 1000, 120
+        z = normal_stream(778, r_total * truth.size).reshape(r_total, truth.size)
+        rows = [
+            ReplicateRow(
+                n=n, r=r, seed=r, converged=True,
+                estimates=truth + 0.01 * z[r], std_errors=np.full(truth.size, 0.01),
+            )
+            for r in range(r_total)
+        ]
+        on_bound = [names.index("alpha_1"), names.index("beta_1")]
+        estimates, std_errors = truth + 0.01, np.full(truth.size, 0.01)
+        estimates[on_bound] = std_errors[on_bound] = 0.0
+        zero_se = ReplicateRow(n=n, r=r_total, seed=r_total, converged=True,
+                               estimates=estimates, std_errors=std_errors)
+        plan = ExperimentPlan(
+            true_spec=spec, sample_sizes=(n,), replicates=r_total + 1, base_seed=0
+        )
+
+        def result(rows):
+            summaries, failed = _summarize(plan, names, truth, rows)
+            return ExperimentResult(
+                plan=plan, names=names, truth=truth, rows=tuple(rows),
+                summaries=summaries, failed=failed,
+            )
+
+        clean = normality_diagnostics(result(rows))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = normality_diagnostics(result(rows + [zero_se]))
+        for idx, (c, want) in enumerate(zip(got.coordinates, clean.coordinates)):
+            if idx in on_bound:
+                assert c == want
+                assert c.n_rows == r_total
+                assert np.isfinite([c.skewness, c.excess_kurtosis, c.ad_statistic]).all()
+            else:
+                assert c.n_rows == r_total + 1
+
     def test_cell_below_two_comparable_rows_reports_nan(self):
         # n = 300 has one comparable row and n = 600 none, among 100 replicates
         spec = reference_spec()
@@ -1297,14 +1340,14 @@ class TestAsymptoticInvariants:
             "n", "name", "var_a", "var_b", "se_var_a", "se_var_b", "ratio",
         ]
         norm = NormalityReport(
-            coordinates=(NormalityCoordinate(n=300, name="alpha_0", skewness=0.1,
-                                             excess_kurtosis=0.2, ad_statistic=0.3,
-                                             ad_pass_1pct=True),),
+            coordinates=(NormalityCoordinate(n=300, name="alpha_0", n_rows=120,
+                                             skewness=0.1, excess_kurtosis=0.2,
+                                             ad_statistic=0.3, ad_pass_1pct=True),),
             cov_disagreement={300: 0.4},
             slope_skewness={300: {"c+_1": 0.5, "c-_1": 0.6}},
         ).to_dict()
         assert norm == {
-            "coordinates": [{"n": 300, "name": "alpha_0", "skewness": 0.1,
+            "coordinates": [{"n": 300, "name": "alpha_0", "n_rows": 120, "skewness": 0.1,
                              "excess_kurtosis": 0.2, "ad_statistic": 0.3,
                              "ad_pass_1pct": True}],
             "cov_disagreement": {"300": 0.4},
@@ -1312,7 +1355,8 @@ class TestAsymptoticInvariants:
         }
         assert list(norm) == ["coordinates", "cov_disagreement", "slope_skewness"]
         assert list(norm["coordinates"][0]) == [
-            "n", "name", "skewness", "excess_kurtosis", "ad_statistic", "ad_pass_1pct",
+            "n", "name", "n_rows", "skewness", "excess_kurtosis", "ad_statistic",
+            "ad_pass_1pct",
         ]
 
     def test_summary_json_document_shape(self, multi_n_result):

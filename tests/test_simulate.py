@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 from scipy.stats import skew
 
 from taraarch.baselines import canned_model_spec
@@ -18,6 +19,7 @@ from taraarch.montecarlo import reference_spec, symmetric_reference_spec
 from taraarch.simulate import (
     SimConfig,
     SimulationError,
+    _open_unit,
     box_cox_sqrt_transform,
     log_return_transform,
     mix_seed,
@@ -53,6 +55,16 @@ class TestSeeding:
     def test_normal_stream_takes_every_64_bit_seed(self):
         assert normal_stream(0, 2).shape == normal_stream(2**64 - 1, 2).shape == (2,)
         assert not np.array_equal(normal_stream(0, 2), normal_stream(2**64 - 1, 2))
+
+    def test_top_raw_words_map_below_one(self):
+        # (2**53 - 1) + 0.5 rounds to 2**53, so the top 2,048 words would map to
+        # 1.0, whose inverse normal CDF is inf; they are clamped to 1 - 2**-53.
+        raw = np.array([0, 2**63, 2**64 - 2**11 - 1, 2**64 - 2**11, 2**64 - 1],
+                       dtype=np.uint64)
+        u = _open_unit(raw)
+        assert u.tolist() == [2.0**-54, 0.5 + 2.0**-54, 1.0 - 2.0**-52,
+                              1.0 - 2.0**-53, 1.0 - 2.0**-53]
+        assert np.isfinite(ndtri(u)).all()
 
     def test_normal_stream_depends_only_on_seed_and_index(self):
         long = normal_stream(99, 100)
